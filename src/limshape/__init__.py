@@ -9,6 +9,7 @@ its closed-form first-difference graphs.
 
 from .families import (
     ExactShape,
+    FamilyRuleError,
     GradedFamily,
     GradednessReport,
     LimitEstimate,

@@ -1,9 +1,10 @@
 """Command-line front end: JSON results on stdout, SVG via the render command.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed JSON,
-parameter violations), 2 computation error (no stabilization within the
-degree cap, unsupported dimension).  The environment variable
-LIMSHAPE_MAX_DEGREE overrides the Hilbert-polynomial degree cap.
+parameter violations), 2 computation error (unsupported dimension, a family
+rule breaking its declaration, or no stabilization within the degree cap).
+Hilbert data are exact; setting LIMSHAPE_MAX_DEGREE makes the Hilbert
+polynomial and regularity index relative to that degree cap.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from . import geometry, planar
 from .families import (
+    FamilyRuleError,
     GradedFamily,
     areg_estimate,
     family_from_json,
@@ -421,7 +423,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotStabilizedError, geometry.UnsupportedDimensionError, RuntimeError) as exc:
+    except (NotStabilizedError, geometry.UnsupportedDimensionError, FamilyRuleError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,6 +25,7 @@ from .rationals import format_rational, parse_rational
 
 __all__ = [
     "ExactShape",
+    "FamilyRuleError",
     "GradedFamily",
     "LimitEstimate",
     "GradednessReport",
@@ -45,6 +46,11 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = Fraction(1, 20)
+
+
+class FamilyRuleError(RuntimeError):
+    """A family rule returned an ideal that breaks the family's declaration:
+    the wrong number of variables, or not Borel-fixed as claimed."""
 
 
 @dataclass(frozen=True)
@@ -97,11 +103,11 @@ class GradedFamily:
             return cached
         ideal = self._rule(m)
         if ideal.nvars != self.nvars:
-            raise RuntimeError(
+            raise FamilyRuleError(
                 f"{self.label}: rule({m}) lives in {ideal.nvars} variables, expected {self.nvars}"
             )
         if self.claims_borel and not ideal.is_zero and not ideal.is_borel_fixed():
-            raise RuntimeError(f"{self.label}: rule({m}) is not Borel-fixed as claimed")
+            raise FamilyRuleError(f"{self.label}: rule({m}) is not Borel-fixed as claimed")
         self._cache[m] = ideal
         return ideal
 

@@ -1,11 +1,18 @@
-"""Hilbert functions of monomial ideals by exact lattice counting.
+"""Hilbert functions of monomial ideals from the Hilbert-series numerator.
 
 HF_I(d) is the number of degree-d monomials outside I, i.e. dim of the
-degree-d piece of the quotient ring.  Three exact counting strategies are
-dispatched on the input: inclusion-exclusion over generator lcms for small
-generator sets, a column sweep for 2 and 3 variables, and a generic
-recursion otherwise.  The Hilbert polynomial is recovered by difference
-stabilization and exact interpolation.
+degree-d piece of the quotient ring S/I.  Every quantity is read off the
+sparse numerator N(t) = sum_e c_e t^e of the Hilbert series
+HS(S/I) = N(t) / (1 - t)^n, n the number of variables (Bayer-Stillman 1992;
+Bruns-Herzog, section 4.1):
+
+    HF(d) = sum_{e <= d} c_e * C(d - e + n - 1, n - 1),
+
+the Hilbert polynomial is the same sum with each binomial read as a
+polynomial in d, and the two agree exactly from degree max(N) - n + 1 on.
+No degree cap is involved.  Only when LIMSHAPE_MAX_DEGREE is set do
+`hilbert_polynomial` and `regularity_index` fall back to a difference
+stabilization search whose answers are relative to that cap.
 """
 
 from __future__ import annotations
@@ -13,7 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import accumulate, groupby
+from math import comb, factorial
+from operator import itemgetter
 
 from .ideals import MonomialIdeal
 
@@ -30,145 +39,51 @@ __all__ = [
 
 ENV_DEGREE_CAP = "LIMSHAPE_MAX_DEGREE"
 
-_IE_GENS_LIMIT = 12
-
 
 class NotStabilizedError(RuntimeError):
     """Hilbert function did not agree with a polynomial within the degree cap."""
 
 
-def _count_all(d: int, nvars: int) -> int:
-    # monomials of degree d in nvars variables
-    return comb(d + nvars - 1, nvars - 1) if d >= 0 else 0
+def _numerator(gens, nvars: int) -> dict:
+    """Numerator {degree: coeff} of HS(S/I), zero coefficients dropped.
 
-
-def _hf_inclusion_exclusion(I: MonomialIdeal, d: int) -> int:
-    n = I.nvars - 1
-    gens = I.gens
-    total = 0
-
-    def rec(start: int, lcm: tuple, deg: int, sign: int) -> None:
-        nonlocal total
-        total += sign * comb(d - deg + n, n)
-        for k in range(start, len(gens)):
-            g = gens[k]
-            new = tuple(max(a, b) for a, b in zip(lcm, g))
-            nd = sum(new)
-            if nd <= d:  # deeper subsets only grow the lcm degree
-                rec(k + 1, new, nd, -sign)
-
-    rec(0, (0,) * I.nvars, 0, 1)
-    return total
-
-
-def _hf_sweep_2(I: MonomialIdeal, d: int) -> int:
-    # b_min(a) = least y-exponent putting x^a*y^b inside the ideal
-    by_a = sorted(g for g in I.gens)
-    count = 0
-    k = 0
-    cur = None  # None means no generator reaches this column yet
-    for a in range(d + 1):
-        while k < len(by_a) and by_a[k][0] <= a:
-            b = by_a[k][1]
-            cur = b if cur is None else min(cur, b)
-            k += 1
-        if cur is None or d - a < cur:
-            count += 1
-    return count
-
-
-def _count_2var_degree(e: int, corners: list) -> int:
-    """Standard monomials of degree e for a 2-variable staircase.
-
-    `corners` is the antichain sorted by first coordinate ascending (second
-    strictly descending); c_min(b) is a step function over those corners.
+    Slicing on x_0: S/I is the direct sum over k >= 0 of x_0^k * S'/I_k, where
+    I_k is generated by the tails g[1:] of the generators with g[0] <= k.
+    I_k changes only at the distinct first exponents a_0 < ... < a_r, so
+    N = 1 + sum_j t^(a_j) * (N(I_(a_j)) - N(I_(a_(j-1)))) with N(I_(a_(-1))) = 1.
+    The tails are not minimalized: the formula needs only generators of I_k,
+    and redundant tails cost less than removing them.  The recursion depth
+    is nvars.
     """
-    if e < 0:
-        return 0
-    if not corners:
-        return e + 1
-    count = 0
-    prev_b = 0
-    cmin = None
-    for b_step, c_step in corners + [(e + 1, 0)]:
-        lo, hi = prev_b, min(b_step - 1, e)
-        if lo <= hi:
-            if cmin is None:
-                count += hi - lo + 1
-            else:
-                # need e - b < cmin, i.e. b > e - cmin
-                lo2 = max(lo, e - cmin + 1)
-                if lo2 <= hi:
-                    count += hi - lo2 + 1
-        prev_b = b_step
-        cmin = c_step if cmin is None else min(cmin, c_step)
-        if prev_b > e:
+    if not gens:
+        return {0: 1}
+    if nvars == 1:
+        e = min(g[0] for g in gens)
+        return {} if e == 0 else {0: 1, e: -1}
+    out = {0: 1}
+    prev = {0: 1}
+    tails: list = []
+    for a, group in groupby(sorted(gens), key=itemgetter(0)):
+        tails.extend(g[1:] for g in group)
+        cur = _numerator(tails, nvars - 1)
+        for e, c in cur.items():
+            out[a + e] = out.get(a + e, 0) + c
+        for e, c in prev.items():
+            out[a + e] = out.get(a + e, 0) - c
+        if not cur:  # a unit slice stays the unit ideal at every later a_j
             break
-    return count
-
-
-def _hf_sweep_3(I: MonomialIdeal, d: int) -> int:
-    by_a = sorted(I.gens)
-    count = 0
-    k = 0
-    slice_corners: list = []  # projected (y,z) antichain for the current column
-    for a in range(d + 1):
-        changed = False
-        while k < len(by_a) and by_a[k][0] <= a:
-            slice_corners.append((by_a[k][1], by_a[k][2]))
-            changed = True
-            k += 1
-        if changed:
-            slice_corners = _minimal_pairs(slice_corners)
-        count += _count_2var_degree(d - a, slice_corners)
-    return count
-
-
-def _minimal_pairs(pairs: list) -> list:
-    # iterate b-ascending; a pair is dominated iff some earlier c is <= its c
-    out: list = []
-    for b, c in sorted(set(pairs)):
-        if out and out[-1][1] <= c:
-            continue
-        out.append((b, c))
-    return out
-
-
-def _hf_recursive(I: MonomialIdeal, d: int) -> int:
-    def rec(gens: tuple, deg: int, dims: int) -> int:
-        if any(sum(g) == 0 for g in gens):
-            return 0
-        if not gens:
-            return _count_all(deg, dims)
-        if dims == 1:
-            least = min(g[0] for g in gens)
-            return 1 if deg < least else 0
-        total = 0
-        for e0 in range(deg + 1):
-            sub = tuple(g[1:] for g in gens if g[0] <= e0)
-            total += rec(tuple(set(sub)), deg - e0, dims - 1)
-        return total
-
-    return rec(I.gens, d, I.nvars)
+        prev = cur
+    return {e: c for e, c in out.items() if c}
 
 
 def hilbert_function(I: MonomialIdeal, d: int) -> int:
     """dim of (S/I)_d: degree-d monomials not contained in I."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    if I.is_zero:
-        return _count_all(d, I.nvars)
-    if I.is_unit:
-        return 0
-    if len(I.gens) <= _IE_GENS_LIMIT:
-        return _hf_inclusion_exclusion(I, d)
-    if I.nvars == 1:
-        return 1 if d < I.gens[0][0] else 0
-    if I.nvars == 2:
-        return _hf_sweep_2(I, d)
-    if I.nvars == 3:
-        return _hf_sweep_3(I, d)
-    return _hf_recursive(I, d)
+    n = I.nvars
+    # generators of degree > d cannot change the degree-d piece
+    N = _numerator([g for g in I.gens if sum(g) <= d], n)
+    return sum(c * comb(d - e + n - 1, n - 1) for e, c in N.items() if e <= d)
 
 
 def hilbert_function_extended(I: MonomialIdeal, t) -> int:
@@ -250,7 +165,7 @@ class IntegerPolynomial:
 
 def _poly_mul_linear(coeffs: list, const: Fraction) -> list:
     """Multiply a coefficient list by (t + const)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
+    out = [0] * (len(coeffs) + 1)
     for k, c in enumerate(coeffs):
         out[k] += c * const
         out[k + 1] += c
@@ -258,7 +173,8 @@ def _poly_mul_linear(coeffs: list, const: Fraction) -> list:
 
 
 def degree_cap(I: MonomialIdeal) -> int:
-    """Degree bound for stabilization searches; env override wins."""
+    """Degree bound of the cap-relative search: the LIMSHAPE_MAX_DEGREE value
+    when set, else max(50, 4 * max generator degree, 4 * nvars + 8)."""
     env = os.environ.get(ENV_DEGREE_CAP)
     if env is not None:
         return int(env)
@@ -266,25 +182,32 @@ def degree_cap(I: MonomialIdeal) -> int:
     return max(50, 4 * top, 4 * I.nvars + 8)
 
 
-def hilbert_polynomial(I: MonomialIdeal, window: int | None = None) -> IntegerPolynomial:
-    """Eventual polynomial of HF_I, found by n-th difference stabilization.
+def _window(I: MonomialIdeal, window: int | None) -> int:
+    w = I.nvars + 1 if window is None else window
+    if w < I.nvars + 1:
+        raise ValueError(f"window must be at least {I.nvars + 1}")
+    return w
+
+
+def _fit_within_cap(I: MonomialIdeal, w: int) -> tuple:
+    """(polynomial, HF(0..cap)) by n-th difference stabilization over the
+    table up to the LIMSHAPE_MAX_DEGREE cap.
 
     The unique degree-<=n interpolant through a stabilized window is verified
-    against every Hilbert-function value up to the degree cap.  The default
-    cap (four times the maximal generator degree, at least 50) lies beyond
-    the true stabilization degree of a monomial ideal; an explicit env
-    override makes the answer relative to that smaller cap.
+    against every table value, so the answer is relative to the cap.
     """
     n = I.nvars - 1
-    w = n + 2 if window is None else window
-    if w < n + 2:
-        raise ValueError(f"window must be at least {n + 2}")
     cap = degree_cap(I)
     if cap < 2 * w + n + 1:
         raise NotStabilizedError(
             f"degree cap {cap} too small for window {w} in {I.nvars} variables"
         )
-    hf = [hilbert_function(I, d) for d in range(cap + 1)]
+    hf = [0] * (cap + 1)
+    for e, c in _numerator(I.gens, I.nvars).items():
+        if e <= cap:
+            hf[e] += c
+    for _ in range(I.nvars):  # one division by (1 - t) per variable
+        hf = list(accumulate(hf))
     diffs = hf[:]
     for _ in range(n):
         diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
@@ -297,20 +220,48 @@ def hilbert_polynomial(I: MonomialIdeal, window: int | None = None) -> IntegerPo
         # verify against the whole table; top-down so a candidate fitted to a
         # finite plateau is rejected in one evaluation
         if all(poly(i) == hf[i] for i in range(cap, start - 1, -1)):
-            return poly
+            return poly, hf
     raise NotStabilizedError(
         f"Hilbert function not polynomial within degree cap {cap}"
     )
 
 
+def hilbert_polynomial(I: MonomialIdeal, window: int | None = None) -> IntegerPolynomial:
+    """Eventual polynomial of HF_I: sum_e c_e * C(t - e + n - 1, n - 1) over
+    the Hilbert-series numerator, exact for every ideal.
+
+    `window` must be at least nvars + 1.  It matters only when
+    LIMSHAPE_MAX_DEGREE is set: the polynomial is then the one found by
+    stabilization of the n-th differences over a window of that length,
+    relative to the cap.
+    """
+    w = _window(I, window)
+    if ENV_DEGREE_CAP in os.environ:
+        return _fit_within_cap(I, w)[0]
+    n = I.nvars
+    acc = [0] * n
+    for e, c in _numerator(I.gens, n).items():
+        basis = [1]  # (t - e + 1) (t - e + 2) ... (t - e + n - 1)
+        for k in range(1, n):
+            basis = _poly_mul_linear(basis, k - e)
+        for i, b in enumerate(basis):
+            acc[i] += c * b
+    den = factorial(n - 1)
+    return IntegerPolynomial.from_coeffs(Fraction(a, den) for a in acc)
+
+
 def regularity_index(I: MonomialIdeal, window: int | None = None) -> int:
-    """Least degree from which HF agrees with the Hilbert polynomial
-    (checked exhaustively up to the degree cap)."""
-    poly = hilbert_polynomial(I, window=window)
-    cap = degree_cap(I)
-    ri = 0
-    for d in range(cap, -1, -1):
-        if hilbert_function(I, d) != poly(d):
-            ri = d + 1
-            break
-    return ri
+    """Least degree from which HF agrees with the Hilbert polynomial.
+
+    Exactly max(0, max(N) - n + 1) for the Hilbert-series numerator N: at
+    degree max(N) - n the top term of N alone disagrees, by +-c_top, and
+    above it every term agrees.  With LIMSHAPE_MAX_DEGREE set, it is the
+    least degree from which HF agrees up to the cap with the cap-relative
+    polynomial.
+    """
+    w = _window(I, window)
+    if ENV_DEGREE_CAP in os.environ:
+        poly, hf = _fit_within_cap(I, w)
+        return next((d + 1 for d in range(len(hf) - 1, -1, -1) if hf[d] != poly(d)), 0)
+    N = _numerator(I.gens, I.nvars)
+    return max(0, max(N) - I.nvars + 1) if N else 0

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import limshape.cli
+from limshape import GradedFamily, MonomialIdeal
 from limshape.cli import main
 
 
@@ -131,6 +133,33 @@ def test_exit_code_computation_error(monkeypatch, capsys):
         "--degree", "3", "--hp",
     )
     assert code == 2 and "computation error" in err
+
+
+def test_exit_code_family_rule_violation(monkeypatch, capsys):
+    def bad_doubling(extra_vars):
+        rule = lambda m: MonomialIdeal.from_gens(2, [(0, m)])  # noqa: E731
+        return GradedFamily(2, rule, "not Borel", claims_borel=True)
+
+    monkeypatch.setattr(limshape.cli, "make_doubling_family", bad_doubling)
+    code, _, err = run_cli(capsys, "family-eval", "--family", "doubling", "--m", "1")
+    assert code == 2 and "Borel" in err
+
+
+def test_unexpected_error_is_not_a_computation_error(monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(limshape.cli, "_cmd_planar_vertices", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["planar-vertices", "--counts", "3"])
+
+
+def test_hf_doubling_at_large_m(capsys):
+    code, out, _ = run_cli(capsys, "hf", "--family", "doubling", "--m", "40", "--t", "3", "--hp")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["regularity_index"] == 2**40 + 1
+    assert payload["hilbert_polynomial"] == "1"
 
 
 def test_determinism(capsys):

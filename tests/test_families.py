@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from limshape import (
+    FamilyRuleError,
     GradedFamily,
     MonomialIdeal,
     areg_estimate,
@@ -124,8 +125,11 @@ def test_family_claims_checked():
     bad = GradedFamily(
         2, lambda m: MonomialIdeal.from_gens(2, [(0, m)]), "bad", claims_borel=True
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(FamilyRuleError):
         bad.ideal(1)
+    wrong_vars = GradedFamily(3, lambda m: MonomialIdeal.from_gens(2, [(m, 0)]), "bad")
+    with pytest.raises(FamilyRuleError):
+        wrong_vars.ideal(1)
 
 
 def test_verify_graded_builtins():

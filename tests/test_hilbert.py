@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limshape import (
     IntegerPolynomial,
@@ -40,8 +43,8 @@ def test_hilbert_function_matches_brute_enumeration(rng):
 
 
 def test_hilbert_function_sweep_path_matches_brute():
-    # halfplane ideals at larger m exceed the inclusion-exclusion generator
-    # budget, exercising the column sweeps
+    # halfplane ideals at larger m have many generators and many distinct
+    # x-exponents, so the numerator recursion takes many slices
     I = make_halfplane_family(2, 3).ideal(8)
     assert len(I.gens) > 12
     for d in range(0, 30, 3):
@@ -49,6 +52,35 @@ def test_hilbert_function_sweep_path_matches_brute():
     J = I.padded(3)
     for d in range(0, 16, 2):
         assert hilbert_function(J, d) == brute_hf(J, d)
+
+
+def test_hilbert_function_at_huge_degree():
+    # work is bounded by the generators, not by the degree
+    d = 2**40
+    assert hilbert_function(MonomialIdeal.from_gens(2, [(2, 0), (1, 3)]), d) == 1
+    assert hilbert_function(MonomialIdeal.from_gens(2, [(2, 3)]), d) == 5
+    assert hilbert_function(MonomialIdeal.from_gens(3, [(2, 0, 0), (1, 1, 0)]), d) == d + 2
+    principal = MonomialIdeal.from_gens(3, [(2, 3, 0)])
+    assert hilbert_function(principal, d) == comb(d + 2, 2) - comb(d - 3, 2)
+
+
+@st.composite
+def small_ideals(draw):
+    nvars = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(0, 4)] * nvars)
+    return MonomialIdeal.from_gens(nvars, draw(st.lists(exponent, max_size=5)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(small_ideals())
+def test_hilbert_data_match_brute_enumeration(I):
+    for d in range(11):
+        assert hilbert_function(I, d) == brute_hf(I, d)
+    poly, ri = hilbert_polynomial(I), regularity_index(I)
+    for d in range(ri, ri + I.nvars + 2):
+        assert poly(d) == brute_hf(I, d)
+    if ri > 0:
+        assert poly(ri - 1) != brute_hf(I, ri - 1)
 
 
 def test_hilbert_function_extended():
