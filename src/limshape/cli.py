@@ -20,12 +20,6 @@ from .families import (
     GradedFamily,
     areg_estimate,
     family_from_json,
-    make_ceiling_family,
-    make_chain_family,
-    make_doubling_family,
-    make_halfplane_family,
-    make_oscillating_family,
-    make_power_family,
     verify_graded,
     waldschmidt_estimate,
 )
@@ -78,42 +72,20 @@ def _load_json_arg(text: str, what: str) -> dict:
 
 
 def _family_from_args(args) -> GradedFamily:
-    if getattr(args, "input", None):
+    """Map the family flags onto a family JSON spec; unset flags are left out,
+    so `family_from_json` reports what is missing or malformed."""
+    if args.input:
         return family_from_json(_load_json_arg("@" + args.input, "input"))
-    kind = getattr(args, "family", None)
+    kind = args.family
     if not kind:
         raise CliError("family: provide --family KIND or --input FILE")
-    if kind == "power":
-        if not args.ideal:
-            raise CliError("power family needs --ideal")
-        return make_power_family(
-            MonomialIdeal.from_json(_load_json_arg(args.ideal, "ideal"))
-        )
-    if kind == "doubling":
-        return make_doubling_family(args.extra_vars)
-    if kind == "halfplane":
-        if args.q1 is None or args.q2 is None:
-            raise CliError("halfplane family needs --q1 and --q2")
-        return make_halfplane_family(_rat(args.q1), _rat(args.q2))
-    if kind == "ceiling":
-        if args.q is None:
-            raise CliError("ceiling family needs --q")
-        return make_ceiling_family(_rat(args.q))
-    if kind == "chain":
-        if not args.breakpoints:
-            raise CliError("chain family needs --breakpoints 's0,0;s1,t1;...;0,tn'")
-        pts = []
-        for chunk in args.breakpoints.split(";"):
-            pieces = chunk.split(",")
-            if len(pieces) != 2:
-                raise CliError(f"breakpoints: cannot parse pair {chunk!r}")
-            pts.append((_rat(pieces[0]), _rat(pieces[1])))
-        return make_chain_family(pts)
-    if kind == "oscillating":
-        if args.a is None or args.b is None or args.d is None:
-            raise CliError("oscillating family needs --a, --b and --d")
-        return make_oscillating_family(args.a, args.b, args.d)
-    raise CliError(f"unknown family kind {kind!r}")
+    params = {name: getattr(args, name) for name in ("extra_vars", "q1", "q2", "q", "a", "b", "d")}
+    if kind == "power" and args.ideal is not None:
+        params["ideal"] = _load_json_arg(args.ideal, "ideal")
+    if args.breakpoints is not None:
+        params["breakpoints"] = [pair.split(",") for pair in args.breakpoints.split(";")]
+    spec = {"kind": kind, "params": {k: v for k, v in params.items() if v is not None}}
+    return family_from_json(spec)
 
 
 def _ideal_from_args(args) -> MonomialIdeal:
@@ -143,20 +115,6 @@ def _emit(args, payload) -> None:
             raise CliError(f"output: {exc}") from None
     else:
         sys.stdout.write(text)
-
-
-def _add_family_flags(sub) -> None:
-    sub.add_argument("--family", help="built-in family kind")
-    sub.add_argument("--input", help="path to a family JSON file")
-    sub.add_argument("--ideal", help="ideal JSON (inline or @path)")
-    sub.add_argument("--extra-vars", type=int, default=0, dest="extra_vars")
-    sub.add_argument("--q1")
-    sub.add_argument("--q2")
-    sub.add_argument("--q")
-    sub.add_argument("--breakpoints")
-    sub.add_argument("--a", type=int)
-    sub.add_argument("--b", type=int)
-    sub.add_argument("--d", type=int)
 
 
 def _cmd_family_eval(args) -> dict:
@@ -224,8 +182,7 @@ def _cmd_shape(args) -> dict:
 def _cmd_waldschmidt(args) -> dict:
     family = _family_from_args(args)
     if family.exact_shape is not None:
-        t = max(x + y for x, y in family.exact_shape.vertices) + 1
-        value = geometry.waldschmidt_from_shape(geometry.limiting_shape(family, t))
+        value = family.exact_shape.vertices[0][0]  # the chain starts on the x-axis
         return {"label": family.label, "method": "shape", "value": format_rational(value)}
     est = waldschmidt_estimate(family, args.max_m)
     return {
@@ -240,8 +197,7 @@ def _cmd_waldschmidt(args) -> dict:
 def _cmd_areg(args) -> dict:
     family = _family_from_args(args)
     if family.exact_shape is not None:
-        t = max(x + y for x, y in family.exact_shape.vertices) + 1
-        value = geometry.areg_from_shape(geometry.limiting_shape(family, t))
+        value = max(x + y for x, y in family.exact_shape.vertices)
         return {"label": family.label, "method": "shape", "value": format_rational(value)}
     est = areg_estimate(family, args.max_m)
     out = {
@@ -336,23 +292,35 @@ def _cmd_render(args) -> str:
 
 
 def _build_parser() -> _Parser:
+    # the family flags are the `params` of a family JSON spec, shared by every
+    # subcommand that takes a family
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", help="built-in family kind")
+    family.add_argument("--input", help="path to a family JSON file")
+    family.add_argument("--ideal", help="ideal JSON (inline or @path)")
+    family.add_argument("--extra-vars", type=int, default=0, dest="extra_vars")
+    family.add_argument("--q1")
+    family.add_argument("--q2")
+    family.add_argument("--q")
+    family.add_argument("--breakpoints")
+    family.add_argument("--a", type=int)
+    family.add_argument("--b", type=int)
+    family.add_argument("--d", type=int)
+
     parser = _Parser(prog="limshape", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("family-eval", help="evaluate a family at one index")
-    _add_family_flags(sub)
+    sub = subs.add_parser("family-eval", help="evaluate a family at one index", parents=[family])
     sub.add_argument("--m", type=int)
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_family_eval)
 
-    sub = subs.add_parser("check-graded", help="verify I_p*I_q <= I_{p+q}")
-    _add_family_flags(sub)
+    sub = subs.add_parser("check-graded", help="verify I_p*I_q <= I_{p+q}", parents=[family])
     sub.add_argument("--max-m", type=int, default=6, dest="max_m")
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_check_graded)
 
-    sub = subs.add_parser("hf", help="Hilbert function values")
-    _add_family_flags(sub)
+    sub = subs.add_parser("hf", help="Hilbert function values", parents=[family])
     sub.add_argument("--m", type=int)
     sub.add_argument("--degree", type=int)
     sub.add_argument("--t")
@@ -360,27 +328,23 @@ def _build_parser() -> _Parser:
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_hf)
 
-    sub = subs.add_parser("shape", help="limiting shape and complement polygons")
-    _add_family_flags(sub)
+    sub = subs.add_parser("shape", help="limiting shape and complement polygons", parents=[family])
     sub.add_argument("--t", required=True)
     sub.add_argument("--max-m", type=int, default=16, dest="max_m")
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_shape)
 
-    sub = subs.add_parser("waldschmidt", help="Waldschmidt constant")
-    _add_family_flags(sub)
+    sub = subs.add_parser("waldschmidt", help="Waldschmidt constant", parents=[family])
     sub.add_argument("--max-m", type=int, default=20, dest="max_m")
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_waldschmidt)
 
-    sub = subs.add_parser("areg", help="asymptotic regularity")
-    _add_family_flags(sub)
+    sub = subs.add_parser("areg", help="asymptotic regularity", parents=[family])
     sub.add_argument("--max-m", type=int, default=20, dest="max_m")
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_areg)
 
-    sub = subs.add_parser("ahf", help="asymptotic Hilbert function")
-    _add_family_flags(sub)
+    sub = subs.add_parser("ahf", help="asymptotic Hilbert function", parents=[family])
     sub.add_argument("--t", required=True)
     sub.add_argument("--max-m", type=int, default=16, dest="max_m")
     sub.add_argument("--output")
@@ -400,9 +364,8 @@ def _build_parser() -> _Parser:
     sub.add_argument("--output")
     sub.set_defaults(handler=_cmd_planar_vertices)
 
-    sub = subs.add_parser("render", help="emit an SVG figure")
+    sub = subs.add_parser("render", help="emit an SVG figure", parents=[family])
     sub.add_argument("--kind", required=True, choices=["staircase", "graph", "gamma", "shape"])
-    _add_family_flags(sub)
     sub.add_argument("--m", type=int)
     sub.add_argument("--t")
     sub.add_argument("--counts")

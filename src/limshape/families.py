@@ -80,7 +80,6 @@ class GradedFamily:
         rule: Callable[[int], MonomialIdeal],
         label: str,
         claims_borel: bool = False,
-        claims_lbhr: bool = True,
         period: int | None = None,
         exact_shape: ExactShape | None = None,
         json_spec: dict | None = None,
@@ -88,7 +87,6 @@ class GradedFamily:
         self.nvars = nvars
         self.label = label
         self.claims_borel = claims_borel
-        self.claims_lbhr = claims_lbhr
         self.period = period
         self.exact_shape = exact_shape
         self.json_spec = json_spec
@@ -156,7 +154,6 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
         rule,
         label=f"doubling[{nv} vars]",
         claims_borel=True,
-        claims_lbhr=False,
         json_spec={"kind": "doubling", "params": {"extra_vars": extra_vars}},
     )
 
@@ -246,6 +243,10 @@ def make_chain_family(breakpoints) -> GradedFamily:
     steepen and start at -1 or steeper, which also makes every ideal
     Borel-fixed.
     """
+    if not isinstance(breakpoints, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 for p in breakpoints
+    ):
+        raise ValueError(f"breakpoints must be a list of (s, t) pairs, got {breakpoints!r}")
     pts = [(parse_rational(s), parse_rational(t)) for s, t in breakpoints]
     if len(pts) < 2:
         raise ValueError("need at least two breakpoints")
@@ -454,19 +455,25 @@ def ri_estimate(
     return _estimate_from_values(values, tolerance, family.period)
 
 
+def _int_param(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"family parameter {name!r} must be an integer, got {value!r}") from None
+
+
 def _build_power(params: dict) -> GradedFamily:
     return make_power_family(MonomialIdeal.from_json(params["ideal"]))
 
 
 def _build_doubling(params: dict) -> GradedFamily:
-    return make_doubling_family(int(params.get("extra_vars", 0)))
+    return make_doubling_family(_int_param(params.get("extra_vars", 0), "extra_vars"))
 
 
 def _build_halfplane(params: dict) -> GradedFamily:
     cap = params.get("degree_cap")
-    return make_halfplane_family(
-        params["q1"], params["q2"], None if cap is None else int(cap)
-    )
+    cap = None if cap is None else _int_param(cap, "degree_cap")
+    return make_halfplane_family(params["q1"], params["q2"], cap)
 
 
 def _build_ceiling(params: dict) -> GradedFamily:
@@ -474,12 +481,12 @@ def _build_ceiling(params: dict) -> GradedFamily:
 
 
 def _build_chain(params: dict) -> GradedFamily:
-    return make_chain_family([tuple(p) for p in params["breakpoints"]])
+    return make_chain_family(params["breakpoints"])
 
 
 def _build_oscillating(params: dict) -> GradedFamily:
     return make_oscillating_family(
-        int(params["a"]), int(params["b"]), int(params["d"])
+        _int_param(params["a"], "a"), _int_param(params["b"], "b"), _int_param(params["d"], "d")
     )
 
 
@@ -496,10 +503,10 @@ BUILTIN_KINDS = tuple(sorted(_BUILDERS))
 
 
 def family_from_json(obj: dict) -> GradedFamily:
-    if "kind" not in obj:
-        raise ValueError("family JSON needs a 'kind' field")
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError("family JSON needs an object with a 'kind' field")
     kind = obj["kind"]
-    builder = _BUILDERS.get(kind)
+    builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
     if builder is None:
         raise ValueError(f"unknown family kind {kind!r}; known: {BUILTIN_KINDS}")
     params = obj.get("params", {})

@@ -61,9 +61,11 @@ class SimplexRegion:
 class StaircaseRegion:
     """Union of truncated corner boxes inside the simplex of the same bound.
 
-    Corners are (prefix, slack) pairs: { beta >= prefix, sum(beta) <= slack }.
-    Only nonempty boxes are stored (slack >= sum(prefix)) and the corner set
-    is an antichain under (prefix smaller, slack larger) domination.
+    Corners are (prefix, slack) pairs: { beta >= prefix, sum(beta) <= slack },
+    sorted.  Only nonempty boxes are stored (slack >= sum(prefix)).  The
+    corner set is an antichain under (prefix smaller, slack larger)
+    domination because the ideal's generators are minimal: a dominating
+    corner would come from a generator dividing the other's.
     """
 
     dim: int
@@ -76,19 +78,6 @@ class ComplementRegion:
     """Simplex minus staircase; its lattice points count standard monomials."""
 
     staircase: StaircaseRegion
-
-
-def _minimal_corners(corners: list) -> tuple:
-    items = sorted(set(corners))
-    keep = []
-    for p, s in items:
-        dominated = any(
-            (q, r) != (p, s) and r >= s and all(a <= b for a, b in zip(q, p))
-            for q, r in items
-        )
-        if not dominated:
-            keep.append((p, s))
-    return tuple(keep)
 
 
 def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
@@ -105,7 +94,8 @@ def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
         slack = bound - last
         if slack >= sum(prefix):  # box nonempty
             corners.append((prefix, slack))
-    return StaircaseRegion(I.nvars - 1, bound, _minimal_corners(corners))
+    # already an antichain: a dominating corner's generator would divide the other's
+    return StaircaseRegion(I.nvars - 1, bound, tuple(sorted(corners)))
 
 
 def gamma_region(I: MonomialIdeal, m: int, t) -> ComplementRegion:
@@ -128,39 +118,31 @@ def _merge_intervals(intervals: list) -> list:
     return out
 
 
-def _staircase_lattice(corners: tuple, dim: int, dfloor: int) -> int:
-    if dfloor < 0:
+def _staircase_lattice(corners, dim: int, dfloor: int) -> int:
+    """Lattice points of a union of corner boxes; the corners need not form an
+    antichain."""
+    if dfloor < 0 or not corners:
         return 0
     if dim == 0:
-        return 1 if corners else 0
+        return 1
     if dim == 1:
         ivs = [(p[0], _floor(Fraction(s))) for p, s in corners]
         return sum(hi - lo + 1 for lo, hi in _merge_intervals(ivs) if lo <= dfloor)
-    if dim == 2:
-        slacks = {s for _, s in corners}
-        if len(slacks) == 1:
-            # single hypotenuse: each column is one interval
-            sfloor = _floor(Fraction(next(iter(slacks))))
-            by_a = sorted((p[0], p[1]) for p, _ in corners)
-            total = 0
-            k = 0
-            bmin = None
-            for a in range(min(dfloor, sfloor) + 1):
-                while k < len(by_a) and by_a[k][0] <= a:
-                    b = by_a[k][1]
-                    bmin = b if bmin is None else min(bmin, b)
-                    k += 1
-                if bmin is not None and sfloor - a >= bmin:
-                    total += sfloor - a - bmin + 1
-            return total
+    if dim == 2 and len({s for _, s in corners}) == 1:
+        # single hypotenuse (every padded plane ideal): each column is one
+        # interval, so no per-column slicing
+        sfloor = _floor(Fraction(corners[0][1]))
+        by_a = sorted((p[0], p[1]) for p, _ in corners)
         total = 0
-        for a in range(dfloor + 1):
-            ivs = [
-                (p[1], _floor(Fraction(s)) - a)
-                for p, s in corners
-                if p[0] <= a
-            ]
-            total += sum(hi - lo + 1 for lo, hi in _merge_intervals(ivs))
+        k = 0
+        bmin = None
+        for a in range(min(dfloor, sfloor) + 1):
+            while k < len(by_a) and by_a[k][0] <= a:
+                b = by_a[k][1]
+                bmin = b if bmin is None else min(bmin, b)
+                k += 1
+            if bmin is not None and sfloor - a >= bmin:
+                total += sfloor - a - bmin + 1
         return total
     # generic: slice along the first coordinate
     total = 0
@@ -169,7 +151,7 @@ def _staircase_lattice(corners: tuple, dim: int, dfloor: int) -> int:
         for p, s in corners:
             if p[0] <= a and s - a >= sum(p[1:]):
                 sub.append((p[1:], s - a))
-        total += _staircase_lattice(_minimal_corners(sub), dim - 1, dfloor - a)
+        total += _staircase_lattice(sub, dim - 1, dfloor - a)
     return total
 
 

@@ -33,7 +33,10 @@ _VAR_NAMES = ("x", "y", "z", "w")
 
 
 def _check_vector(vec) -> tuple:
-    v = tuple(int(e) for e in vec)
+    try:
+        v = tuple(int(e) for e in vec)
+    except TypeError:
+        raise ValueError(f"exponent vector must hold integers, got {vec!r}") from None
     if not v:
         raise ValueError("exponent vector must be non-empty")
     if any(e < 0 for e in v):
@@ -197,9 +200,16 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MonomialIdeal":
-        if "vars" not in obj or "gens" not in obj:
-            raise ValueError("ideal JSON needs 'vars' and 'gens'")
-        return cls.from_gens(int(obj["vars"]), [tuple(g) for g in obj["gens"]])
+        if not isinstance(obj, dict) or "vars" not in obj or "gens" not in obj:
+            raise ValueError("ideal JSON needs an object with 'vars' and 'gens'")
+        try:
+            nvars = int(obj["vars"])
+        except (TypeError, ValueError):
+            raise ValueError(f"ideal 'vars' must be an integer, got {obj['vars']!r}") from None
+        gens = obj["gens"]
+        if not isinstance(gens, (list, tuple)) or not all(isinstance(g, (list, tuple)) for g in gens):
+            raise ValueError(f"ideal 'gens' must be a list of exponent lists, got {gens!r}")
+        return cls.from_gens(nvars, [tuple(g) for g in gens])
 
     def __str__(self) -> str:
         if self.is_zero:

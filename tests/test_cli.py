@@ -1,12 +1,28 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import limshape.cli
-from limshape import GradedFamily, MonomialIdeal
+import limshape.families
+from limshape import (
+    GradedFamily,
+    MonomialIdeal,
+    areg_from_shape,
+    family_from_json,
+    format_rational,
+    limiting_shape,
+    waldschmidt_from_shape,
+)
 from limshape.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# stdout (or the --output file) of every README CLI example, captured before
+# the CLI mapped its family flags onto family_from_json
+README_GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme_cli.json").read_text())
 
 
 def run_cli(capsys, *args):
@@ -99,13 +115,74 @@ def test_planar_reduce(capsys):
     assert payload["envelope"] == [["0", "0"], ["1", "1"], ["4", "0"]]
 
 
+# each family kind as --family flags and as the equivalent --input spec
+FAMILY_FLAGS_AND_SPECS = [
+    (["--family", "power", "--ideal", '{"vars":2,"gens":[[2,0],[1,2]]}'],
+     {"kind": "power", "params": {"ideal": {"vars": 2, "gens": [[2, 0], [1, 2]]}}}),
+    (["--family", "doubling", "--extra-vars", "1"],
+     {"kind": "doubling", "params": {"extra_vars": 1}}),
+    (["--family", "halfplane", "--q1", "7/5", "--q2", "9/4"],
+     {"kind": "halfplane", "params": {"q1": "7/5", "q2": "9/4"}}),
+    (["--family", "ceiling", "--q", "22/7"],
+     {"kind": "ceiling", "params": {"q": "22/7"}}),
+    (["--family", "chain", "--breakpoints", "4,0;3,1;1,4;0,7"],
+     {"kind": "chain", "params": {"breakpoints": [[4, 0], [3, 1], [1, 4], [0, 7]]}}),
+    (["--family", "oscillating", "--a", "1", "--b", "2", "--d", "2"],
+     {"kind": "oscillating", "params": {"a": 1, "b": 2, "d": 2}}),
+]
+
+
 def test_family_json_input(tmp_path, capsys):
-    family_json = {"kind": "halfplane", "params": {"q1": "7/5", "q2": "9/4"}}
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(family_json))
-    code, out, _ = run_cli(capsys, "waldschmidt", "--input", str(path))
-    assert code == 0
+    for flags, spec in FAMILY_FLAGS_AND_SPECS:
+        path = tmp_path / f"{spec['kind']}.json"
+        path.write_text(json.dumps(spec))
+        family = family_from_json(spec)
+        for command in (["family-eval", "--m", "2"], ["waldschmidt", "--max-m", "6"],
+                        ["areg", "--max-m", "6"]):
+            code, by_flags, _ = run_cli(capsys, *command, *flags)
+            assert code == 0, (command, spec)
+            code, by_input, _ = run_cli(capsys, *command, "--input", str(path))
+            assert code == 0 and by_input == by_flags, (command, spec)
+            if family.exact_shape is not None and command[0] != "family-eval":
+                shape = limiting_shape(family, 12)
+                invariant = {"waldschmidt": waldschmidt_from_shape, "areg": areg_from_shape}
+                expected = format_rational(invariant[command[0]](shape))
+                assert json.loads(by_flags)["value"] == expected, (command, spec)
+    code, out, _ = run_cli(capsys, "waldschmidt", "--input", str(tmp_path / "halfplane.json"))
     assert json.loads(out)["value"] == "7/5"
+
+
+MALFORMED_SPECS = [
+    {"kind": "chain", "params": {"breakpoints": 5}},
+    {"kind": "chain", "params": {"breakpoints": [[5]]}},
+    {"kind": ["x"]},
+    {"kind": "power", "params": {"ideal": 5}},
+    {"kind": "oscillating", "params": {"a": [1], "b": 2, "d": 2}},
+]
+MALFORMED_FLAGS = [
+    ["hf", "--degree", "2", "--ideal", "5"],
+    ["hf", "--degree", "2", "--ideal", '"vars gens"'],
+    ["hf", "--degree", "2", "--ideal", '{"vars":2,"gens":5}'],
+    ["hf", "--degree", "2", "--ideal", '{"vars":2,"gens":[[[1],0]]}'],
+    ["family-eval", "--m", "1", "--family", "power", "--ideal", "5"],
+    ["family-eval", "--m", "1", "--family", "power", "--ideal", '"vars gens"'],
+    ["family-eval", "--m", "1", "--family", "chain", "--breakpoints", "5"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["family-eval", "--m", "1", "--input", spec] for spec in MALFORMED_SPECS] + MALFORMED_FLAGS,
+    ids=[json.dumps(spec) for spec in MALFORMED_SPECS] + [" ".join(a) for a in MALFORMED_FLAGS],
+)
+def test_malformed_family_or_ideal_is_a_validation_error(tmp_path, capsys, argv):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_output_file(tmp_path, capsys):
@@ -140,7 +217,7 @@ def test_exit_code_family_rule_violation(monkeypatch, capsys):
         rule = lambda m: MonomialIdeal.from_gens(2, [(0, m)])  # noqa: E731
         return GradedFamily(2, rule, "not Borel", claims_borel=True)
 
-    monkeypatch.setattr(limshape.cli, "make_doubling_family", bad_doubling)
+    monkeypatch.setattr(limshape.families, "make_doubling_family", bad_doubling)
     code, _, err = run_cli(capsys, "family-eval", "--family", "doubling", "--m", "1")
     assert code == 2 and "Borel" in err
 
@@ -208,3 +285,25 @@ def test_cli_as_subprocess():
     payload = json.loads(proc.stdout)
     assert payload["vertices"][0] == ["0", "0"]
     assert payload["vertices"][-1] == ["7", "0"]
+
+
+def test_readme_cli_examples_match_golden():
+    section = README.read_text().split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    assert [g["example"] for g in README_GOLDEN] == block.strip().splitlines()
+
+
+@pytest.mark.parametrize("golden", README_GOLDEN, ids=[g["example"].split()[1] for g in README_GOLDEN])
+def test_readme_cli_example_output(tmp_path, capsys, golden):
+    argv = shlex.split(golden["example"])[1:]
+    target = None
+    if "--output" in argv:
+        i = argv.index("--output") + 1
+        target = tmp_path / argv[i]
+        argv[i] = str(target)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if target is not None:
+        assert out == ""
+        out = target.read_text(encoding="utf-8")
+    assert out == golden["output"]

@@ -315,21 +315,33 @@ def test_gamma_region_vs_brute_force_random(rng):
     # complement counting agrees with direct membership over the simplex
     from conftest import compositions
 
-    for _ in range(20):
-        gens = [tuple(rng.randint(0, 3) for _ in range(2)) for _ in range(rng.randint(1, 4))]
-        if all(sum(g) == 0 for g in gens):
-            continue
-        I = MonomialIdeal.from_gens(2, gens)
-        m = rng.randint(1, 3)
-        t = Fraction(rng.randint(1, 9), rng.choice([1, 2]))
-        bound = int(m * t)
-        direct = sum(
-            1
-            for d in range(bound + 1)
-            for mono in compositions(d, 2)
-            if not I.contains(mono)
-        )
-        # padding by one variable turns degree-wise counts into the cumulative
-        # count over the simplex
-        assert gamma_lattice_count(I.padded(3), m, t) == direct
-        assert gamma_lattice_count(I, m, t) == hilbert_function_extended(I, m * t)
+    for nvars in (2, 3, 4):
+        for _ in range(20):
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(nvars))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if all(sum(g) == 0 for g in gens):
+                continue
+            I = MonomialIdeal.from_gens(nvars, gens)
+            m = rng.randint(1, 3)
+            t = Fraction(rng.randint(1, 9), rng.choice([1, 2]))
+            bound = int(m * t)
+            direct = sum(
+                1
+                for d in range(bound + 1)
+                for mono in compositions(d, nvars)
+                if not I.contains(mono)
+            )
+            # padding by one variable turns degree-wise counts into the
+            # cumulative count over the simplex
+            assert gamma_lattice_count(I.padded(nvars + 1), m, t) == direct
+            assert gamma_lattice_count(I, m, t) == hilbert_function_extended(I, m * t)
+            # corners come sorted, and minimal generators make them an antichain
+            corners = staircase_region(I, m, t).corners
+            assert list(corners) == sorted(corners)
+            assert not any(
+                (q, r) != (p, s) and r >= s and all(a <= b for a, b in zip(q, p))
+                for p, s in corners
+                for q, r in corners
+            )
