@@ -89,12 +89,14 @@ def _family_from_args(args) -> GradedFamily:
 
 
 def _ideal_from_args(args) -> MonomialIdeal:
-    if getattr(args, "ideal", None):
-        return MonomialIdeal.from_json(_load_json_arg(args.ideal, "ideal"))
-    if getattr(args, "family", None) or getattr(args, "input", None):
+    """The family's member at --m when a family is given (--ideal is then the
+    power family's parameter), else --ideal itself."""
+    if args.family or args.input:
         if args.m is None:
             raise CliError("--m required to evaluate a family to an ideal")
         return _family_from_args(args).ideal(args.m)
+    if args.ideal:
+        return MonomialIdeal.from_json(_load_json_arg(args.ideal, "ideal"))
     raise CliError("provide --ideal JSON or a family plus --m")
 
 

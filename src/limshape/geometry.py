@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .ideals import MonomialIdeal
 
@@ -345,26 +345,34 @@ class ShapePolygon:
         return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
 
 
-def _cross(a, b, c) -> Fraction:
+def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def convex_hull(points) -> list:
-    """Exact 2-D convex hull (monotone chain), CCW without repeated endpoint."""
-    pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
-    if len(pts) <= 2:
-        return pts
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    """Exact 2-D convex hull (monotone chain), CCW without repeated endpoint.
+
+    The sweep runs in the points' own exact type: int and Fraction
+    coordinates are used as given (other numbers are first made Fractions),
+    and only the returned vertices are converted to Fraction.
+    """
+    pts = {(x, y) for x, y in points}
+    if any(type(v) not in (int, Fraction) for p in pts for v in p):
+        pts = {(Fraction(x), Fraction(y)) for x, y in pts}
+    pts = sorted(pts)
+    if len(pts) > 2:
+        lower: list = []
+        for p in pts:
+            while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+                lower.pop()
+            lower.append(p)
+        upper: list = []
+        for p in reversed(pts):
+            while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+                upper.pop()
+            upper.append(p)
+        pts = lower[:-1] + upper[:-1]
+    return [(Fraction(x), Fraction(y)) for x, y in pts]
 
 
 @dataclass(frozen=True)
@@ -419,7 +427,9 @@ def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
 
     Exact for families carrying a closed form; otherwise the convex hull of
     the scaled staircases for m <= max_m, an inner approximation that is
-    non-decreasing in max_m.
+    non-decreasing in max_m.  That hull is taken in integers on the common
+    scale D = lcm(1..max_m) * den(t), where every corner point of NP(I_m)/m
+    is integral, and only its vertices are divided back by D.
     """
     t = Fraction(t)
     if t < 0:
@@ -431,15 +441,17 @@ def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
         return ShapeResult("delta", t, True, poly, poly.area(), verts)
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
+    D = lcm(*range(1, max_m + 1)) * t.denominator
     points = []
     for m in range(1, max_m + 1):
+        k = D // m  # den(t) divides k, and so does the denominator of every slack
         region = staircase_region(_plane_ideal(family, m), m, t)
         for (p0, p1), s in region.corners:
-            s = Fraction(s)
-            points.append((Fraction(p0, m), Fraction(p1, m)))
-            points.append((Fraction(p0, m), (s - p0) / m))
-            points.append(((s - p1) / m, Fraction(p1, m)))
-    hull = convex_hull(points)
+            x, y, sD = p0 * k, p1 * k, s.numerator * (k // s.denominator)
+            points.append((x, y))
+            points.append((x, sD - x))
+            points.append((sD - y, y))
+    hull = [(x / D, y / D) for x, y in convex_hull(points)]
     poly = ShapePolygon.make(hull)
     return ShapeResult("delta", t, False, poly, poly.area(), None)
 

@@ -69,14 +69,25 @@ def total_degree(a) -> int:
     return sum(a)
 
 
+def _degree_key(v) -> tuple:
+    return (sum(v), v)
+
+
 def minimal_exponents(vectors: Iterable) -> tuple:
     """Antichain of <=-minimal vectors; the generated ideal is unchanged."""
-    vs = sorted({_check_vector(v) for v in vectors}, key=lambda v: (sum(v), v))
+    vs = {_check_vector(v) for v in vectors}
     lengths = {len(v) for v in vs}
     if len(lengths) > 1:
         raise ValueError("mixed exponent-vector lengths")
     keep: list[tuple] = []
-    for v in vs:
+    if lengths == {2}:
+        # in lexicographic order every divisor of v comes before it, and v is
+        # minimal iff its second exponent drops below all earlier ones
+        for v in sorted(vs):
+            if not keep or v[1] < keep[-1][1]:
+                keep.append(v)
+        return tuple(sorted(keep, key=_degree_key))
+    for v in sorted(vs, key=_degree_key):
         # any divisor of v has strictly smaller degree (or equals v), so it
         # already sits in `keep` when v is redundant
         if not any(all(x <= y for x, y in zip(u, v)) for u in keep):

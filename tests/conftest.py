@@ -13,8 +13,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from limshape import MonomialIdeal
+
+# every property test draws the same examples on every run
+settings.register_profile("limshape", derandomize=True, deadline=None)
+settings.load_profile("limshape")
 
 
 def compositions(total: int, parts: int):

@@ -239,6 +239,24 @@ def test_hf_doubling_at_large_m(capsys):
     assert payload["hilbert_polynomial"] == "1"
 
 
+def test_hf_and_render_evaluate_the_power_family(capsys):
+    # with --family, --ideal is the power family's base ideal: hf and render
+    # read I^m, as family-eval does; --ideal alone is still the ideal itself
+    base = '{"vars":2,"gens":[[1,0],[0,1]]}'
+    cube = json.dumps(MonomialIdeal.from_json(json.loads(base)).power(3).to_json())
+    family = ("--family", "power", "--ideal", base, "--m", "3")
+    _, out, _ = run_cli(capsys, "hf", *family, "--degree", "1")
+    assert json.loads(out) == {"ideal": json.loads(cube), "degree": 1, "value": 2}
+    _, out, _ = run_cli(capsys, "hf", "--ideal", base, "--degree", "1")
+    assert json.loads(out)["value"] == 0
+    renders = [
+        run_cli(capsys, "render", "--kind", "staircase", *flags, "--m", "3", "--t", "4")
+        for flags in (family[:4], ("--ideal", cube), ("--ideal", base))
+    ]
+    assert all(code == 0 for code, _, _ in renders)
+    assert renders[0][1] == renders[1][1] != renders[2][1]
+
+
 def test_determinism(capsys):
     args = ("shape", "--family", "halfplane", "--q1", "2", "--q2", "3", "--t", "8")
     _, first, _ = run_cli(capsys, *args)

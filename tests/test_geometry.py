@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limshape import (
     GradedFamily,
@@ -309,6 +311,77 @@ def test_convex_hull_and_polygon_ops():
     assert clipped.area() == 2
     merged = ShapePolygon.make([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
     assert len(merged.vertices) == 4
+
+
+def test_convex_hull_runs_exact_on_ints_and_returns_fractions():
+    pts = [(0, 0), (2, 0), (4, 0), (4, 2), (4, 4), (0, 4), (0, 4), (1, 1), (0, 2)]
+    hull = convex_hull(pts)
+    assert hull == [(0, 0), (4, 0), (4, 4), (0, 4)]  # CCW, collinear runs dropped
+    assert all(type(v) is Fraction for p in hull for v in p)
+    assert hull == convex_hull([(Fraction(x), Fraction(y)) for x, y in pts])
+    # Fraction, float and string coordinates are taken exactly
+    assert convex_hull([(0, 0), (Fraction(1, 2), 0), (0, 0.5), ("1/4", "1/4")]) == [
+        (0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))
+    ]
+    # at most two distinct points, collinear input included
+    assert convex_hull([]) == []
+    assert convex_hull([(1, 2), (1, 2)]) == [(Fraction(1), Fraction(2))]
+    pair = convex_hull([(3, 1), (1, 2)])
+    assert pair == [(1, 2), (3, 1)]
+    assert all(type(v) is Fraction for p in pair for v in p)
+    assert convex_hull([(2, 2), (0, 0), (1, 1)]) == [(0, 0), (2, 2)]
+
+
+@st.composite
+def inner_approximation_cases(draw):
+    kind = draw(st.sampled_from(("oscillating", "power", "power")))
+    if kind == "oscillating":
+        a = draw(st.integers(1, 3))
+        family = make_oscillating_family(a, draw(st.integers(a + 1, 5)), draw(st.integers(2, 4)))
+    else:
+        nvars = draw(st.integers(2, 3))
+        exponent = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+        family = make_power_family(
+            MonomialIdeal.from_gens(nvars, draw(st.lists(exponent, min_size=1, max_size=4)))
+        )
+    t = Fraction(draw(st.integers(0, 48)), draw(st.integers(1, 6)))
+    return family, t, draw(st.integers(1, 10))
+
+
+def _in_convex_polygon(vertices, p) -> bool:
+    """p lies in the closed convex hull of CCW vertices (a point, a segment
+    or a polygon)."""
+    if len(vertices) <= 2:
+        a, b = vertices[0], vertices[-1]
+        on_line = (b[0] - a[0]) * (p[1] - a[1]) == (b[1] - a[1]) * (p[0] - a[0])
+        return on_line and min(a, b) <= p <= max(a, b)
+    return all(
+        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0
+        for a, b in zip(vertices, vertices[1:] + vertices[:1])
+    )
+
+
+@settings(max_examples=150)
+@given(inner_approximation_cases())
+def test_inner_approximation_is_hull_of_scaled_staircases(case):
+    family, t, max_m = case
+    # the scaled staircase points, straight from the definition
+    points = set()
+    for m in range(1, max_m + 1):
+        for (p0, p1), s in staircase_region(family.ideal(m).padded(3), m, t).corners:
+            points |= {
+                (Fraction(p0, m), Fraction(p1, m)),
+                (Fraction(p0, m), (s - p0) / m),
+                ((s - p1) / m, Fraction(p1, m)),
+            }
+    shape = limiting_shape(family, t, max_m)
+    assert not shape.exact
+    vertices = list(shape.polygon.vertices)
+    assert bool(vertices) == bool(points)
+    assert set(vertices) <= points
+    assert all(_in_convex_polygon(vertices, p) for p in points)
+    if max_m > 1:
+        assert limiting_shape(family, t, max_m - 1).area <= shape.area
 
 
 def test_gamma_region_vs_brute_force_random(rng):

@@ -71,7 +71,7 @@ def small_ideals(draw):
     return MonomialIdeal.from_gens(nvars, draw(st.lists(exponent, max_size=5)))
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(small_ideals())
 def test_hilbert_data_match_brute_enumeration(I):
     for d in range(11):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limshape import (
     MonomialIdeal,
@@ -11,6 +13,7 @@ from limshape import (
     monomial_divides,
     parse_exponents,
 )
+from limshape.ideals import minimal_exponents
 
 from conftest import borel_by_full_scan, borel_closure, random_ideal
 
@@ -57,6 +60,22 @@ def test_minimal_generators_idempotent_and_order_independent(rng):
         shuffled = list(I.gens)
         rng.shuffle(shuffled)
         assert MonomialIdeal.from_gens(nv, shuffled) == I
+
+
+exponent_lists = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=14)
+)
+
+
+@settings(max_examples=300)
+@given(exponent_lists)
+def test_minimal_exponents_match_quadratic_definition(vectors):
+    # v is minimal iff no other vector of the set divides it
+    minimal = {
+        v for v in vectors
+        if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vectors)
+    }
+    assert minimal_exponents(vectors) == tuple(sorted(minimal, key=lambda v: (sum(v), v)))
 
 
 def test_ideal_product_examples():
