@@ -68,6 +68,7 @@ from .planar import (
     LineConfiguration,
     PLGraph,
     ReductionVector,
+    WorkBudgetError,
     area_under_graph,
     dhf_envelope,
     dhf_vertices_closed_form,

@@ -2,9 +2,13 @@
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed JSON,
 parameter violations), 2 computation error (unsupported dimension, a family
-rule breaking its declaration, or no stabilization within the degree cap).
+rule breaking its declaration, no stabilization within the degree cap, or a
+WorkBudgetError: work refused above a fixed budget).
 Hilbert data are exact; setting LIMSHAPE_MAX_DEGREE makes the Hilbert
 polynomial and regularity index relative to that degree cap.
+
+main(argv) may be called repeatedly in one process: the parser is built once
+and no state is kept between calls.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import geometry, planar
 from .families import (
@@ -262,9 +267,8 @@ def _cmd_planar_reduce(args) -> dict:
 
 def _cmd_planar_vertices(args) -> dict:
     graph = _planar_graph(args)
-    counts = _counts(args.counts)
     return {
-        "counts": list(counts),
+        "counts": list(_counts(args.counts)),
         "shared_intersection": bool(args.shared),
         "vertices": [_point_json(p) for p in graph.vertices],
     }
@@ -293,6 +297,7 @@ def _cmd_render(args) -> str:
     raise CliError(f"unknown render kind {args.kind!r}")
 
 
+@cache
 def _build_parser() -> _Parser:
     # the family flags are the `params` of a family JSON spec, shared by every
     # subcommand that takes a family
@@ -314,57 +319,39 @@ def _build_parser() -> _Parser:
 
     sub = subs.add_parser("family-eval", help="evaluate a family at one index", parents=[family])
     sub.add_argument("--m", type=int)
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_family_eval)
 
     sub = subs.add_parser("check-graded", help="verify I_p*I_q <= I_{p+q}", parents=[family])
     sub.add_argument("--max-m", type=int, default=6, dest="max_m")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_check_graded)
 
     sub = subs.add_parser("hf", help="Hilbert function values", parents=[family])
     sub.add_argument("--m", type=int)
     sub.add_argument("--degree", type=int)
     sub.add_argument("--t")
     sub.add_argument("--hp", action="store_true", help="include polynomial and index")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_hf)
 
     sub = subs.add_parser("shape", help="limiting shape and complement polygons", parents=[family])
     sub.add_argument("--t", required=True)
     sub.add_argument("--max-m", type=int, default=16, dest="max_m")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_shape)
 
     sub = subs.add_parser("waldschmidt", help="Waldschmidt constant", parents=[family])
     sub.add_argument("--max-m", type=int, default=20, dest="max_m")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_waldschmidt)
 
     sub = subs.add_parser("areg", help="asymptotic regularity", parents=[family])
     sub.add_argument("--max-m", type=int, default=20, dest="max_m")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_areg)
 
     sub = subs.add_parser("ahf", help="asymptotic Hilbert function", parents=[family])
     sub.add_argument("--t", required=True)
     sub.add_argument("--max-m", type=int, default=16, dest="max_m")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_ahf)
 
     sub = subs.add_parser("planar-reduce", help="reduction vector and envelope")
     sub.add_argument("--counts", required=True)
     sub.add_argument("--shared", action="store_true")
     sub.add_argument("--m", type=int)
     sub.add_argument("--approximate", action="store_true")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_planar_reduce)
 
     sub = subs.add_parser("planar-vertices", help="closed-form graph vertices")
     sub.add_argument("--counts", required=True)
     sub.add_argument("--shared", action="store_true")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_planar_vertices)
 
     sub = subs.add_parser("render", help="emit an SVG figure", parents=[family])
     sub.add_argument("--kind", required=True, choices=["staircase", "graph", "gamma", "shape"])
@@ -373,22 +360,23 @@ def _build_parser() -> _Parser:
     sub.add_argument("--counts")
     sub.add_argument("--shared", action="store_true")
     sub.add_argument("--max-m", type=int, default=16, dest="max_m")
-    sub.add_argument("--output")
-    sub.set_defaults(handler=_cmd_render)
 
+    for sub in subs.choices.values():  # the last flag of every subcommand
+        sub.add_argument("--output")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        payload = args.handler(args)
-        _emit(args, payload)
+        args = _build_parser().parse_args(argv)
+        # looked up per call, not stored on the cached parser, so patches apply
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        _emit(args, handler(args))
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotStabilizedError, geometry.UnsupportedDimensionError, FamilyRuleError) as exc:
+    except (NotStabilizedError, geometry.UnsupportedDimensionError, FamilyRuleError,
+            planar.WorkBudgetError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     return 0

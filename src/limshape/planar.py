@@ -35,7 +35,14 @@ __all__ = [
     "two_line_vertices",
     "gamma_vertices",
     "area_under_graph",
+    "WorkBudgetError",
 ]
+
+MAX_REDUCTION_ENTRIES = 10**6
+
+
+class WorkBudgetError(RuntimeError):
+    """Refused before starting: the computation would exceed a fixed work budget."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,10 @@ def reduction_vector(
             f"m={m} not divisible by lcm{config.counts} = {base}; "
             "pass approximate=True to run anyway"
         )
+    # exact for disjoint lines; the simulator lowers one of its 3m units per step
+    size = (len(config.counts) + config.shared_intersection) * m
+    if size > MAX_REDUCTION_ENTRIES:
+        raise WorkBudgetError(f"m={m} needs {size} entries, over {MAX_REDUCTION_ENTRIES}")
     if config.shared_intersection:
         entries = _simulate_reduction(config, m)
     else:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import subprocess
@@ -325,3 +326,55 @@ def test_readme_cli_example_output(tmp_path, capsys, golden):
         assert out == ""
         out = target.read_text(encoding="utf-8")
     assert out == golden["output"]
+
+
+# pairs of calls differing only in optional flags, with a refused call (exit 1)
+# between valid ones: a flag or default leaking from one call into the next
+# would change what the later call prints
+LEAK_SEQUENCE = [
+    ["planar-reduce", "--counts", "3,2", "--m", "6", "--shared"],
+    ["planar-reduce", "--counts", "3,2", "--m", "6"],
+    ["planar-reduce", "--counts", "3,2", "--m", "5", "--approximate"],
+    ["planar-reduce", "--counts", "3,2", "--m", "5"],
+    ["planar-reduce", "--counts", "3,2", "--m", "5", "--shared", "--approximate"],
+    ["hf", "--family", "doubling", "--m", "2", "--t", "3", "--hp"],
+    ["hf", "--family", "doubling", "--m", "2", "--t", "3"],
+    ["waldschmidt", "--family", "halfplane", "--q1", "3", "--q2", "2"],
+    ["shape", "--family", "doubling", "--t", "3", "--max-m", "3"],
+    ["shape", "--family", "doubling", "--t", "3", "--max-m", "5"],
+]
+
+
+def test_calls_in_one_process_do_not_leak(capsys):
+    alone = {}
+    for argv in LEAK_SEQUENCE:
+        limshape.cli._build_parser.cache_clear()  # as if it were the only call
+        alone[tuple(argv)] = run_cli(capsys, *argv)
+    assert len(set(alone.values())) == len(LEAK_SEQUENCE)
+    assert [alone[tuple(a)][0] for a in LEAK_SEQUENCE].count(1) == 2
+    for argv in LEAK_SEQUENCE + LEAK_SEQUENCE[::-1] + LEAK_SEQUENCE:
+        assert run_cli(capsys, *argv) == alone[tuple(argv)], argv
+
+
+def test_readme_cli_examples_repeat_in_reverse(tmp_path, capsys):
+    for golden in README_GOLDEN[::-1] * 2:
+        test_readme_cli_example_output(tmp_path, capsys, golden)
+
+
+def test_parser_built_once_and_every_subcommand_has_a_handler(capsys):
+    limshape.cli._build_parser.cache_clear()
+    for argv in LEAK_SEQUENCE * 2:
+        main(argv)
+    capsys.readouterr()
+    assert limshape.cli._build_parser.cache_info().misses == 1
+    parser = limshape.cli._build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    handlers = {"_cmd_" + name.replace("-", "_") for name in subcommands.choices}
+    assert all(callable(getattr(limshape.cli, h, None)) for h in handlers), handlers
+    assert handlers == {name for name in vars(limshape.cli) if name.startswith("_cmd_")}
+
+
+def test_planar_reduce_over_work_budget_exits_2(capsys):
+    code, out, err = run_cli(capsys, "planar-reduce", "--counts", "3,2", "--m", "600000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("computation error: ")

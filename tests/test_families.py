@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limshape import (
     FamilyRuleError,
@@ -9,6 +11,7 @@ from limshape import (
     areg_estimate,
     family_from_json,
     family_to_json,
+    format_rational,
     make_ceiling_family,
     make_chain_family,
     make_doubling_family,
@@ -235,3 +238,48 @@ def test_family_json_errors():
         family_from_json({"kind": "nope"})
     with pytest.raises(ValueError):
         family_from_json({"kind": "halfplane", "params": {"q1": "2"}})
+
+
+def _rationals(top: int, den: int):
+    return st.builds(Fraction, st.integers(1, top), st.integers(1, den))
+
+
+@st.composite
+def family_specs(draw):
+    """JSON specs of the halfplane, ceiling, chain and oscillating families,
+    with parameters inside the ranges `family_from_json` accepts and small
+    enough that ideals up to m = 6 stay cheap."""
+    kind = draw(st.sampled_from(["halfplane", "ceiling", "chain", "oscillating"]))
+    if kind == "halfplane":
+        q1, q2 = sorted(draw(st.tuples(_rationals(12, 4), _rationals(12, 4))))
+        params = {"q1": format_rational(q1), "q2": format_rational(q2)}
+    elif kind == "ceiling":
+        params = {"q": format_rational(draw(_rationals(12, 4)))}
+    elif kind == "chain":
+        # slopes -r with 1 <= r_1 < r_2 < ... : each segment strictly steeper
+        n = draw(st.integers(1, 3))
+        steepness = st.builds(
+            lambda k, den: 1 + Fraction(k, den), st.integers(0, 6), st.integers(1, 3)
+        )
+        ratios = sorted(draw(st.sets(steepness, min_size=n, max_size=n)))
+        widths = draw(st.lists(_rationals(4, 3), min_size=n, max_size=n))
+        s, t = sum(widths), Fraction(0)
+        points = [(s, t)]
+        for width, ratio in zip(widths, ratios):
+            s, t = s - width, t + ratio * width
+            points.append((s, t))
+        params = {"breakpoints": [[format_rational(s), format_rational(t)] for s, t in points]}
+    else:
+        a = draw(st.integers(1, 4))
+        params = {"a": a, "b": draw(st.integers(a + 1, 8)), "d": draw(st.integers(2, 5))}
+    return {"kind": kind, "params": params}
+
+
+@settings(max_examples=80)
+@given(family_specs())
+def test_builtin_families_graded_and_round_trip_property(spec):
+    family = family_from_json(spec)
+    assert verify_graded(family, 6).ok
+    clone = family_from_json(family_to_json(family))
+    for m in (1, 2, 3, 4):
+        assert clone.ideal(m) == family.ideal(m)

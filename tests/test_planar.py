@@ -2,9 +2,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from limshape import (
     PLGraph,
+    WorkBudgetError,
     area_under_graph,
     dhf_envelope,
     dhf_vertices_closed_form,
@@ -14,7 +17,7 @@ from limshape import (
     two_line_vertices,
     validate_configuration,
 )
-from limshape.planar import ReductionVector, _simulate_reduction
+from limshape.planar import MAX_REDUCTION_ENTRIES, ReductionVector, _simulate_reduction
 
 FOUR_LINES = (10, 8, 5, 3)
 FOUR_LINE_VERTICES = (
@@ -255,3 +258,45 @@ def test_area_under_graph_equals_gamma_area_at_cuts():
     graph = dhf_vertices_closed_form(FOUR_LINES)
     for t in (Fraction(3), Fraction(9, 2), Fraction(47, 8), Fraction(10), Fraction(12)):
         assert area_under_graph(graph, t) == gamma_vertices(graph, t).area(), t
+
+
+def test_reduction_vector_refuses_work_over_budget():
+    # each is refused before a single entry is allocated
+    with pytest.raises(WorkBudgetError):
+        reduction_vector(validate_configuration((3, 2)), 600_000_000_000)
+    shared = validate_configuration((3, 2), shared_intersection=True)
+    with pytest.raises(WorkBudgetError):
+        reduction_vector(shared, 6 * (MAX_REDUCTION_ENTRIES // 18 + 1))
+    with pytest.raises(WorkBudgetError):
+        reduction_vector(validate_configuration((1,)), MAX_REDUCTION_ENTRIES + 1)
+    # an invalid multiplicity is still a validation error, not a refusal
+    with pytest.raises(ValueError):
+        reduction_vector(validate_configuration((3, 2)), 600_000_000_001)
+
+
+@st.composite
+def line_configurations(draw):
+    """Strictly decreasing counts (1-4 lines, each <= 12) or a shared pair,
+    small enough that a reduction at twice the modulus stays cheap."""
+    if draw(st.booleans()):
+        a1 = draw(st.integers(2, 12))
+        a2 = draw(st.integers(2, a1))
+        assume(a1 * a2 > a1 + a2)
+        config = validate_configuration((a1, a2), shared_intersection=True)
+    else:
+        counts = draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))
+        config = validate_configuration(sorted(counts, reverse=True))
+    assume(config.total_points * divisibility_modulus(config) <= 20000)
+    return config
+
+
+@settings(max_examples=60)
+@given(line_configurations(), st.sampled_from([1, 2]))
+def test_envelope_equals_closed_form_property(config, k):
+    vec = reduction_vector(config, k * divisibility_modulus(config))
+    assert vec.exact
+    if config.shared_intersection:
+        closed = two_line_vertices(*config.counts)
+    else:
+        closed = dhf_vertices_closed_form(config.counts)
+    assert dhf_envelope(vec).vertices == closed.vertices
