@@ -305,7 +305,7 @@ def _build_parser() -> _Parser:
     family.add_argument("--family", help="built-in family kind")
     family.add_argument("--input", help="path to a family JSON file")
     family.add_argument("--ideal", help="ideal JSON (inline or @path)")
-    family.add_argument("--extra-vars", type=int, default=0, dest="extra_vars")
+    family.add_argument("--extra-vars", type=int, dest="extra_vars")
     family.add_argument("--q1")
     family.add_argument("--q2")
     family.add_argument("--q")

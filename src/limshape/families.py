@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, WorkBudgetError
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = Fraction(1, 20)
+# 2^m must print in fewer than Python's 4300-digit limit (m < 14284)
+MAX_DOUBLING_M = 10**4
 
 
 class FamilyRuleError(RuntimeError):
@@ -139,7 +141,8 @@ def make_power_family(I: MonomialIdeal) -> GradedFamily:
 def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     """m -> (x^2, x*y^(2^m)), optionally padded by one extra variable.
 
-    Generator degrees grow like 2^m, so no linear regularity bound exists.
+    Generator degrees grow like 2^m, so no linear regularity bound exists;
+    m above MAX_DOUBLING_M is refused with WorkBudgetError.
     """
     if extra_vars not in (0, 1):
         raise ValueError("extra_vars must be 0 or 1")
@@ -147,6 +150,8 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     pad = (0,) * extra_vars
 
     def rule(m: int) -> MonomialIdeal:
+        if m > MAX_DOUBLING_M:
+            raise WorkBudgetError(f"doubling member m={m} is over {MAX_DOUBLING_M}")
         return MonomialIdeal.from_gens(nv, [(2, 0) + pad, (1, 2**m) + pad])
 
     return GradedFamily(
@@ -168,19 +173,21 @@ def make_halfplane_family(q1, q2, degree_cap: int | None = None) -> GradedFamily
     q1, q2 = parse_rational(q1), parse_rational(q2)
     if not 0 < q1 <= q2:
         raise ValueError(f"need 0 < q1 <= q2, got q1={q1}, q2={q2}")
+    (n1, d1), (n2, d2) = q1.as_integer_ratio(), q2.as_integer_ratio()
+    # times d1*d2 the inequality reads a*A + b*B >= m*C in integers
+    A, B, C = n2 * d1, n1 * d2, n1 * n2
 
     def rule(m: int) -> MonomialIdeal:
-        rhs = m * q1 * q2
-        a_top = ceil(m * q1)
-        if degree_cap is not None and degree_cap < max(a_top, ceil(m * q2)):
+        a_top = -(-m * n1 // d1)
+        if degree_cap is not None and degree_cap < max(a_top, -(-m * n2 // d2)):
             raise ValueError(
                 f"degree_cap={degree_cap} truncates the staircase at m={m}"
             )
         gens = []
         prev_b = None
         for a in range(a_top + 1):
-            need = rhs - a * q2
-            b = max(0, ceil(need / q1)) if need > 0 else 0
+            need = m * C - a * A
+            b = -(-need // B) if need > 0 else 0
             if prev_b is None or b < prev_b:
                 gens.append((a, b))
                 prev_b = b
@@ -273,17 +280,22 @@ def make_chain_family(breakpoints) -> GradedFamily:
                 f"{slopes[i]}, previous {slopes[i - 1]}"
             )
     halfplanes = _chain_halfplanes(pts)
-    s0 = pts[0][0]
+    # each (A, B, C) times the lcm of its denominators; B > 0 throughout
+    scaled = []
+    for plane in halfplanes:
+        k = lcm(*(v.denominator for v in plane))
+        scaled.append(tuple(int(v * k) for v in plane))
+    n0, d0 = pts[0][0].as_integer_ratio()
 
     def rule(m: int) -> MonomialIdeal:
         gens = []
         prev_b = None
-        for a in range(ceil(m * s0) + 1):
+        for a in range(-(-m * n0 // d0) + 1):
             b = 0
-            for A, B, C in halfplanes:
+            for A, B, C in scaled:
                 need = m * C - a * A
                 if need > 0:
-                    b = max(b, ceil(need / B))
+                    b = max(b, -(-need // B))
             if prev_b is None or b < prev_b:
                 gens.append((a, b))
                 prev_b = b
@@ -365,7 +377,7 @@ def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
             target = family.ideal(p + q)
             checked += 1
             for g in product.gens:
-                if not target.contains(g):
+                if not target._contains(g):
                     violations.append(GradednessViolation(p, q, g))
                     break
     return GradednessReport(max_m, checked, tuple(violations))
@@ -490,13 +502,14 @@ def _build_oscillating(params: dict) -> GradedFamily:
     )
 
 
+# kind -> (builder, accepted parameter names)
 _BUILDERS = {
-    "power": _build_power,
-    "doubling": _build_doubling,
-    "halfplane": _build_halfplane,
-    "ceiling": _build_ceiling,
-    "chain": _build_chain,
-    "oscillating": _build_oscillating,
+    "power": (_build_power, ("ideal",)),
+    "doubling": (_build_doubling, ("extra_vars",)),
+    "halfplane": (_build_halfplane, ("q1", "q2", "degree_cap")),
+    "ceiling": (_build_ceiling, ("q",)),
+    "chain": (_build_chain, ("breakpoints",)),
+    "oscillating": (_build_oscillating, ("a", "b", "d")),
 }
 
 BUILTIN_KINDS = tuple(sorted(_BUILDERS))
@@ -506,12 +519,18 @@ def family_from_json(obj: dict) -> GradedFamily:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("family JSON needs an object with a 'kind' field")
     kind = obj["kind"]
-    builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
-    if builder is None:
+    entry = _BUILDERS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
         raise ValueError(f"unknown family kind {kind!r}; known: {BUILTIN_KINDS}")
+    builder, known = entry
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("family 'params' must be an object")
+    unknown = sorted(str(name) for name in params if name not in known)
+    if unknown:
+        raise ValueError(
+            f"family kind {kind!r} has no parameter {', '.join(map(repr, unknown))}; known: {known}"
+        )
     try:
         return builder(params)
     except KeyError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, WorkBudgetError
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -43,6 +43,9 @@ __all__ = [
     "ahf",
     "lift_slice",
 ]
+
+
+MAX_LATTICE_COLUMNS = 10**6
 
 
 class UnsupportedDimensionError(RuntimeError):
@@ -160,7 +163,8 @@ def lattice_count(region) -> int:
 
     Boundary convention: the simplex and the staircase boxes are closed, so
     the complement's count equals the Hilbert function of the quotient at the
-    floor of the bound.
+    floor of the bound.  A staircase count walks up to (floor(bound) + 1)^(dim - 1)
+    columns and is refused with WorkBudgetError above MAX_LATTICE_COLUMNS.
     """
     if isinstance(region, SimplexRegion):
         if region.bound < 0:
@@ -170,9 +174,14 @@ def lattice_count(region) -> int:
     if isinstance(region, StaircaseRegion):
         if region.bound < 0:
             return 0
-        return _staircase_lattice(
-            region.corners, region.dim, _floor(Fraction(region.bound))
-        )
+        d = _floor(Fraction(region.bound))
+        columns = (d + 1) ** max(region.dim - 1, 0)
+        if columns > MAX_LATTICE_COLUMNS:
+            raise WorkBudgetError(
+                f"lattice count at bound {d} in dimension {region.dim} walks "
+                f"{columns} columns, over {MAX_LATTICE_COLUMNS}"
+            )
+        return _staircase_lattice(region.corners, region.dim, d)
     if isinstance(region, ComplementRegion):
         stair = region.staircase
         simplex = SimplexRegion(stair.dim, stair.bound)

@@ -10,7 +10,10 @@ generator set denotes the zero ideal.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 __all__ = [
@@ -25,11 +28,21 @@ __all__ = [
     "parse_exponents",
     "format_exponents",
     "format_monomial",
+    "WorkBudgetError",
 ]
 
 ExponentVector = tuple  # tuple[int, ...]; kept loose for readable signatures
 
 _VAR_NAMES = ("x", "y", "z", "w")
+
+MAX_PRODUCT_PAIRS = 10**6
+
+
+class WorkBudgetError(RuntimeError):
+    """Refused before starting: the computation would exceed a fixed work budget.
+
+    Raised by `MonomialIdeal.product`, the doubling family, lattice counts and
+    reduction vectors; re-exported by `limshape.planar` and `limshape`."""
 
 
 def _check_vector(vec) -> tuple:
@@ -74,7 +87,14 @@ def _degree_key(v) -> tuple:
 
 
 def minimal_exponents(vectors: Iterable) -> tuple:
-    """Antichain of <=-minimal vectors; the generated ideal is unchanged."""
+    """Antichain of <=-minimal vectors; the generated ideal is unchanged.
+
+    The result is sorted by (degree, vector).  In lexicographic order every
+    divisor of v comes before v, so 2 and 3 variables take one sort and one
+    pass against the kept vectors' staircase (a running minimum in 2
+    variables, a bisected 2-D staircase in 3); other lengths scan the kept
+    vectors in degree order.
+    """
     vs = {_check_vector(v) for v in vectors}
     lengths = {len(v) for v in vs}
     if len(lengths) > 1:
@@ -86,6 +106,24 @@ def minimal_exponents(vectors: Iterable) -> tuple:
         for v in sorted(vs):
             if not keep or v[1] < keep[-1][1]:
                 keep.append(v)
+        return tuple(sorted(keep, key=_degree_key))
+    if lengths == {3}:
+        # every kept u has u0 <= v0, so u divides v iff (u1, u2) <= (v1, v2);
+        # the kept (x1, x2) pairs reduce to a staircase with x1 ascending and
+        # x2 strictly descending
+        xs: list = []
+        ys: list = []
+        for v in sorted(vs):
+            _, v1, v2 = v
+            i = bisect_right(xs, v1)
+            if i and ys[i - 1] <= v2:
+                continue
+            keep.append(v)
+            lo = hi = bisect_left(xs, v1)
+            while hi < len(ys) and ys[hi] >= v2:
+                hi += 1
+            xs[lo:hi] = [v1]
+            ys[lo:hi] = [v2]
         return tuple(sorted(keep, key=_degree_key))
     for v in sorted(vs, key=_degree_key):
         # any divisor of v has strictly smaller degree (or equals v), so it
@@ -140,14 +178,37 @@ class MonomialIdeal:
             raise ValueError(
                 f"monomial has {len(m)} exponents, ideal lives in {self.nvars} variables"
             )
-        return any(all(g[i] <= m[i] for i in range(self.nvars)) for g in self.gens)
+        return self._contains(m)
+
+    @cached_property
+    def _staircase(self) -> tuple:
+        """2 variables: generator x_0 exponents ascending, and the least x_1
+        exponent among generators up to each."""
+        gens = sorted(self.gens)
+        return [g[0] for g in gens], list(accumulate((g[1] for g in gens), min))
+
+    def _contains(self, v) -> bool:
+        """Membership of a vector of nvars non-negative ints, unchecked."""
+        if self.nvars == 2:
+            xs, ys = self._staircase
+            i = bisect_right(xs, v[0])
+            return i > 0 and ys[i - 1] <= v[1]
+        return any(all(a <= b for a, b in zip(g, v)) for g in self.gens)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
+        """Ideal product; refused with WorkBudgetError above MAX_PRODUCT_PAIRS
+        generator pairs, before any sum is formed."""
         if self.nvars != other.nvars:
             raise ValueError("ideal product across different variable counts")
         if self.is_zero or other.is_zero:
             return MonomialIdeal.zero(self.nvars)
-        sums = {monomial_product(a, b) for a in self.gens for b in other.gens}
+        pairs = len(self.gens) * len(other.gens)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise WorkBudgetError(
+                f"product of {len(self.gens)} by {len(other.gens)} generators "
+                f"needs {pairs} sums, over {MAX_PRODUCT_PAIRS}"
+            )
+        sums = {tuple(x + y for x, y in zip(a, b)) for a in self.gens for b in other.gens}
         return MonomialIdeal.from_gens(self.nvars, sums)
 
     def power(self, k: int) -> "MonomialIdeal":
@@ -161,22 +222,26 @@ class MonomialIdeal:
         return out
 
     def is_borel_fixed(self) -> bool:
-        """Strong stability: every exchange x_j -> x_i (i < j) of every minimal
-        generator stays in the ideal.  Checking minimal generators suffices;
-        the property propagates to all monomials of the ideal."""
+        """Strong stability: every exchange x_j -> x_i (i < j) of every monomial
+        of the ideal stays in the ideal.
+
+        Only the adjacent moves x_j -> x_(j-1) of the minimal generators are
+        tried, which is equivalent.  If u = g*w with g a generator, an
+        adjacent move of u either moves a unit of g, giving (moved g)*w, or a
+        unit of w, giving g*(moved w); both lie in the ideal when the moved
+        generators do.  A move x_j -> x_i is the chain of adjacent moves
+        x_j -> x_(j-1) -> ... -> x_i, each starting from a positive exponent.
+        """
         if self.is_zero:
             raise ValueError("Borel test undefined for the zero ideal")
         for g in self.gens:
-            for j in range(self.nvars):
-                if g[j] == 0:
-                    continue
-                moved = list(g)
-                moved[j] -= 1
-                for i in range(j):
-                    moved[i] += 1
-                    if not self.contains(moved):
+            for j in range(1, self.nvars):
+                if g[j]:
+                    moved = list(g)
+                    moved[j] -= 1
+                    moved[j - 1] += 1
+                    if not self._contains(moved):
                         return False
-                    moved[i] -= 1
         return True
 
     def alpha(self) -> int:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import ShapePolygon
+from .ideals import WorkBudgetError
 
 __all__ = [
     "LineConfiguration",
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 MAX_REDUCTION_ENTRIES = 10**6
-
-
-class WorkBudgetError(RuntimeError):
-    """Refused before starting: the computation would exceed a fixed work budget."""
 
 
 @dataclass(frozen=True)

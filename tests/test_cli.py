@@ -159,6 +159,7 @@ MALFORMED_SPECS = [
     {"kind": ["x"]},
     {"kind": "power", "params": {"ideal": 5}},
     {"kind": "oscillating", "params": {"a": [1], "b": 2, "d": 2}},
+    {"kind": "halfplane", "params": {"q1": "1", "q2": "2", "q": "3"}},
 ]
 MALFORMED_FLAGS = [
     ["hf", "--degree", "2", "--ideal", "5"],
@@ -168,6 +169,7 @@ MALFORMED_FLAGS = [
     ["family-eval", "--m", "1", "--family", "power", "--ideal", "5"],
     ["family-eval", "--m", "1", "--family", "power", "--ideal", '"vars gens"'],
     ["family-eval", "--m", "1", "--family", "chain", "--breakpoints", "5"],
+    ["family-eval", "--m", "1", "--family", "halfplane", "--q1", "1", "--q2", "2", "--a", "3"],
 ]
 
 
@@ -376,5 +378,15 @@ def test_parser_built_once_and_every_subcommand_has_a_handler(capsys):
 
 def test_planar_reduce_over_work_budget_exits_2(capsys):
     code, out, err = run_cli(capsys, "planar-reduce", "--counts", "3,2", "--m", "600000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("computation error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", str(10**12), "--max-m", "2"],
+    ["family-eval", "--family", "doubling", "--m", "20000"],
+])
+def test_work_over_budget_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("computation error: ")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from limshape import (
     FamilyRuleError,
     GradedFamily,
     MonomialIdeal,
+    WorkBudgetError,
     areg_estimate,
     family_from_json,
     family_to_json,
@@ -22,6 +24,7 @@ from limshape import (
     verify_graded,
     waldschmidt_estimate,
 )
+from limshape.families import MAX_DOUBLING_M
 
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
 
@@ -57,6 +60,9 @@ def test_doubling_family():
     assert all(fam.ideal(2).contains(g) for g in prod.gens)
     padded = make_doubling_family(extra_vars=1)
     assert padded.ideal(1).nvars == 3
+    assert fam.ideal(MAX_DOUBLING_M).gens[-1] == (1, 2**MAX_DOUBLING_M)
+    with pytest.raises(WorkBudgetError):
+        fam.ideal(MAX_DOUBLING_M + 1)
 
 
 def test_halfplane_family():
@@ -238,6 +244,12 @@ def test_family_json_errors():
         family_from_json({"kind": "nope"})
     with pytest.raises(ValueError):
         family_from_json({"kind": "halfplane", "params": {"q1": "2"}})
+    with pytest.raises(ValueError, match="no parameter 'q'"):
+        family_from_json({"kind": "halfplane", "params": {"q1": "2", "q2": "3", "q": "1"}})
+    with pytest.raises(ValueError, match="no parameter 'extra_vars'"):
+        family_from_json({"kind": "ceiling", "params": {"q": "2", "extra_vars": 0}})
+    capped = family_from_json({"kind": "halfplane", "params": {"q1": "2", "q2": "3", "degree_cap": 30}})
+    assert capped.ideal(4) == make_halfplane_family(2, 3).ideal(4)
 
 
 def _rationals(top: int, den: int):
@@ -245,11 +257,11 @@ def _rationals(top: int, den: int):
 
 
 @st.composite
-def family_specs(draw):
+def family_specs(draw, kinds=("halfplane", "ceiling", "chain", "oscillating")):
     """JSON specs of the halfplane, ceiling, chain and oscillating families,
     with parameters inside the ranges `family_from_json` accepts and small
     enough that ideals up to m = 6 stay cheap."""
-    kind = draw(st.sampled_from(["halfplane", "ceiling", "chain", "oscillating"]))
+    kind = draw(st.sampled_from(list(kinds)))
     if kind == "halfplane":
         q1, q2 = sorted(draw(st.tuples(_rationals(12, 4), _rationals(12, 4))))
         params = {"q1": format_rational(q1), "q2": format_rational(q2)}
@@ -283,3 +295,47 @@ def test_builtin_families_graded_and_round_trip_property(spec):
     clone = family_from_json(family_to_json(family))
     for m in (1, 2, 3, 4):
         assert clone.ideal(m) == family.ideal(m)
+
+
+def _staircase_by_fractions(a_top, b_of):
+    gens, prev_b = [], None
+    for a in range(a_top + 1):
+        b = b_of(a)
+        if prev_b is None or b < prev_b:
+            gens.append((a, b))
+            prev_b = b
+        if b == 0:
+            break
+    return MonomialIdeal.from_gens(2, gens)
+
+
+def halfplane_gens_by_fractions(q1, q2, m):
+    """Generators of the halfplane member from Fraction ceilings per column."""
+    def b_of(a):
+        need = m * q1 * q2 - a * q2
+        return max(0, ceil(need / q1)) if need > 0 else 0
+
+    return _staircase_by_fractions(ceil(m * q1), b_of)
+
+
+def chain_gens_by_fractions(halfplanes, s0, m):
+    """Generators of the chain member from Fraction ceilings per column."""
+    def b_of(a):
+        need = [m * C - a * A for A, B, C in halfplanes]
+        return max([0] + [ceil(n / B) for n, (_, B, _) in zip(need, halfplanes) if n > 0])
+
+    return _staircase_by_fractions(ceil(m * s0), b_of)
+
+
+@settings(max_examples=60)
+@given(family_specs(kinds=("halfplane", "chain")))
+def test_integer_rules_match_fraction_formulas(spec):
+    family = family_from_json(spec)
+    shape = family.exact_shape
+    for m in range(1, 13):
+        if spec["kind"] == "halfplane":
+            q1, q2 = (Fraction(spec["params"][k]) for k in ("q1", "q2"))
+            expected = halfplane_gens_by_fractions(q1, q2, m)
+        else:
+            expected = chain_gens_by_fractions(shape.halfplanes, shape.vertices[0][0], m)
+        assert family.ideal(m) == expected, (spec, m)

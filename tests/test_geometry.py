@@ -10,6 +10,7 @@ from limshape import (
     ShapePolygon,
     SimplexRegion,
     UnsupportedDimensionError,
+    WorkBudgetError,
     ahf,
     areg_from_shape,
     convex_hull,
@@ -31,7 +32,7 @@ from limshape import (
     staircase_region,
     waldschmidt_from_shape,
 )
-from limshape.geometry import StaircaseRegion, _staircase_area
+from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _staircase_area
 
 from conftest import area_by_inclusion_exclusion
 
@@ -77,6 +78,21 @@ def test_gamma_lattice_counts():
     assert gamma_lattice_count(DOUBLING_1.padded(3), 1, 1) == 3
     empty = StaircaseRegion(2, Fraction(-1), ())
     assert lattice_count(empty) == 0
+
+
+def test_lattice_count_over_budget_is_refused():
+    # a staircase count walks (floor(bound) + 1)^(dim - 1) columns
+    plane = MonomialIdeal.from_gens(3, [(1, 0, 0)])
+    with pytest.raises(WorkBudgetError):
+        lattice_count(staircase_region(plane, 1, MAX_LATTICE_COLUMNS))
+    with pytest.raises(WorkBudgetError):
+        gamma_lattice_count(plane, 1, MAX_LATTICE_COLUMNS)
+    with pytest.raises(WorkBudgetError):
+        ahf(make_halfplane_family(1, 2), 10**12, max_m=2)
+    # one dimension merges intervals and walks no columns
+    line = MonomialIdeal.from_gens(2, [(1, 0)])
+    assert lattice_count(staircase_region(line, 1, 10**12)) == 10**12
+    assert gamma_lattice_count(line, 1, 10**12) == 1
 
 
 def test_volumes():

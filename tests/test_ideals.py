@@ -1,19 +1,23 @@
 import json
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import limshape
+import limshape.planar
 from limshape import (
     MonomialIdeal,
+    WorkBudgetError,
     format_exponents,
     format_monomial,
     minimal_generators,
     monomial_divides,
     parse_exponents,
 )
-from limshape.ideals import minimal_exponents
+from limshape.ideals import MAX_PRODUCT_PAIRS, minimal_exponents
 
 from conftest import borel_by_full_scan, borel_closure, random_ideal
 
@@ -34,6 +38,19 @@ def test_ideal_contains():
     assert I.contains((2, 1))  # x^2*y is a multiple of x^2
     assert not I.contains((0, 3))
     assert not MonomialIdeal.zero(2).contains((0, 3))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8),
+    st.lists(st.tuples(*[st.integers(0, 7)] * n), min_size=1, max_size=12),
+)))
+def test_contains_matches_divisibility(case):
+    gens, monos = case
+    I = minimal_generators(gens, nvars=len(monos[0]))
+    for mono in monos:
+        # divisibility by any of the raw, unminimalized generators
+        assert I.contains(mono) == any(all(a <= b for a, b in zip(g, mono)) for g in gens)
 
 
 def test_contains_dimension_mismatch():
@@ -67,8 +84,18 @@ exponent_lists = st.integers(1, 3).flatmap(
 )
 
 
+def _seeded_3var_list(seed: int, size: int) -> list:
+    rnd = random.Random(seed)
+    return [tuple(rnd.randint(0, 9) for _ in range(3)) for _ in range(size)]
+
+
+# long 3-variable sets reach deep into the bisected staircase; they come from
+# a seeded generator because Hypothesis takes seconds to draw hundreds of vectors
+long_3var_lists = st.builds(_seeded_3var_list, st.integers(0, 2**32), st.integers(50, 200))
+
+
 @settings(max_examples=300)
-@given(exponent_lists)
+@given(st.one_of(exponent_lists, long_3var_lists))
 def test_minimal_exponents_match_quadratic_definition(vectors):
     # v is minimal iff no other vector of the set divides it
     minimal = {
@@ -84,6 +111,15 @@ def test_ideal_product_examples():
     assert set(sq.gens) == {(4, 0), (3, 2), (2, 4)}
     assert I.product(MonomialIdeal.unit(2)) == I
     assert I.product(MonomialIdeal.zero(2)).is_zero
+
+
+def test_product_over_budget_is_refused():
+    n = isqrt(MAX_PRODUCT_PAIRS) + 1  # n * n generator pairs, over the budget
+    I = MonomialIdeal.from_gens(2, [(i, n - i) for i in range(n)])
+    assert len(I.gens) == n
+    with pytest.raises(WorkBudgetError):
+        I.product(I)
+    assert WorkBudgetError is limshape.planar.WorkBudgetError is limshape.WorkBudgetError
 
 
 def test_ideal_product_commutative_associative(rng):
@@ -113,6 +149,23 @@ def test_borel_generator_check_matches_full_scan(rng):
     for _ in range(25):
         I = random_ideal(rng, rng.randint(2, 3), maxdeg=4, ngens=3)
         assert I.is_borel_fixed() == borel_by_full_scan(I)
+
+
+@st.composite
+def small_ideals(draw):
+    """Ideals in 1-4 variables; half are replaced by their Borel closure, so
+    both verdicts occur."""
+    nvars = draw(st.integers(1, 4))
+    top = 4 if nvars < 4 else 2
+    gens = draw(st.lists(st.tuples(*[st.integers(0, top)] * nvars), min_size=1, max_size=4))
+    I = MonomialIdeal.from_gens(nvars, gens)
+    return borel_closure(I) if draw(st.booleans()) else I
+
+
+@settings(max_examples=200)
+@given(small_ideals())
+def test_is_borel_fixed_matches_full_scan_property(I):
+    assert I.is_borel_fixed() == borel_by_full_scan(I)
 
 
 def test_borel_closed_under_products(rng):
