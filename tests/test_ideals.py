@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import limshape
 import limshape.planar
 from limshape import (
     MonomialIdeal,
