@@ -48,6 +48,8 @@ __all__ = [
 DEFAULT_TOLERANCE = Fraction(1, 20)
 # 2^m must print in fewer than Python's 4300-digit limit (m < 14284)
 MAX_DOUBLING_M = 10**4
+# generator pairs one verify_graded call may multiply
+MAX_GRADED_PAIRS = 10**5
 
 
 class FamilyRuleError(RuntimeError):
@@ -366,18 +368,29 @@ class GradednessReport:
 
 
 def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
-    """Check I_p * I_q <= I_{p+q} for every p <= q with p + q <= max_m."""
+    """Check I_p * I_q <= I_{p+q} for every p <= q with p + q <= max_m;
+    refused with WorkBudgetError before the product that would take the total
+    of |G_p| * |G_q| generator pairs over MAX_GRADED_PAIRS."""
     if max_m < 2:
         raise ValueError("max_m must be at least 2")
     violations = []
     checked = 0
+    work = 0
     for p in range(1, max_m // 2 + 1):
         for q in range(p, max_m - p + 1):
-            product = family.ideal(p).product(family.ideal(q))
+            Ip, Iq = family.ideal(p), family.ideal(q)
+            work += len(Ip.gens) * len(Iq.gens)
+            if work > MAX_GRADED_PAIRS:
+                raise WorkBudgetError(
+                    f"{family.label}: gradedness up to max_m={max_m} multiplies over "
+                    f"{MAX_GRADED_PAIRS} generator pairs (reached at p={p}, q={q})")
+            product = Ip.product(Iq)
             target = family.ideal(p + q)
             checked += 1
+            # a generator of the target needs no divisor scan
+            own = set(target.gens)
             for g in product.gens:
-                if not target._contains(g):
+                if g not in own and not target._contains(g):
                     violations.append(GradednessViolation(p, q, g))
                     break
     return GradednessReport(max_m, checked, tuple(violations))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, lcm
 
 from .ideals import MonomialIdeal, WorkBudgetError
 
@@ -83,6 +83,18 @@ class ComplementRegion:
     staircase: StaircaseRegion
 
 
+def _boxes(gens, bound, scale=1) -> list:
+    """(g[:-1], bound - scale * g[-1]) for every generator g whose box is
+    nonempty (slack >= scale * |prefix|): one rule for staircase regions,
+    lattice counts (bound floor(m*t)) and the integer hull (scale D/m)."""
+    out = []
+    for g in gens:
+        slack = bound - scale * g[-1]
+        if slack >= scale * sum(g[:-1]):
+            out.append((g[:-1], slack))
+    return out
+
+
 def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
     """Scaled staircase of I: generator boxes clipped by per-generator slack."""
     if m < 1:
@@ -91,22 +103,12 @@ def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
     if t < 0:
         raise ValueError("t must be >= 0")
     bound = m * t
-    corners = []
-    for g in I.gens:
-        prefix, last = g[:-1], g[-1]
-        slack = bound - last
-        if slack >= sum(prefix):  # box nonempty
-            corners.append((prefix, slack))
     # already an antichain: a dominating corner's generator would divide the other's
-    return StaircaseRegion(I.nvars - 1, bound, tuple(sorted(corners)))
+    return StaircaseRegion(I.nvars - 1, bound, tuple(sorted(_boxes(I.gens, bound))))
 
 
 def gamma_region(I: MonomialIdeal, m: int, t) -> ComplementRegion:
     return ComplementRegion(staircase_region(I, m, t))
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def _merge_intervals(intervals: list) -> list:
@@ -122,40 +124,45 @@ def _merge_intervals(intervals: list) -> list:
 
 
 def _staircase_lattice(corners, dim: int, dfloor: int) -> int:
-    """Lattice points of a union of corner boxes; the corners need not form an
-    antichain."""
+    """Lattice points of a union of corner boxes with integer slacks; the
+    corners need not form an antichain."""
     if dfloor < 0 or not corners:
         return 0
     if dim == 0:
         return 1
     if dim == 1:
-        ivs = [(p[0], _floor(Fraction(s))) for p, s in corners]
+        ivs = [(p[0], s) for p, s in corners]
         return sum(hi - lo + 1 for lo, hi in _merge_intervals(ivs) if lo <= dfloor)
     if dim == 2 and len({s for _, s in corners}) == 1:
         # single hypotenuse (every padded plane ideal): each column is one
         # interval, so no per-column slicing
-        sfloor = _floor(Fraction(corners[0][1]))
-        by_a = sorted((p[0], p[1]) for p, _ in corners)
-        total = 0
-        k = 0
-        bmin = None
+        sfloor = corners[0][1]
+        by_a = sorted(p for p, _ in corners)
+        total, k, bmin = 0, 0, sfloor + 1  # least b of the boxes reached so far
         for a in range(min(dfloor, sfloor) + 1):
             while k < len(by_a) and by_a[k][0] <= a:
-                b = by_a[k][1]
-                bmin = b if bmin is None else min(bmin, b)
+                bmin = min(bmin, by_a[k][1])
                 k += 1
-            if bmin is not None and sfloor - a >= bmin:
+            if sfloor - a >= bmin:
                 total += sfloor - a - bmin + 1
         return total
     # generic: slice along the first coordinate
     total = 0
     for a in range(dfloor + 1):
-        sub = []
-        for p, s in corners:
-            if p[0] <= a and s - a >= sum(p[1:]):
-                sub.append((p[1:], s - a))
+        sub = [(p[1:], s - a) for p, s in corners if p[0] <= a and s - a >= sum(p[1:])]
         total += _staircase_lattice(sub, dim - 1, dfloor - a)
     return total
+
+
+def _count_boxes(corners, dim: int, d: int) -> int:
+    """_staircase_lattice within the budget of (d + 1)^(dim - 1) columns."""
+    columns = (d + 1) ** max(dim - 1, 0)
+    if columns > MAX_LATTICE_COLUMNS:
+        raise WorkBudgetError(
+            f"lattice count at bound {d} in dimension {dim} walks "
+            f"{columns} columns, over {MAX_LATTICE_COLUMNS}"
+        )
+    return _staircase_lattice(corners, dim, d)
 
 
 def lattice_count(region) -> int:
@@ -163,25 +170,22 @@ def lattice_count(region) -> int:
 
     Boundary convention: the simplex and the staircase boxes are closed, so
     the complement's count equals the Hilbert function of the quotient at the
-    floor of the bound.  A staircase count walks up to (floor(bound) + 1)^(dim - 1)
-    columns and is refused with WorkBudgetError above MAX_LATTICE_COLUMNS.
+    floor of the bound.  A lattice point sees a slack only through its floor,
+    floor(m*t) - last for a generator's box, so each slack is floored once
+    and the count runs on integers.  A staircase count walks up to
+    (floor(bound) + 1)^(dim - 1) columns and is refused with WorkBudgetError
+    above MAX_LATTICE_COLUMNS.
     """
     if isinstance(region, SimplexRegion):
         if region.bound < 0:
             return 0
-        d = _floor(Fraction(region.bound))
+        d = floor(region.bound)
         return comb(d + region.dim, region.dim)
     if isinstance(region, StaircaseRegion):
         if region.bound < 0:
             return 0
-        d = _floor(Fraction(region.bound))
-        columns = (d + 1) ** max(region.dim - 1, 0)
-        if columns > MAX_LATTICE_COLUMNS:
-            raise WorkBudgetError(
-                f"lattice count at bound {d} in dimension {region.dim} walks "
-                f"{columns} columns, over {MAX_LATTICE_COLUMNS}"
-            )
-        return _staircase_lattice(region.corners, region.dim, d)
+        corners = [(p, floor(s)) for p, s in region.corners]
+        return _count_boxes(corners, region.dim, floor(region.bound))
     if isinstance(region, ComplementRegion):
         stair = region.staircase
         simplex = SimplexRegion(stair.dim, stair.bound)
@@ -198,68 +202,49 @@ def _staircase_area(corners: tuple) -> Fraction:
 
     Sweeps vertical strips cut at every combinatorial change; within a strip
     the column measure is linear in x, so the midpoint value integrates it
-    exactly.
+    exactly.  The sweep runs in integers on the scale L = 2 * lcm of the
+    slack denominators, where every cut is even and every midpoint integral.
     """
     if not corners:
         return Fraction(0)
-    cuts = set()
-    lo = min(Fraction(p[0]) for p, _ in corners)
-    hi = max(Fraction(s) - p[1] for p, s in corners)
-    for p, _ in corners:
-        cuts.add(Fraction(p[0]))
-    for _, s in corners:
-        for q, _ in corners:
-            cuts.add(Fraction(s) - q[1])
+    L = 2 * lcm(*(Fraction(s).denominator for _, s in corners))
+    boxes = [(p0 * L, p1 * L, int(s * L)) for (p0, p1), s in corners]
+    lo = min(a for a, _, _ in boxes)
+    hi = max(s - b for _, b, s in boxes)
+    cuts = {a for a, _, _ in boxes} | {s - b for _, _, s in boxes for _, b, _ in boxes}
     xs = sorted(x for x in cuts if lo <= x <= hi)
-    area = Fraction(0)
+    area = 0
     for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
-        xm = (x0 + x1) / 2
-        ivs = [
-            (Fraction(p[1]), Fraction(s) - xm)
-            for p, s in corners
-            if p[0] <= xm and Fraction(s) - xm >= p[1]
-        ]
-        length = sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
-        area += (x1 - x0) * length
-    return area
+        xm = (x0 + x1) // 2
+        ivs = [(b, s - xm) for a, b, s in boxes if a <= xm and s - xm >= b]
+        area += (x1 - x0) * sum(top - low for low, top in _merge_intervals(ivs))
+    return Fraction(area, L * L)
 
 
 def region_volume(region) -> Fraction:
     """Exact measure; dimensions 0 (counting measure), 1 and 2 only."""
-    if isinstance(region, SimplexRegion):
-        if region.bound < 0:
-            return Fraction(0)
-        b = Fraction(region.bound)
-        if region.dim == 0:
-            return Fraction(1)
-        if region.dim == 1:
-            return b
-        if region.dim == 2:
-            return b * b / 2
-        raise UnsupportedDimensionError(
-            f"exact volume limited to dimension <= 2, got {region.dim}; "
-            "use lattice counts for higher dimensions"
-        )
-    if isinstance(region, StaircaseRegion):
-        if region.dim == 0:
-            return Fraction(1 if region.corners else 0)
-        if region.dim == 1:
-            ivs = [(Fraction(p[0]), Fraction(s)) for p, s in region.corners]
-            return sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
-        if region.dim == 2:
-            return _staircase_area(region.corners)
-        raise UnsupportedDimensionError(
-            f"exact volume limited to dimension <= 2, got {region.dim}; "
-            "use lattice counts for higher dimensions"
-        )
     if isinstance(region, ComplementRegion):
         stair = region.staircase
-        return region_volume(SimplexRegion(stair.dim, stair.bound)) - region_volume(
-            stair
+        simplex = SimplexRegion(stair.dim, stair.bound)
+        return region_volume(simplex) - region_volume(stair)
+    if not isinstance(region, (SimplexRegion, StaircaseRegion)):
+        raise TypeError(f"not a region: {region!r}")
+    if isinstance(region, SimplexRegion) and region.bound < 0:
+        return Fraction(0)
+    if not 0 <= region.dim <= 2:
+        raise UnsupportedDimensionError(
+            f"exact volume limited to dimension <= 2, got {region.dim}; "
+            "use lattice counts for higher dimensions"
         )
-    raise TypeError(f"not a region: {region!r}")
+    if isinstance(region, SimplexRegion):
+        b = Fraction(region.bound)
+        return (Fraction(1), b, b * b / 2)[region.dim]
+    if region.dim == 0:
+        return Fraction(1 if region.corners else 0)
+    if region.dim == 1:
+        ivs = [(Fraction(p[0]), Fraction(s)) for p, s in region.corners]
+        return sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
+    return _staircase_area(region.corners)
 
 
 @dataclass(frozen=True)
@@ -274,10 +259,13 @@ class ShapePolygon:
 
     @classmethod
     def make(cls, points) -> "ShapePolygon":
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
-        # drop cyclic duplicates
+        """Polygon through the points in order, with Fraction coordinates
+        (Fractions are kept as given), dropping cyclic repeats and vertices
+        collinear with their two neighbours."""
         out = []
-        for p in pts:
+        for x, y in points:
+            p = (x if type(x) is Fraction else Fraction(x),
+                 y if type(y) is Fraction else Fraction(y))
             if not out or p != out[-1]:
                 out.append(p)
         if len(out) > 1 and out[0] == out[-1]:
@@ -334,17 +322,14 @@ class ShapePolygon:
         v = self.vertices
         if not v:
             return self
+        inside = [a * x + b * y <= c for x, y in v]
         out = []
-        for i in range(len(v)):
-            cur, nxt = v[i], v[(i + 1) % len(v)]
-            cur_in = a * cur[0] + b * cur[1] <= c
-            nxt_in = a * nxt[0] + b * nxt[1] <= c
+        for cur, cur_in, nxt, nxt_in in zip(v, inside, v[1:] + v[:1], inside[1:] + inside[:1]):
             if cur_in:
                 out.append(cur)
             if cur_in != nxt_in:
                 dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
-                denom = a * dx + b * dy
-                lam = (c - a * cur[0] - b * cur[1]) / denom
+                lam = (c - a * cur[0] - b * cur[1]) / (a * dx + b * dy)
                 out.append((cur[0] + lam * dx, cur[1] + lam * dy))
         return ShapePolygon.make(out)
 
@@ -358,6 +343,26 @@ def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
+def _monotone_chain(pts: list) -> list:
+    """Andrew's monotone chain over sorted distinct points: the CCW hull with
+    no repeated or collinear vertex (the points themselves if at most two)."""
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq) -> list:
+        out: list = []
+        for x, y in seq:
+            while len(out) >= 2:  # pop while out[-1] is not a left turn
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
 def convex_hull(points) -> list:
     """Exact 2-D convex hull (monotone chain), CCW without repeated endpoint.
 
@@ -368,20 +373,7 @@ def convex_hull(points) -> list:
     pts = {(x, y) for x, y in points}
     if any(type(v) not in (int, Fraction) for p in pts for v in p):
         pts = {(Fraction(x), Fraction(y)) for x, y in pts}
-    pts = sorted(pts)
-    if len(pts) > 2:
-        lower: list = []
-        for p in pts:
-            while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-                lower.pop()
-            lower.append(p)
-        upper: list = []
-        for p in reversed(pts):
-            while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-                upper.pop()
-            upper.append(p)
-        pts = lower[:-1] + upper[:-1]
-    return [(Fraction(x), Fraction(y)) for x, y in pts]
+    return [(Fraction(x), Fraction(y)) for x, y in _monotone_chain(sorted(pts))]
 
 
 @dataclass(frozen=True)
@@ -410,25 +402,43 @@ def _plane_ideal(family, m: int) -> MonomialIdeal:
     return I.padded(3)
 
 
+def _chain_walk(shape, t: Fraction):
+    """The chain's vertices with x + y <= t, then the point where it meets
+    x + y = t, and whether it met it.  Every slope is -1 or steeper, so x + y
+    never decreases along the chain and one pass finds both; a chain ending
+    off the y-axis goes on up a vertical ray, which always meets the line."""
+    walk = []
+    for x, y in shape.vertices:
+        if x + y > t:
+            if walk:
+                x0, y0 = walk[-1]
+                lam = (t - x0 - y0) / (x + y - x0 - y0)
+                walk.append((x0 + lam * (x - x0), y0 + lam * (y - y0)))
+            return walk, bool(walk)
+        walk.append((x, y))
+    x0 = walk[-1][0]
+    if x0 != 0:
+        walk.append((x0, t - x0))
+    return walk, x0 != 0
+
+
 def _exact_delta_polygon(shape, t: Fraction) -> ShapePolygon:
-    poly = ShapePolygon.make([(0, 0), (t, 0), (0, t)])
-    for A, B, C in shape.halfplanes:
-        poly = poly.clip_halfplane(-A, -B, -C)  # keep A*x + B*y >= C
-    return poly
+    """The triangle x, y >= 0, x + y <= t on or above the chain, CCW from the
+    x-intercept: to (t, 0), up x + y = t to the crossing (or to (0, t) and
+    down the y-axis), then back along the walk; empty without a walk."""
+    walk, crossed = _chain_walk(shape, t)
+    return ShapePolygon.make(walk and [walk[0], (t, 0)] + [(0, t)] * (not crossed) + walk[:0:-1])
 
 
 def _exact_gamma_polygon(shape, t: Fraction) -> ShapePolygon:
-    chain = [(Fraction(x), Fraction(y)) for x, y in shape.vertices]
-    if chain[0][1] != 0:
+    """The triangle below the chain: the origin, the walk and, after a
+    crossing, (0, t); the whole triangle without a walk."""
+    if shape.vertices[0][1] != 0:
         raise ValueError("staircase chain must start on the x-axis")
-    big = max(t, max(y for _, y in chain)) + 1
-    boundary = [(Fraction(0), Fraction(0))] + chain
-    last = chain[-1]
-    if last[0] != 0:
-        # staircase leaves the plane upwards: close along a vertical ray
-        boundary += [(last[0], big), (Fraction(0), big)]
-    poly = ShapePolygon.make(boundary)
-    return poly.clip_halfplane(1, 1, t)
+    walk, crossed = _chain_walk(shape, t)
+    if not walk:  # the chain starts beyond the line
+        walk, crossed = [(t, 0)], True
+    return ShapePolygon.make([(0, 0)] + walk + [(0, t)] * crossed)
 
 
 def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
@@ -438,7 +448,8 @@ def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
     the scaled staircases for m <= max_m, an inner approximation that is
     non-decreasing in max_m.  That hull is taken in integers on the common
     scale D = lcm(1..max_m) * den(t), where every corner point of NP(I_m)/m
-    is integral, and only its vertices are divided back by D.
+    is integral.  The area is read off the integer hull, |shoelace|/(2D^2),
+    and only its vertices (never repeated or collinear) are divided by D.
     """
     t = Fraction(t)
     if t < 0:
@@ -451,18 +462,17 @@ def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     D = lcm(*range(1, max_m + 1)) * t.denominator
+    tD = t.numerator * (D // t.denominator)
     points = []
     for m in range(1, max_m + 1):
-        k = D // m  # den(t) divides k, and so does the denominator of every slack
-        region = staircase_region(_plane_ideal(family, m), m, t)
-        for (p0, p1), s in region.corners:
-            x, y, sD = p0 * k, p1 * k, s.numerator * (k // s.denominator)
-            points.append((x, y))
-            points.append((x, sD - x))
-            points.append((sD - y, y))
-    hull = [(x / D, y / D) for x, y in convex_hull(points)]
-    poly = ShapePolygon.make(hull)
-    return ShapeResult("delta", t, False, poly, poly.area(), None)
+        k = D // m  # sD = k * (m*t - last) is the generator's slack times D
+        for (p0, p1), sD in _boxes(_plane_ideal(family, m).gens, tD, k):
+            x, y = p0 * k, p1 * k
+            points += ((x, y), (x, sD - x), (sD - y, y))
+    hull = _monotone_chain(sorted(set(points)))
+    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
+    poly = ShapePolygon(tuple((Fraction(x, D), Fraction(y, D)) for x, y in hull))
+    return ShapeResult("delta", t, False, poly, Fraction(abs(twice), 2 * D * D), None)
 
 
 def gamma_limit(family, t, max_m: int = 16) -> ShapeResult:
@@ -520,7 +530,10 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     samples = []
     if diagnostics:
         for m in range(1, max_m + 1):
-            count = lattice_count(gamma_region(_plane_ideal(family, m), m, t))
+            # lattice_count(gamma_region(...)) on the floored bound
+            d = m * t.numerator // t.denominator
+            stair = _count_boxes(_boxes(_plane_ideal(family, m).gens, d), 2, d)
+            count = comb(d + 2, 2) - stair
             samples.append((m, count, Fraction(count, m * m)))
     return AhfResult(t, gamma.area, gamma.exact, tuple(samples))
 

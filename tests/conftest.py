@@ -15,8 +15,9 @@ from itertools import combinations
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from limshape import MonomialIdeal
+from limshape import MonomialIdeal, format_rational
 
 # every property test draws the same examples on every run
 settings.register_profile("limshape", derandomize=True, deadline=None)
@@ -122,6 +123,41 @@ def borel_closure(I: MonomialIdeal) -> MonomialIdeal:
                     gens.add(moved)
                     frontier.append(moved)
     return MonomialIdeal.from_gens(I.nvars, gens)
+
+
+def _rationals(top: int, den: int):
+    return st.builds(Fraction, st.integers(1, top), st.integers(1, den))
+
+
+@st.composite
+def family_specs(draw, kinds=("halfplane", "ceiling", "chain", "oscillating")):
+    """JSON specs of the halfplane, ceiling, chain and oscillating families,
+    with parameters inside the ranges `family_from_json` accepts and small
+    enough that ideals up to m = 6 stay cheap."""
+    kind = draw(st.sampled_from(list(kinds)))
+    if kind == "halfplane":
+        q1, q2 = sorted(draw(st.tuples(_rationals(12, 4), _rationals(12, 4))))
+        params = {"q1": format_rational(q1), "q2": format_rational(q2)}
+    elif kind == "ceiling":
+        params = {"q": format_rational(draw(_rationals(12, 4)))}
+    elif kind == "chain":
+        # slopes -r with 1 <= r_1 < r_2 < ... : each segment strictly steeper
+        n = draw(st.integers(1, 3))
+        steepness = st.builds(
+            lambda k, den: 1 + Fraction(k, den), st.integers(0, 6), st.integers(1, 3)
+        )
+        ratios = sorted(draw(st.sets(steepness, min_size=n, max_size=n)))
+        widths = draw(st.lists(_rationals(4, 3), min_size=n, max_size=n))
+        s, t = sum(widths), Fraction(0)
+        points = [(s, t)]
+        for width, ratio in zip(widths, ratios):
+            s, t = s - width, t + ratio * width
+            points.append((s, t))
+        params = {"breakpoints": [[format_rational(s), format_rational(t)] for s, t in points]}
+    else:
+        a = draw(st.integers(1, 4))
+        params = {"a": a, "b": draw(st.integers(a + 1, 8)), "d": draw(st.integers(2, 5))}
+    return {"kind": kind, "params": params}
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@ from math import ceil
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import limshape.families
 from limshape import (
     FamilyRuleError,
     GradedFamily,
@@ -13,7 +13,6 @@ from limshape import (
     areg_estimate,
     family_from_json,
     family_to_json,
-    format_rational,
     make_ceiling_family,
     make_chain_family,
     make_doubling_family,
@@ -24,7 +23,9 @@ from limshape import (
     verify_graded,
     waldschmidt_estimate,
 )
-from limshape.families import MAX_DOUBLING_M
+from limshape.families import MAX_DOUBLING_M, MAX_GRADED_PAIRS
+
+from conftest import family_specs
 
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
 
@@ -148,6 +149,34 @@ def test_verify_graded_builtins():
         assert report.ok, (fam.label, report.violations)
 
 
+POWER3 = MonomialIdeal.from_gens(3, [(2, 0, 0), (1, 1, 1), (0, 2, 0), (0, 0, 3)])
+
+
+def test_verify_graded_work_budget(monkeypatch):
+    # every p <= q with p + q <= max_m multiplies |G_p| * |G_q| pairs
+    def pairs(family, max_m):
+        sizes = [len(family.ideal(m).gens) for m in range(max_m + 1) if m]
+        return sum(
+            sizes[p - 1] * sizes[q - 1]
+            for p in range(1, max_m // 2 + 1)
+            for q in range(p, max_m - p + 1)
+        )
+
+    power = make_power_family(POWER3)
+    assert pairs(power, 12) <= MAX_GRADED_PAIRS
+    assert verify_graded(power, 12).ok
+    for family, max_m in ((make_halfplane_family(1, 2), 100), (power, 24), (power, 400)):
+        with pytest.raises(WorkBudgetError, match="generator pairs"):
+            verify_graded(family, max_m)
+    # the total may reach the budget but not pass it
+    halfplane = make_halfplane_family(2, 3)
+    monkeypatch.setattr(limshape.families, "MAX_GRADED_PAIRS", pairs(halfplane, 6))
+    assert verify_graded(halfplane, 6).ok
+    monkeypatch.setattr(limshape.families, "MAX_GRADED_PAIRS", pairs(halfplane, 6) - 1)
+    with pytest.raises(WorkBudgetError):
+        verify_graded(halfplane, 6)
+
+
 def test_verify_graded_catches_corruption():
     def rule(m):
         return MonomialIdeal.from_gens(1, [(5,) if m == 2 else (2 * m,)])
@@ -250,41 +279,6 @@ def test_family_json_errors():
         family_from_json({"kind": "ceiling", "params": {"q": "2", "extra_vars": 0}})
     capped = family_from_json({"kind": "halfplane", "params": {"q1": "2", "q2": "3", "degree_cap": 30}})
     assert capped.ideal(4) == make_halfplane_family(2, 3).ideal(4)
-
-
-def _rationals(top: int, den: int):
-    return st.builds(Fraction, st.integers(1, top), st.integers(1, den))
-
-
-@st.composite
-def family_specs(draw, kinds=("halfplane", "ceiling", "chain", "oscillating")):
-    """JSON specs of the halfplane, ceiling, chain and oscillating families,
-    with parameters inside the ranges `family_from_json` accepts and small
-    enough that ideals up to m = 6 stay cheap."""
-    kind = draw(st.sampled_from(list(kinds)))
-    if kind == "halfplane":
-        q1, q2 = sorted(draw(st.tuples(_rationals(12, 4), _rationals(12, 4))))
-        params = {"q1": format_rational(q1), "q2": format_rational(q2)}
-    elif kind == "ceiling":
-        params = {"q": format_rational(draw(_rationals(12, 4)))}
-    elif kind == "chain":
-        # slopes -r with 1 <= r_1 < r_2 < ... : each segment strictly steeper
-        n = draw(st.integers(1, 3))
-        steepness = st.builds(
-            lambda k, den: 1 + Fraction(k, den), st.integers(0, 6), st.integers(1, 3)
-        )
-        ratios = sorted(draw(st.sets(steepness, min_size=n, max_size=n)))
-        widths = draw(st.lists(_rationals(4, 3), min_size=n, max_size=n))
-        s, t = sum(widths), Fraction(0)
-        points = [(s, t)]
-        for width, ratio in zip(widths, ratios):
-            s, t = s - width, t + ratio * width
-            points.append((s, t))
-        params = {"breakpoints": [[format_rational(s), format_rational(t)] for s, t in points]}
-    else:
-        a = draw(st.integers(1, 4))
-        params = {"a": a, "b": draw(st.integers(a + 1, 8)), "d": draw(st.integers(2, 5))}
-    return {"kind": kind, "params": params}
 
 
 @settings(max_examples=80)

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from itertools import product
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from limshape import (
@@ -11,9 +13,11 @@ from limshape import (
     SimplexRegion,
     UnsupportedDimensionError,
     WorkBudgetError,
+    ComplementRegion,
     ahf,
     areg_from_shape,
     convex_hull,
+    family_from_json,
     gamma_lattice_count,
     gamma_limit,
     gamma_region,
@@ -34,7 +38,7 @@ from limshape import (
 )
 from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _staircase_area
 
-from conftest import area_by_inclusion_exclusion
+from conftest import area_by_inclusion_exclusion, family_specs
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
@@ -434,3 +438,111 @@ def test_gamma_region_vs_brute_force_random(rng):
                 for p, s in corners
                 for q, r in corners
             )
+
+
+def _triangle_clipped_by_halfplanes(shape, t):
+    """The closed-form delta as the triangle cut by each half-plane in turn."""
+    poly = ShapePolygon.make([(0, 0), (t, 0), (0, t)])
+    for A, B, C in shape.halfplanes:
+        poly = poly.clip_halfplane(-A, -B, -C)  # keep A*x + B*y >= C
+    return poly
+
+
+def _below_chain_clipped(shape, t):
+    """The closed-form gamma as the region below the chain (closed upwards by
+    a vertical ray when the chain ends off the y-axis) cut by x + y <= t."""
+    chain = list(shape.vertices)
+    big = max(t, max(y for _, y in chain)) + 1
+    boundary = [(0, 0)] + chain
+    if chain[-1][0] != 0:
+        boundary += [(chain[-1][0], big), (0, big)]
+    return ShapePolygon.make(boundary).clip_halfplane(1, 1, t)
+
+
+@settings(max_examples=120)
+@given(family_specs(kinds=("halfplane", "ceiling", "chain")), st.fractions(0, 40, max_denominator=6))
+def test_closed_form_walk_matches_clipping(spec, t_extra):
+    family = family_from_json(spec)
+    shape = family.exact_shape
+    # t at 0, at every breakpoint's x + y, at every x-intercept, and near them
+    ts = {Fraction(0), t_extra} | {x + y for x, y in shape.vertices}
+    ts |= {C / A for A, _, C in shape.halfplanes if A}
+    ts |= {t + d for t in list(ts) for d in (Fraction(-1, 7), Fraction(1, 7))}
+    for t in sorted(t for t in ts if t >= 0):
+        delta, gamma = limiting_shape(family, t), gamma_limit(family, t)
+        clipped = _triangle_clipped_by_halfplanes(shape, t)
+        assert delta.polygon.vertices == clipped.vertices, (spec, t)
+        assert delta.area == clipped.area()
+        below = _below_chain_clipped(shape, t)
+        assert gamma.polygon.vertices == below.vertices, (spec, t)
+        assert gamma.area == below.area() == t * t / 2 - delta.area
+
+
+@st.composite
+def power_families_3(draw):
+    """3-variable power families whose first member has generators of at
+    least two z-degrees, so the staircase has several slacks."""
+    exponent = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
+    ideal = MonomialIdeal.from_gens(3, draw(st.lists(exponent, min_size=2, max_size=5)))
+    assume(len({g[2] for g in ideal.gens}) > 1)
+    return make_power_family(ideal)
+
+
+@settings(max_examples=40)
+@given(power_families_3(), st.fractions(0, 6, max_denominator=5))
+def test_ahf_samples_are_lattice_counts_and_hilbert_values(family, t):
+    result = ahf(family, t, max_m=3)
+    assert [m for m, _, _ in result.samples] == [1, 2, 3]
+    for m, count, _ in result.samples:
+        member = family.ideal(m).padded(3)
+        assert count == lattice_count(gamma_region(member, m, t))
+        assert count == hilbert_function_extended(member, m * t), (member, m, t)
+
+
+def _points_in_boxes(dim, bound, corners):
+    """Lattice points of the simplex of the bound lying in some box, by
+    enumeration."""
+    top = int(bound)
+    return sum(
+        1
+        for beta in product(range(top + 1), repeat=dim)
+        if sum(beta) <= bound
+        and any(all(b >= q for b, q in zip(beta, p)) and sum(beta) <= s for p, s in corners)
+    )
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(1, 3),
+    st.fractions(0, 9, max_denominator=4),
+    st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 4)] * 3), st.fractions(0, 1, max_denominator=7)),
+        max_size=5,
+    ),
+)
+def test_lattice_count_on_fractional_slacks(dim, bound, raw):
+    # slacks between |prefix| and the bound, most of them non-integral
+    corners = []
+    for prefix, u in raw:
+        prefix = prefix[:dim]
+        if sum(prefix) <= bound:
+            corners.append((prefix, sum(prefix) + u * (bound - sum(prefix))))
+    region = StaircaseRegion(dim, bound, tuple(sorted(corners)))
+    inside = _points_in_boxes(dim, bound, corners)
+    assert lattice_count(region) == inside
+    simplex = lattice_count(SimplexRegion(dim, bound))
+    assert lattice_count(ComplementRegion(region)) == simplex - inside
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.tuples(*[st.integers(0, 4)] * 3).filter(any), min_size=2, max_size=6),
+    st.integers(1, 3),
+    st.fractions(0, 8, max_denominator=6),
+)
+def test_staircase_area_matches_inclusion_exclusion_on_ideals(gens, m, t):
+    ideal = MonomialIdeal.from_gens(3, gens)
+    assume(len({g[2] for g in ideal.gens}) > 1)  # several slacks
+    region = staircase_region(ideal, m, t)
+    assert region_volume(region) == area_by_inclusion_exclusion(region.corners)
+    assert region_volume(gamma_region(ideal, m, t)) == (m * t) ** 2 / 2 - region_volume(region)
