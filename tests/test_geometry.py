@@ -1,8 +1,7 @@
 from fractions import Fraction
-
-import pytest
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
