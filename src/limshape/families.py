@@ -62,10 +62,30 @@ class ExactShape:
     """Closed form of the limit staircase region lim NP(I_m)/m in the exponent
     plane: the set { A*x + B*y >= C for all half-planes } in the first
     quadrant.  `vertices` is the boundary chain of extremal points, listed
-    from the x-axis towards the y-axis."""
+    from the x-axis towards the y-axis; a chain ending off the y-axis goes
+    on up a vertical ray.  `geometry` walks `vertices` once, which needs the
+    chain to start on the x-axis with x strictly decreasing and slopes -1 or
+    steeper that strictly steepen (so x + y never decreases along it); any
+    other chain is refused with ValueError."""
 
     halfplanes: tuple  # ((A, B, C), ...) with A, B >= 0 Fractions
     vertices: tuple  # ((x, y), ...) Fractions
+
+    def __post_init__(self):
+        v = self.vertices
+        if not v or v[0][1] != 0 or any(not x1 < x0 for (x0, _), (x1, _) in zip(v, v[1:])):
+            raise ValueError(f"chain must start on the x-axis, x strictly decreasing: {v!r}")
+        slopes = [Fraction(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])]
+        if slopes and slopes[0] > -1:
+            raise ValueError(
+                f"first slope {slopes[0]} exceeds -1: chain must start at -1 or steeper"
+            )
+        for i in range(1, len(slopes)):
+            if not slopes[i] < slopes[i - 1]:
+                raise ValueError(
+                    f"slopes must strictly steepen: segment {i} has slope "
+                    f"{slopes[i]}, previous {slopes[i - 1]}"
+                )
 
 
 class GradedFamily:
@@ -270,21 +290,11 @@ def make_chain_family(breakpoints) -> GradedFamily:
             raise ValueError(f"t must strictly increase: {t0} then {t1}")
     if any(s < 0 or t < 0 for s, t in pts):
         raise ValueError("breakpoints must be non-negative")
-    slopes = [(t1 - t0) / (s1 - s0) for (s0, t0), (s1, t1) in zip(pts, pts[1:])]
-    if slopes[0] > -1:
-        raise ValueError(
-            f"first slope {slopes[0]} exceeds -1: chain must start at -1 or steeper"
-        )
-    for i in range(1, len(slopes)):
-        if not slopes[i] < slopes[i - 1]:
-            raise ValueError(
-                f"slopes must strictly steepen: segment {i} has slope "
-                f"{slopes[i]}, previous {slopes[i - 1]}"
-            )
-    halfplanes = _chain_halfplanes(pts)
+    # ExactShape refuses a first slope above -1 and slopes that do not steepen
+    shape = ExactShape(halfplanes=tuple(_chain_halfplanes(pts)), vertices=tuple(pts))
     # each (A, B, C) times the lcm of its denominators; B > 0 throughout
     scaled = []
-    for plane in halfplanes:
+    for plane in shape.halfplanes:
         k = lcm(*(v.denominator for v in plane))
         scaled.append(tuple(int(v * k) for v in plane))
     n0, d0 = pts[0][0].as_integer_ratio()
@@ -311,7 +321,7 @@ def make_chain_family(breakpoints) -> GradedFamily:
         rule,
         label=f"chain[{chain_text}]",
         claims_borel=True,
-        exact_shape=ExactShape(halfplanes=tuple(halfplanes), vertices=tuple(pts)),
+        exact_shape=shape,
         json_spec={
             "kind": "chain",
             "params": {

@@ -194,7 +194,15 @@ def lattice_count(region) -> int:
 
 
 def gamma_lattice_count(I: MonomialIdeal, m: int, t) -> int:
-    return lattice_count(gamma_region(I, m, t))
+    """lattice_count(gamma_region(I, m, t)) on integers: the simplex binomial
+    at d = floor(m*t) minus the staircase count on the slacks d - last."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    t = Fraction(t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    d, dim = floor(m * t), I.nvars - 1
+    return comb(d + dim, dim) - _count_boxes(_boxes(I.gens, d), dim, d)
 
 
 def _staircase_area(corners: tuple) -> Fraction:
@@ -202,49 +210,68 @@ def _staircase_area(corners: tuple) -> Fraction:
 
     Sweeps vertical strips cut at every combinatorial change; within a strip
     the column measure is linear in x, so the midpoint value integrates it
-    exactly.  The sweep runs in integers on the scale L = 2 * lcm of the
-    slack denominators, where every cut is even and every midpoint integral.
+    exactly.
     """
     if not corners:
         return Fraction(0)
-    L = 2 * lcm(*(Fraction(s).denominator for _, s in corners))
-    boxes = [(p0 * L, p1 * L, int(s * L)) for (p0, p1), s in corners]
-    lo = min(a for a, _, _ in boxes)
-    hi = max(s - b for _, b, s in boxes)
-    cuts = {a for a, _, _ in boxes} | {s - b for _, _, s in boxes for _, b, _ in boxes}
+    cuts = set()
+    lo = min(Fraction(p[0]) for p, _ in corners)
+    hi = max(Fraction(s) - p[1] for p, s in corners)
+    for p, _ in corners:
+        cuts.add(Fraction(p[0]))
+    for _, s in corners:
+        for q, _ in corners:
+            cuts.add(Fraction(s) - q[1])
     xs = sorted(x for x in cuts if lo <= x <= hi)
-    area = 0
+    area = Fraction(0)
     for x0, x1 in zip(xs, xs[1:]):
-        xm = (x0 + x1) // 2
-        ivs = [(b, s - xm) for a, b, s in boxes if a <= xm and s - xm >= b]
-        area += (x1 - x0) * sum(top - low for low, top in _merge_intervals(ivs))
-    return Fraction(area, L * L)
+        if x1 <= x0:
+            continue
+        xm = (x0 + x1) / 2
+        ivs = [
+            (Fraction(p[1]), Fraction(s) - xm)
+            for p, s in corners
+            if p[0] <= xm and Fraction(s) - xm >= p[1]
+        ]
+        length = sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
+        area += (x1 - x0) * length
+    return area
 
 
 def region_volume(region) -> Fraction:
     """Exact measure; dimensions 0 (counting measure), 1 and 2 only."""
-    if isinstance(region, ComplementRegion):
-        stair = region.staircase
-        simplex = SimplexRegion(stair.dim, stair.bound)
-        return region_volume(simplex) - region_volume(stair)
-    if not isinstance(region, (SimplexRegion, StaircaseRegion)):
-        raise TypeError(f"not a region: {region!r}")
-    if isinstance(region, SimplexRegion) and region.bound < 0:
-        return Fraction(0)
-    if not 0 <= region.dim <= 2:
+    if isinstance(region, SimplexRegion):
+        if region.bound < 0:
+            return Fraction(0)
+        b = Fraction(region.bound)
+        if region.dim == 0:
+            return Fraction(1)
+        if region.dim == 1:
+            return b
+        if region.dim == 2:
+            return b * b / 2
         raise UnsupportedDimensionError(
             f"exact volume limited to dimension <= 2, got {region.dim}; "
             "use lattice counts for higher dimensions"
         )
-    if isinstance(region, SimplexRegion):
-        b = Fraction(region.bound)
-        return (Fraction(1), b, b * b / 2)[region.dim]
-    if region.dim == 0:
-        return Fraction(1 if region.corners else 0)
-    if region.dim == 1:
-        ivs = [(Fraction(p[0]), Fraction(s)) for p, s in region.corners]
-        return sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
-    return _staircase_area(region.corners)
+    if isinstance(region, StaircaseRegion):
+        if region.dim == 0:
+            return Fraction(1 if region.corners else 0)
+        if region.dim == 1:
+            ivs = [(Fraction(p[0]), Fraction(s)) for p, s in region.corners]
+            return sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
+        if region.dim == 2:
+            return _staircase_area(region.corners)
+        raise UnsupportedDimensionError(
+            f"exact volume limited to dimension <= 2, got {region.dim}; "
+            "use lattice counts for higher dimensions"
+        )
+    if isinstance(region, ComplementRegion):
+        stair = region.staircase
+        return region_volume(SimplexRegion(stair.dim, stair.bound)) - region_volume(
+            stair
+        )
+    raise TypeError(f"not a region: {region!r}")
 
 
 @dataclass(frozen=True)
@@ -351,13 +378,10 @@ def _monotone_chain(pts: list) -> list:
 
     def half(seq) -> list:
         out: list = []
-        for x, y in seq:
-            while len(out) >= 2:  # pop while out[-1] is not a left turn
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
-                    break
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
                 out.pop()
-            out.append((x, y))
+            out.append(p)
         return out[:-1]
 
     return half(pts) + half(reversed(pts))
@@ -433,8 +457,6 @@ def _exact_delta_polygon(shape, t: Fraction) -> ShapePolygon:
 def _exact_gamma_polygon(shape, t: Fraction) -> ShapePolygon:
     """The triangle below the chain: the origin, the walk and, after a
     crossing, (0, t); the whole triangle without a walk."""
-    if shape.vertices[0][1] != 0:
-        raise ValueError("staircase chain must start on the x-axis")
     walk, crossed = _chain_walk(shape, t)
     if not walk:  # the chain starts beyond the line
         walk, crossed = [(t, 0)], True
@@ -530,10 +552,7 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     samples = []
     if diagnostics:
         for m in range(1, max_m + 1):
-            # lattice_count(gamma_region(...)) on the floored bound
-            d = m * t.numerator // t.denominator
-            stair = _count_boxes(_boxes(_plane_ideal(family, m).gens, d), 2, d)
-            count = comb(d + 2, 2) - stair
+            count = gamma_lattice_count(_plane_ideal(family, m), m, t)
             samples.append((m, count, Fraction(count, m * m)))
     return AhfResult(t, gamma.area, gamma.exact, tuple(samples))
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import limshape.families
 from limshape import (
+    ExactShape,
     FamilyRuleError,
     GradedFamily,
     MonomialIdeal,
@@ -107,6 +108,21 @@ def test_chain_family_validation():
         make_chain_family([(4, 0), (3, 1), (2, 2), (0, 7)])
     with pytest.raises(ValueError):
         make_chain_family([(4, 1), (0, 7)])
+
+
+def test_exact_shape_refuses_chains_the_walk_cannot_read():
+    ExactShape(halfplanes=((2, 1, 4),), vertices=((2, 0), (0, 4)))
+    ExactShape(halfplanes=((1, 0, 3),), vertices=((3, 0),))
+    bad = [
+        ((4, 0), (0, 2)),  # slope -1/2: the line x + y = 3 meets the chain twice
+        ((4, 1), (0, 7)),
+        (),
+        ((4, 0), (4, 3)),
+        ((4, 0), (3, 1), (2, 2), (0, 7)),
+    ]
+    for vertices, match in zip(bad, ("slope", "x-axis", "x-axis", "x-axis", "steepen")):
+        with pytest.raises(ValueError, match=match):
+            ExactShape(halfplanes=((1, 2, 4),), vertices=vertices)
 
 
 def test_chain_membership_matches_inequalities():
