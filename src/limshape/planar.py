@@ -6,8 +6,11 @@ intersection.  The reduction step repeatedly picks the line whose points
 carry the largest multiplicity sum (weight), records that weight, and lowers
 every multiplicity on the line by one.  For disjoint lines the recorded
 sequence is exactly the descending merge of the arithmetic progressions
-a_i*m, a_i*(m-1), ..., a_i, which the fast path exploits; a step simulator
-with pluggable tie-breaking backs the equivalence tests.
+a_i*m, a_i*(m-1), ..., a_i.  The shared point adds the same weight to both
+lines, so it never changes which line is picked: the shared variant records
+that same merge plus max(m - k, 0) on the k-th pick (counting from 0).
+`reduction_vector` builds both by a sort; the step simulator with pluggable
+tie-breaking (`_simulate_reduction`) is only the tests' oracle.
 
 The graph extractor takes the lattice path (k, k + u_{k+1}) of the recorded
 entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from math import lcm
+from operator import add, gt, sub
 
 from .geometry import ShapePolygon
 from .ideals import WorkBudgetError
@@ -137,17 +142,18 @@ def reduction_vector(
             f"m={m} not divisible by lcm{config.counts} = {base}; "
             "pass approximate=True to run anyway"
         )
-    # exact for disjoint lines; the simulator lowers one of its 3m units per step
+    # lines * m entries; the shared variant records 2m against a bound of 3m,
+    # counting the shared point's m units as the step simulator did
     size = (len(config.counts) + config.shared_intersection) * m
     if size > MAX_REDUCTION_ENTRIES:
         raise WorkBudgetError(f"m={m} needs {size} entries, over {MAX_REDUCTION_ENTRIES}")
+    # greedy order equals the descending merge of each line's progression
+    entries = sorted(
+        chain.from_iterable([range(a * m, 0, -a) for a in config.counts]), reverse=True
+    )
     if config.shared_intersection:
-        entries = _simulate_reduction(config, m)
-    else:
-        # greedy order equals the descending merge of each line's progression
-        entries = sorted(
-            (a * r for a in config.counts for r in range(1, m + 1)), reverse=True
-        )
+        # the shared point weighs m - k on the k-th pick, the same on both lines
+        entries = list(map(add, entries, chain(range(m, 0, -1), repeat(0))))
     exact = m % divisibility_modulus(config) == 0
     return ReductionVector(tuple(entries) + (0,), m, exact)
 
@@ -166,9 +172,10 @@ class PLGraph:
 
     @classmethod
     def make(cls, points) -> "PLGraph":
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
         out: list = []
-        for p in pts:
+        for x, y in points:
+            p = (x if type(x) is Fraction else Fraction(x),
+                 y if type(y) is Fraction else Fraction(y))
             if out and p == out[-1]:
                 continue
             while len(out) >= 2 and _collinear(out[-2], out[-1], p):
@@ -200,21 +207,23 @@ class PLGraph:
         v = self.vertices
         if t >= v[-1][0]:
             return self
-        kept = [p for p in v if p[0] <= t]
         cut = (t, self.value_at(t))
-        if not kept or kept[-1] != cut:
+        # the vertices are already reduced, and a cut strictly inside the last
+        # kept segment is never collinear with it; a cut at a vertex's x is
+        # that vertex, or for a chain opening with a vertical segment at t,
+        # the top of that segment
+        kept = [p for p in v if p[0] < t] or [v[0]]
+        if kept[-1] != cut:
             kept.append(cut)
-        return PLGraph.make(kept)
+        return PLGraph(tuple(kept))
 
     def area(self, upto=None) -> Fraction:
         """Exact trapezoid area between the chain and the x-axis."""
         g = self if upto is None else self.truncated(upto)
         if not g.is_function:
             raise ValueError("area needs an x-monotone graph")
-        total = Fraction(0)
-        for (x0, y0), (x1, y1) in zip(g.vertices, g.vertices[1:]):
-            total += (y0 + y1) * (x1 - x0) / 2
-        return total
+        v = g.vertices
+        return Fraction(sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])), 2)
 
 
 def _collinear(a, b, c) -> bool:
@@ -236,9 +245,14 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     if not entries:
         return PLGraph.make([(0, 0)])
     entries.append(0)
+    # the slope from k-1 to k is 1 - gap_k with gap_k = e_(k-1) - e_k, so an
+    # interior point whose gap does not exceed the next one lies on or above
+    # the chord of its neighbours and cannot be a strict hull vertex
+    gaps = list(map(sub, entries, entries[1:]))
+    ks = compress(range(len(entries)), chain((True,), map(gt, gaps, gaps[1:]), (True,)))
     hull: list = []  # (k, x) with x convex in k
-    for k, e in enumerate(entries):
-        x = k + e
+    for k in ks:
+        x = k + entries[k]
         while len(hull) >= 2:
             (k1, x1), (k2, x2) = hull[-2], hull[-1]
             # drop the middle point when it lies on or above the new chord

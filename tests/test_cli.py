@@ -386,6 +386,7 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
     ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", str(10**12), "--max-m", "2"],
     ["family-eval", "--family", "doubling", "--m", "20000"],
     ["check-graded", "--family", "halfplane", "--q1", "1", "--q2", "2", "--max-m", "400"],
+    ["check-graded", "--family", "ceiling", "--q", "5/3", "--max-m", "1000000000"],
 ])
 def test_work_over_budget_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

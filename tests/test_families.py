@@ -24,7 +24,7 @@ from limshape import (
     verify_graded,
     waldschmidt_estimate,
 )
-from limshape.families import MAX_DOUBLING_M, MAX_GRADED_PAIRS
+from limshape.families import GRADED_PRODUCT_FLOOR, MAX_DOUBLING_M, MAX_GRADED_PAIRS
 
 from conftest import family_specs
 
@@ -169,11 +169,12 @@ POWER3 = MonomialIdeal.from_gens(3, [(2, 0, 0), (1, 1, 1), (0, 2, 0), (0, 0, 3)]
 
 
 def test_verify_graded_work_budget(monkeypatch):
-    # every p <= q with p + q <= max_m multiplies |G_p| * |G_q| pairs
+    # every p <= q with p + q <= max_m is charged |G_p| * |G_q| pairs, and at
+    # least the floor
     def pairs(family, max_m):
         sizes = [len(family.ideal(m).gens) for m in range(max_m + 1) if m]
         return sum(
-            sizes[p - 1] * sizes[q - 1]
+            max(sizes[p - 1] * sizes[q - 1], GRADED_PRODUCT_FLOOR)
             for p in range(1, max_m // 2 + 1)
             for q in range(p, max_m - p + 1)
         )

@@ -101,6 +101,18 @@ def test_greedy_merge_equals_step_simulation(rng):
         assert fast == stepped
 
 
+def test_shared_merge_equals_step_simulation():
+    # the shared point weighs the same on both lines, so it never changes the pick
+    for a1 in range(2, 14):
+        for a2 in range(2, a1 + 1):
+            if a1 * a2 <= a1 + a2:
+                continue
+            cfg = validate_configuration((a1, a2), shared_intersection=True)
+            for m in range(1, 51):
+                fast = reduction_vector(cfg, m, approximate=True).entries
+                assert fast == (*_simulate_reduction(cfg, m), 0), (a1, a2, m)
+
+
 def test_entries_invariant_under_tie_breaking(rng):
     for _ in range(12):
         n = rng.randint(2, 3)
@@ -300,3 +312,54 @@ def test_envelope_equals_closed_form_property(config, k):
     else:
         closed = dhf_vertices_closed_form(config.counts)
     assert dhf_envelope(vec).vertices == closed.vertices
+
+
+def _unfiltered_envelope(u: ReductionVector) -> tuple:
+    """Reference: the integer monotone chain over every entry, no gap filter."""
+    entries = list(u.entries)
+    while entries and entries[-1] == 0:
+        entries.pop()
+    m = u.multiplicity
+    if not entries:
+        return PLGraph.make([(0, 0)]).vertices
+    entries.append(0)
+    hull: list = []
+    for k, e in enumerate(entries):
+        x = k + e
+        while len(hull) >= 2:
+            (k1, x1), (k2, x2) = hull[-2], hull[-1]
+            if (x2 - x1) * (k - k1) >= (x - x1) * (k2 - k1):
+                hull.pop()
+            else:
+                break
+        hull.append((k, x))
+    verts = [(Fraction(0), Fraction(0))]
+    verts.extend((Fraction(x, m), Fraction(k, m)) for k, x in reversed(hull))
+    return PLGraph.make(verts).vertices
+
+
+@st.composite
+def entry_tuples(draw):
+    """Entry tuples as drawn, non-increasing, tied, or in collinear runs,
+    with up to three extra trailing zeros."""
+    shape = draw(st.sampled_from(["drawn", "non-increasing", "tied", "collinear"]))
+    if shape == "collinear":
+        runs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)), max_size=4))
+        top = draw(st.integers(0, 60))
+        entries = []
+        for length, step in runs:
+            entries.extend(max(top - step * i, 0) for i in range(length))
+            top = entries[-1]
+    else:
+        values = st.sampled_from([0, 3, 6, 9]) if shape == "tied" else st.integers(0, 40)
+        entries = draw(st.lists(values, max_size=30))
+        if shape != "drawn":
+            entries.sort(reverse=True)
+    return tuple(entries) + (0,) * draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(entry_tuples(), st.integers(1, 5))
+def test_envelope_equals_unfiltered_hull(entries, m):
+    vec = ReductionVector(entries, m, False)
+    assert dhf_envelope(vec).vertices == _unfiltered_envelope(vec)
