@@ -396,8 +396,9 @@ def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
             work += max(len(Ip.gens) * len(Iq.gens), GRADED_PRODUCT_FLOOR)
             if work > MAX_GRADED_PAIRS:
                 raise WorkBudgetError(
-                    f"{family.label}: gradedness up to max_m={max_m} multiplies over "
-                    f"{MAX_GRADED_PAIRS} generator pairs (reached at p={p}, q={q})")
+                    f"{family.label}: gradedness up to max_m={max_m} is charged over "
+                    f"{MAX_GRADED_PAIRS} generator pairs (|G_p|*|G_q|, at least "
+                    f"{GRADED_PRODUCT_FLOOR} per product; reached at p={p}, q={q})")
             product = Ip.product(Iq)
             target = family.ideal(p + q)
             checked += 1

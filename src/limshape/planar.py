@@ -153,7 +153,7 @@ def reduction_vector(
     )
     if config.shared_intersection:
         # the shared point weighs m - k on the k-th pick, the same on both lines
-        entries = list(map(add, entries, chain(range(m, 0, -1), repeat(0))))
+        entries = map(add, entries, chain(range(m, 0, -1), repeat(0)))
     exact = m % divisibility_modulus(config) == 0
     return ReductionVector(tuple(entries) + (0,), m, exact)
 

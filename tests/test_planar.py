@@ -213,6 +213,24 @@ def test_graph_area_equals_half_total_points(rng):
         assert area_under_graph(graph) == Fraction(sum(counts), 2)
 
 
+def test_truncation_matches_rebuilt_chain():
+    # truncated keeps the reduced prefix as it is; rebuilding the prefix and
+    # the cut through make gives the same chain, vertical segments included
+    graphs = [
+        dhf_vertices_closed_form(FOUR_LINES),
+        two_line_vertices(3, 2),
+        PLGraph.make([(1, 2), (1, 1), (3, 0)]),  # opens with a vertical segment
+        PLGraph.make([(0, 0), (2, 2), (2, 1), (4, 0)]),  # vertical segment inside
+    ]
+    for graph in graphs:
+        xs = sorted({x for x, _ in graph.vertices})
+        for t in xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]:
+            kept = [p for p in graph.vertices if p[0] <= t]
+            cut = (t, graph.value_at(t))
+            rebuilt = PLGraph.make(kept + [cut] if kept[-1] != cut else kept)
+            assert graph.truncated(t).vertices == rebuilt.vertices, (graph, t)
+
+
 def test_gamma_vertices_four_lines():
     graph = dhf_vertices_closed_form(FOUR_LINES)
     poly = gamma_vertices(graph)
