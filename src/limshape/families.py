@@ -20,7 +20,7 @@ from math import ceil, lcm
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MonomialIdeal, WorkBudgetError
+from .ideals import MonomialIdeal, WorkBudgetError, _minimal
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -51,7 +51,7 @@ MAX_DOUBLING_M = 10**4
 # generator pairs one verify_graded call may multiply
 MAX_GRADED_PAIRS = 10**5
 # least charge of one product: a product of one-generator ideals, with its new
-# member, takes 18-27 us against 3.3-3.6 us per pair of larger products
+# member, takes 16 us against 1.1-2.1 us per pair of larger products
 GRADED_PRODUCT_FLOOR = 8
 
 
@@ -89,6 +89,11 @@ class ExactShape:
                     f"slopes must strictly steepen: segment {i} has slope "
                     f"{slopes[i]}, previous {slopes[i - 1]}"
                 )
+
+
+def _member(nvars: int, gens) -> MonomialIdeal:
+    """A rule's member from the integer vectors it computed: minimalized, unchecked."""
+    return MonomialIdeal(nvars, _minimal(gens))
 
 
 class GradedFamily:
@@ -177,7 +182,7 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     def rule(m: int) -> MonomialIdeal:
         if m > MAX_DOUBLING_M:
             raise WorkBudgetError(f"doubling member m={m} is over {MAX_DOUBLING_M}")
-        return MonomialIdeal.from_gens(nv, [(2, 0) + pad, (1, 2**m) + pad])
+        return _member(nv, [(2, 0) + pad, (1, 2**m) + pad])
 
     return GradedFamily(
         nv,
@@ -198,37 +203,21 @@ def make_halfplane_family(q1, q2, degree_cap: int | None = None) -> GradedFamily
     q1, q2 = parse_rational(q1), parse_rational(q2)
     if not 0 < q1 <= q2:
         raise ValueError(f"need 0 < q1 <= q2, got q1={q1}, q2={q2}")
-    (n1, d1), (n2, d2) = q1.as_integer_ratio(), q2.as_integer_ratio()
-    # times d1*d2 the inequality reads a*A + b*B >= m*C in integers
-    A, B, C = n2 * d1, n1 * d2, n1 * n2
+    shape = ExactShape(halfplanes=((q2, q1, q1 * q2),),
+                       vertices=((q1, Fraction(0)), (Fraction(0), q2)))
+    staircase = _staircase_rule(shape)
 
     def rule(m: int) -> MonomialIdeal:
-        a_top = -(-m * n1 // d1)
-        if degree_cap is not None and degree_cap < max(a_top, -(-m * n2 // d2)):
-            raise ValueError(
-                f"degree_cap={degree_cap} truncates the staircase at m={m}"
-            )
-        gens = []
-        prev_b = None
-        for a in range(a_top + 1):
-            need = m * C - a * A
-            b = -(-need // B) if need > 0 else 0
-            if prev_b is None or b < prev_b:
-                gens.append((a, b))
-                prev_b = b
-            if b == 0:
-                break
-        return MonomialIdeal.from_gens(2, gens)
+        if degree_cap is not None and degree_cap < max(ceil(m * q1), ceil(m * q2)):
+            raise ValueError(f"degree_cap={degree_cap} truncates the staircase at m={m}")
+        return staircase(m)
 
     return GradedFamily(
         2,
         rule,
         label=f"halfplane(q1={q1}, q2={q2})",
         claims_borel=True,
-        exact_shape=ExactShape(
-            halfplanes=((q2, q1, q1 * q2),),
-            vertices=((q1, Fraction(0)), (Fraction(0), q2)),
-        ),
+        exact_shape=shape,
         json_spec={
             "kind": "halfplane",
             "params": {"q1": format_rational(q1), "q2": format_rational(q2)},
@@ -243,7 +232,7 @@ def make_ceiling_family(q) -> GradedFamily:
         raise ValueError("ceiling family needs q > 0")
 
     def rule(m: int) -> MonomialIdeal:
-        return MonomialIdeal.from_gens(1, [(ceil(m * q),)])
+        return _member(1, [(ceil(m * q),)])
 
     return GradedFamily(
         1,
@@ -258,12 +247,35 @@ def make_ceiling_family(q) -> GradedFamily:
     )
 
 
-def _chain_halfplanes(points: list) -> list:
-    out = []
-    for (s0, t0), (s1, t1) in zip(points, points[1:]):
-        # line through consecutive scaled breakpoints: A*a + B*b >= C
-        out.append((t1 - t0, s0 - s1, s0 * t1 - s1 * t0))
-    return out
+def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
+    """m -> the ideal of the lattice points on or above the shape's chain
+    scaled by m: for each a up to m times the x-intercept, the least b
+    meeting every half-plane, kept where it drops."""
+    # each (A, B, C) times the lcm of its denominators; B > 0 throughout
+    scaled = []
+    for plane in shape.halfplanes:
+        k = lcm(*(v.denominator for v in plane))
+        scaled.append(tuple(int(v * k) for v in plane))
+    n0, d0 = shape.vertices[0][0].as_integer_ratio()
+
+    def rule(m: int) -> MonomialIdeal:
+        planes = [(A, B, m * C) for A, B, C in scaled]
+        gens = []
+        prev_b = None
+        for a in range(-(-m * n0 // d0) + 1):
+            b = 0
+            for A, B, mC in planes:
+                need = mC - a * A
+                if need > b * B:  # the plane needs more than b: ceil(need / B)
+                    b = -(-need // B)
+            if prev_b is None or b < prev_b:
+                gens.append((a, b))
+                prev_b = b
+            if b == 0:
+                break
+        return _member(2, gens)
+
+    return rule
 
 
 def make_chain_family(breakpoints) -> GradedFamily:
@@ -293,31 +305,12 @@ def make_chain_family(breakpoints) -> GradedFamily:
             raise ValueError(f"t must strictly increase: {t0} then {t1}")
     if any(s < 0 or t < 0 for s, t in pts):
         raise ValueError("breakpoints must be non-negative")
+    # the line through consecutive breakpoints: A*a + B*b >= C
+    planes = tuple((t1 - t0, s0 - s1, s0 * t1 - s1 * t0)
+                   for (s0, t0), (s1, t1) in zip(pts, pts[1:]))
     # ExactShape refuses a first slope above -1 and slopes that do not steepen
-    shape = ExactShape(halfplanes=tuple(_chain_halfplanes(pts)), vertices=tuple(pts))
-    # each (A, B, C) times the lcm of its denominators; B > 0 throughout
-    scaled = []
-    for plane in shape.halfplanes:
-        k = lcm(*(v.denominator for v in plane))
-        scaled.append(tuple(int(v * k) for v in plane))
-    n0, d0 = pts[0][0].as_integer_ratio()
-
-    def rule(m: int) -> MonomialIdeal:
-        gens = []
-        prev_b = None
-        for a in range(-(-m * n0 // d0) + 1):
-            b = 0
-            for A, B, C in scaled:
-                need = m * C - a * A
-                if need > 0:
-                    b = max(b, -(-need // B))
-            if prev_b is None or b < prev_b:
-                gens.append((a, b))
-                prev_b = b
-            if b == 0:
-                break
-        return MonomialIdeal.from_gens(2, gens)
-
+    shape = ExactShape(halfplanes=planes, vertices=tuple(pts))
+    rule = _staircase_rule(shape)
     chain_text = ";".join(f"({format_rational(s)},{format_rational(t)})" for s, t in pts)
     return GradedFamily(
         2,
@@ -342,6 +335,8 @@ def make_oscillating_family(a: int, b: int, d: int) -> GradedFamily:
     The regularity sequence reg(I_m)/m accumulates at a/d along the first
     residue and at (a+b)/d along the last, so no asymptotic regularity exists.
     """
+    if not all(isinstance(v, int) for v in (a, b, d)):  # the rule's exponents go unchecked
+        raise ValueError(f"need integers a, b, d, got {a!r}, {b!r}, {d!r}")
     if not (a >= 1 and a < b and d >= 2):
         raise ValueError("need 1 <= a < b and d >= 2")
 
@@ -349,8 +344,8 @@ def make_oscillating_family(a: int, b: int, d: int) -> GradedFamily:
         k = (m - 1) // d + 1
         r = m - d * (k - 1)
         if r == 1:
-            return MonomialIdeal.from_gens(2, [(a * k, 0)])
-        return MonomialIdeal.from_gens(2, [(a * k + 1, 0), (a * k, b * k)])
+            return _member(2, [(a * k, 0)])
+        return _member(2, [(a * k + 1, 0), (a * k, b * k)])
 
     return GradedFamily(
         2,

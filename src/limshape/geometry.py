@@ -206,36 +206,29 @@ def gamma_lattice_count(I: MonomialIdeal, m: int, t) -> int:
 
 
 def _staircase_area(corners: tuple) -> Fraction:
-    """Exact area of a union of corner triangles {x>=p0, y>=p1, x+y<=s}.
+    """Exact area of a union of corner triangles {x>=p0, y>=p1, x+y<=s}
+    with integer prefixes.
 
     Sweeps vertical strips cut at every combinatorial change; within a strip
     the column measure is linear in x, so the midpoint value integrates it
-    exactly.
+    exactly.  The sweep runs in integers on the scale L = 2 * lcm(slack
+    denominators), where every cut is even and every midpoint an integer.
     """
     if not corners:
         return Fraction(0)
-    cuts = set()
-    lo = min(Fraction(p[0]) for p, _ in corners)
-    hi = max(Fraction(s) - p[1] for p, s in corners)
-    for p, _ in corners:
-        cuts.add(Fraction(p[0]))
-    for _, s in corners:
-        for q, _ in corners:
-            cuts.add(Fraction(s) - q[1])
+    L = 2 * lcm(*(s.denominator for _, s in corners))
+    boxes = [(p0 * L, p1 * L, s.numerator * (L // s.denominator)) for (p0, p1), s in corners]
+    lo = min(p0 for p0, _, _ in boxes)
+    hi = max(s - p1 for _, p1, s in boxes)
+    cuts = {p0 for p0, _, _ in boxes}
+    cuts.update(s - q1 for _, _, s in boxes for _, q1, _ in boxes)
     xs = sorted(x for x in cuts if lo <= x <= hi)
-    area = Fraction(0)
+    total = 0
     for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
-        xm = (x0 + x1) / 2
-        ivs = [
-            (Fraction(p[1]), Fraction(s) - xm)
-            for p, s in corners
-            if p[0] <= xm and Fraction(s) - xm >= p[1]
-        ]
-        length = sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
-        area += (x1 - x0) * length
-    return area
+        xm = (x0 + x1) // 2
+        ivs = [(p1, s - xm) for p0, p1, s in boxes if p0 <= xm and s - xm >= p1]
+        total += (x1 - x0) * sum(b - a for a, b in _merge_intervals(ivs))
+    return Fraction(total, L * L)
 
 
 def region_volume(region) -> Fraction:

@@ -5,6 +5,11 @@ Z_{>=0}^{n+1}.  Variables are ordered x_0 > x_1 > ... > x_n, so the exchange
 move used by the strong-stability test replaces one unit of x_j by x_i with
 i < j.  Ideals are stored as the antichain of minimal generators; the empty
 generator set denotes the zero ideal.
+
+Exponent vectors are checked (entries through `operator.index`, none
+negative) only where they enter: `from_gens`, `from_json`, `contains`,
+`minimal_exponents` and `minimal_generators`.  Products and family rules
+build theirs from checked integers and call the unchecked kernel `_minimal`.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import add, index
 from typing import Iterable
 
 __all__ = [
@@ -46,15 +52,20 @@ class WorkBudgetError(RuntimeError):
 
 
 def _check_vector(vec) -> tuple:
+    """`vec` as a tuple of non-negative ints; a bool or an entry without
+    `__index__` (1.5, "3") is refused, never truncated."""
     try:
-        v = tuple(int(e) for e in vec)
+        v = tuple(vec)
     except TypeError:
         raise ValueError(f"exponent vector must hold integers, got {vec!r}") from None
     if not v:
         raise ValueError("exponent vector must be non-empty")
-    if any(e < 0 for e in v):
-        raise ValueError(f"negative exponent in {v}")
-    return v
+    for e in v:
+        if isinstance(e, bool) or not hasattr(type(e), "__index__"):
+            raise ValueError(f"exponent {e!r} in {v!r} is not an integer")
+        if e < 0:
+            raise ValueError(f"negative exponent in {v}")
+    return tuple(map(index, v))
 
 
 def _check_same_length(a, b) -> None:
@@ -87,15 +98,18 @@ def _degree_key(v) -> tuple:
 
 
 def minimal_exponents(vectors: Iterable) -> tuple:
-    """Antichain of <=-minimal vectors; the generated ideal is unchanged.
+    """Antichain of <=-minimal vectors, sorted by (degree, vector); the
+    generated ideal is unchanged.  Checks every vector: products and family
+    rules, whose vectors need no check, call `_minimal` directly."""
+    return _minimal({_check_vector(v) for v in vectors})
 
-    The result is sorted by (degree, vector).  In lexicographic order every
-    divisor of v comes before v, so 2 and 3 variables take one sort and one
-    pass against the kept vectors' staircase (a running minimum in 2
-    variables, a bisected 2-D staircase in 3); other lengths scan the kept
-    vectors in degree order.
-    """
-    vs = {_check_vector(v) for v in vectors}
+
+def _minimal(vs) -> tuple:
+    """minimal_exponents of a collection of non-negative int tuples, of which
+    only the common length is checked.  In lexicographic order every divisor
+    of v comes before v, so 2 and 3 variables take one sort and one pass
+    against the kept vectors' staircase (a running minimum in 2 variables, a
+    bisected 2-D staircase in 3); other lengths scan in degree order."""
     lengths = {len(v) for v in vs}
     if len(lengths) > 1:
         raise ValueError("mixed exponent-vector lengths")
@@ -200,16 +214,14 @@ class MonomialIdeal:
         generator pairs, before any sum is formed."""
         if self.nvars != other.nvars:
             raise ValueError("ideal product across different variable counts")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.nvars)
         pairs = len(self.gens) * len(other.gens)
         if pairs > MAX_PRODUCT_PAIRS:
             raise WorkBudgetError(
                 f"product of {len(self.gens)} by {len(other.gens)} generators "
                 f"needs {pairs} sums, over {MAX_PRODUCT_PAIRS}"
             )
-        sums = {tuple(x + y for x, y in zip(a, b)) for a in self.gens for b in other.gens}
-        return MonomialIdeal.from_gens(self.nvars, sums)
+        sums = {tuple(map(add, a, b)) for a in self.gens for b in other.gens}
+        return MonomialIdeal(self.nvars, _minimal(sums))
 
     def power(self, k: int) -> "MonomialIdeal":
         if k < 0:
@@ -296,12 +308,9 @@ class MonomialIdeal:
 def minimal_generators(gens: Iterable, nvars: int | None = None) -> MonomialIdeal:
     """Minimalize a generator set into an ideal; `nvars` required when empty."""
     gens = [tuple(g) for g in gens]
-    if not gens:
-        if nvars is None:
-            raise ValueError("empty generator set needs an explicit variable count")
-        return MonomialIdeal.zero(nvars)
-    n = nvars if nvars is not None else len(gens[0])
-    return MonomialIdeal.from_gens(n, gens)
+    if nvars is None and not gens:
+        raise ValueError("empty generator set needs an explicit variable count")
+    return MonomialIdeal.from_gens(len(gens[0]) if nvars is None else nvars, gens)
 
 
 _TUPLE_RE = re.compile(r"^\(?\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*,?\s*\)?$")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, repeat
 from math import lcm
 from operator import add, gt, sub
@@ -183,10 +184,10 @@ class PLGraph:
             out.append(p)
         return cls(tuple(out))
 
-    @property
+    @cached_property
     def is_function(self) -> bool:
-        xs = [x for x, _ in self.vertices]
-        return all(a <= b for a, b in zip(xs, xs[1:]))
+        v = self.vertices
+        return all(p[0] <= q[0] for p, q in zip(v, v[1:]))
 
     def value_at(self, x) -> Fraction:
         x = Fraction(x)
@@ -219,10 +220,10 @@ class PLGraph:
 
     def area(self, upto=None) -> Fraction:
         """Exact trapezoid area between the chain and the x-axis."""
-        g = self if upto is None else self.truncated(upto)
-        if not g.is_function:
+        # a truncation of an x-monotone graph is x-monotone, so only self is checked
+        v = self.vertices if upto is None else self.truncated(upto).vertices
+        if not self.is_function:
             raise ValueError("area needs an x-monotone graph")
-        v = g.vertices
         return Fraction(sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])), 2)
 
 

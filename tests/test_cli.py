@@ -204,6 +204,9 @@ def test_exit_code_validation_error(capsys):
     assert code == 1 and "decreasing" in err
     code, _, err = run_cli(capsys, "hf", "--ideal", "{not json", "--degree", "2")
     assert code == 1 and "JSON" in err
+    # a non-integer exponent is refused, not truncated
+    code, out, err = run_cli(capsys, "hf", "--ideal", '{"vars":2,"gens":[[1.5,0]]}', "--t", "3")
+    assert code == 1 and out == "" and "1.5" in err
 
 
 def test_exit_code_computation_error(monkeypatch, capsys):

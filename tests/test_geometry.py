@@ -129,11 +129,12 @@ def test_complement_identity_exact():
 
 
 def test_staircase_area_matches_inclusion_exclusion(rng):
-    for _ in range(40):
+    for _ in range(80):
         corners = []
         for _ in range(rng.randint(1, 6)):
             p = (rng.randint(0, 6), rng.randint(0, 6))
-            s = sum(p) + Fraction(rng.randint(0, 17), rng.choice([1, 2, 3]))
+            # slack denominators up to 7; a zero numerator is a zero-area box
+            s = sum(p) + Fraction(rng.choice([0, rng.randint(0, 17)]), rng.randint(1, 7))
             corners.append((p, s))
         assert _staircase_area(tuple(corners)) == area_by_inclusion_exclusion(corners)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import isqrt
 
 import pytest
@@ -102,6 +103,41 @@ def test_minimal_exponents_match_quadratic_definition(vectors):
         if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vectors)
     }
     assert minimal_exponents(vectors) == tuple(sorted(minimal, key=lambda v: (sum(v), v)))
+
+
+@pytest.mark.parametrize("gens, named", [
+    ([(1, -1)], "negative exponent in (1, -1)"),
+    ([(1.5, 0)], "exponent 1.5 in"),
+    ([(True, 0)], "exponent True in"),
+    ([("3", 0)], "exponent '3' in"),
+    ([()], "non-empty"),
+    ([(1, 0), (1, 0, 0)], "mixed exponent-vector lengths"),
+])
+def test_malformed_exponent_vectors_are_refused(gens, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        minimal_exponents(gens)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MonomialIdeal.from_gens(2, gens)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MonomialIdeal.from_json({"vars": 2, "gens": [list(g) for g in gens]})
+    if len(gens) == 1:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            MonomialIdeal.unit(2).contains(gens[0])
+
+
+ideal_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.one_of(
+    st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=6),  # empty: the zero ideal
+    st.just([(0,) * n]),  # the unit ideal
+)] * 2).map(lambda gens: (n, *gens)))
+
+
+@settings(max_examples=300)
+@given(ideal_pairs)
+def test_product_equals_checked_minimalization_of_sums(case):
+    n, gens_a, gens_b = case
+    I, J = minimal_generators(gens_a, nvars=n), minimal_generators(gens_b, nvars=n)
+    sums = [tuple(x + y for x, y in zip(a, b)) for a in I.gens for b in J.gens]
+    assert I.product(J).gens == minimal_exponents(sums)
 
 
 def test_ideal_product_examples():
