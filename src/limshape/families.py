@@ -14,13 +14,14 @@ closed-form limits live in the geometry module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MonomialIdeal, WorkBudgetError, _minimal
+from .ideals import MonomialIdeal, WorkBudgetError, _check_int, _minimal
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -48,10 +49,10 @@ __all__ = [
 DEFAULT_TOLERANCE = Fraction(1, 20)
 # 2^m must print in fewer than Python's 4300-digit limit (m < 14284)
 MAX_DOUBLING_M = 10**4
-# generator pairs one verify_graded call may multiply
+# generator pairs one verify_graded call may test
 MAX_GRADED_PAIRS = 10**5
-# least charge of one product: a product of one-generator ideals, with its new
-# member, takes 16 us against 1.1-2.1 us per pair of larger products
+# least charge of one pair (p, q): the fixed cost of fetching its members and
+# testing them, which a pair of one-generator ideals spends almost alone
 GRADED_PRODUCT_FLOOR = 8
 
 
@@ -174,6 +175,7 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     Generator degrees grow like 2^m, so no linear regularity bound exists;
     m above MAX_DOUBLING_M is refused with WorkBudgetError.
     """
+    extra_vars = _check_int(extra_vars, "parameter 'extra_vars'")
     if extra_vars not in (0, 1):
         raise ValueError("extra_vars must be 0 or 1")
     nv = 2 + extra_vars
@@ -335,8 +337,8 @@ def make_oscillating_family(a: int, b: int, d: int) -> GradedFamily:
     The regularity sequence reg(I_m)/m accumulates at a/d along the first
     residue and at (a+b)/d along the last, so no asymptotic regularity exists.
     """
-    if not all(isinstance(v, int) for v in (a, b, d)):  # the rule's exponents go unchecked
-        raise ValueError(f"need integers a, b, d, got {a!r}, {b!r}, {d!r}")
+    # the rule's exponents go unchecked
+    a, b, d = (_check_int(v, f"parameter {n!r}") for n, v in zip("abd", (a, b, d)))
     if not (a >= 1 and a < b and d >= 2):
         raise ValueError("need 1 <= a < b and d >= 2")
 
@@ -361,7 +363,7 @@ def make_oscillating_family(a: int, b: int, d: int) -> GradedFamily:
 class GradednessViolation:
     p: int
     q: int
-    witness: tuple  # exponent of a product generator missing from I_{p+q}
+    witness: tuple  # least product generator missing from I_{p+q}, by (degree, vector)
 
 
 @dataclass(frozen=True)
@@ -377,9 +379,15 @@ class GradednessReport:
 
 def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     """Check I_p * I_q <= I_{p+q} for every p <= q with p + q <= max_m;
-    refused with WorkBudgetError before the product that would take the total
-    of max(|G_p| * |G_q|, GRADED_PRODUCT_FLOOR) generator pairs over
-    MAX_GRADED_PAIRS."""
+    refused with WorkBudgetError before the pair (p, q) that would take the
+    total of max(|G_p| * |G_q|, GRADED_PRODUCT_FLOOR) generator pairs over
+    MAX_GRADED_PAIRS.
+
+    In 2 variables no product is formed: every sum a + b of generators is
+    looked up in the staircase of I_{p+q}, and the least missing sum by
+    (degree, vector) is the witness.  It is the product's first missing
+    generator, since a missing sum's minimal divisor among the sums is
+    itself a missing sum of no larger degree."""
     if max_m < 2:
         raise ValueError("max_m must be at least 2")
     violations = []
@@ -393,13 +401,23 @@ def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
                 raise WorkBudgetError(
                     f"{family.label}: gradedness up to max_m={max_m} is charged over "
                     f"{MAX_GRADED_PAIRS} generator pairs (|G_p|*|G_q|, at least "
-                    f"{GRADED_PRODUCT_FLOOR} per product; reached at p={p}, q={q})")
-            product = Ip.product(Iq)
+                    f"{GRADED_PRODUCT_FLOOR} per pair; reached at p={p}, q={q})")
             target = family.ideal(p + q)
             checked += 1
+            if target.nvars == 2:
+                xs, ys = target._staircase
+                missing = []
+                for a0, a1 in Ip.gens:
+                    for b0, b1 in Iq.gens:
+                        i = bisect_right(xs, a0 + b0)
+                        if not i or ys[i - 1] > a1 + b1:
+                            missing.append((a0 + b0 + a1 + b1, (a0 + b0, a1 + b1)))
+                if missing:
+                    violations.append(GradednessViolation(p, q, min(missing)[1]))
+                continue
             # a generator of the target needs no divisor scan
             own = set(target.gens)
-            for g in product.gens:
+            for g in Ip.product(Iq).gens:
                 if g not in own and not target._contains(g):
                     violations.append(GradednessViolation(p, q, g))
                     break
@@ -490,24 +508,17 @@ def ri_estimate(
     return _estimate_from_values(values, tolerance, family.period)
 
 
-def _int_param(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"family parameter {name!r} must be an integer, got {value!r}") from None
-
-
 def _build_power(params: dict) -> GradedFamily:
     return make_power_family(MonomialIdeal.from_json(params["ideal"]))
 
 
 def _build_doubling(params: dict) -> GradedFamily:
-    return make_doubling_family(_int_param(params.get("extra_vars", 0), "extra_vars"))
+    return make_doubling_family(params.get("extra_vars", 0))
 
 
 def _build_halfplane(params: dict) -> GradedFamily:
     cap = params.get("degree_cap")
-    cap = None if cap is None else _int_param(cap, "degree_cap")
+    cap = None if cap is None else _check_int(cap, "parameter 'degree_cap'")
     return make_halfplane_family(params["q1"], params["q2"], cap)
 
 
@@ -520,9 +531,7 @@ def _build_chain(params: dict) -> GradedFamily:
 
 
 def _build_oscillating(params: dict) -> GradedFamily:
-    return make_oscillating_family(
-        _int_param(params["a"], "a"), _int_param(params["b"], "b"), _int_param(params["d"], "d")
-    )
+    return make_oscillating_family(params["a"], params["b"], params["d"])
 
 
 # kind -> (builder, accepted parameter names)

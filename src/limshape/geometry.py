@@ -134,17 +134,18 @@ def _staircase_lattice(corners, dim: int, dfloor: int) -> int:
         ivs = [(p[0], s) for p, s in corners]
         return sum(hi - lo + 1 for lo, hi in _merge_intervals(ivs) if lo <= dfloor)
     if dim == 2 and len({s for _, s in corners}) == 1:
-        # single hypotenuse (every padded plane ideal): each column is one
-        # interval, so no per-column slicing
-        sfloor = corners[0][1]
-        by_a = sorted(p for p, _ in corners)
-        total, k, bmin = 0, 0, sfloor + 1  # least b of the boxes reached so far
-        for a in range(min(dfloor, sfloor) + 1):
-            while k < len(by_a) and by_a[k][0] <= a:
-                bmin = min(bmin, by_a[k][1])
-                k += 1
-            if sfloor - a >= bmin:
-                total += sfloor - a - bmin + 1
+        # single hypotenuse (every padded plane ideal): column a holds b from
+        # the least b of the boxes reached so far up to s - a, so each step
+        # of that least b adds one arithmetic series
+        s = corners[0][1]
+        top = min(dfloor, s)
+        steps = sorted(p for p, _ in corners) + [(top + 1, 0)]
+        total, bmin = 0, s + 1
+        for (a, b), (nxt, _) in zip(steps, steps[1:]):
+            bmin = min(bmin, b)
+            hi = min(nxt - 1, top, s - bmin)  # last column of the step that counts
+            if hi >= a:
+                total += (2 * (s - bmin + 1) - a - hi) * (hi - a + 1) // 2
         return total
     # generic: slice along the first coordinate
     total = 0
@@ -172,9 +173,11 @@ def lattice_count(region) -> int:
     the complement's count equals the Hilbert function of the quotient at the
     floor of the bound.  A lattice point sees a slack only through its floor,
     floor(m*t) - last for a generator's box, so each slack is floored once
-    and the count runs on integers.  A staircase count walks up to
-    (floor(bound) + 1)^(dim - 1) columns and is refused with WorkBudgetError
-    above MAX_LATTICE_COLUMNS.
+    and the count runs on integers.  In dimension 2 with one slack for every
+    box (every padded plane ideal) the count takes one arithmetic series per
+    corner; otherwise it walks up to (floor(bound) + 1)^(dim - 1) columns.
+    Either way a count whose column bound (floor(bound) + 1)^(dim - 1) is
+    above MAX_LATTICE_COLUMNS is refused with WorkBudgetError.
     """
     if isinstance(region, SimplexRegion):
         if region.bound < 0:

@@ -18,7 +18,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import add, index
 from typing import Iterable
 
@@ -51,9 +50,21 @@ class WorkBudgetError(RuntimeError):
     reduction vectors; re-exported by `limshape.planar` and `limshape`."""
 
 
+def _is_int(value) -> bool:
+    """The integer rule: `operator.index` applies and `value` is no bool, so
+    1.5 and "3" are refused, never truncated."""
+    return not isinstance(value, bool) and hasattr(type(value), "__index__")
+
+
+def _check_int(value, name: str) -> int:
+    """`value` as an int by the integer rule; a ValueError names `name`."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index(value)
+
+
 def _check_vector(vec) -> tuple:
-    """`vec` as a tuple of non-negative ints; a bool or an entry without
-    `__index__` (1.5, "3") is refused, never truncated."""
+    """`vec` as a tuple of non-negative ints by the integer rule."""
     try:
         v = tuple(vec)
     except TypeError:
@@ -61,7 +72,7 @@ def _check_vector(vec) -> tuple:
     if not v:
         raise ValueError("exponent vector must be non-empty")
     for e in v:
-        if isinstance(e, bool) or not hasattr(type(e), "__index__"):
+        if not _is_int(e):
             raise ValueError(f"exponent {e!r} in {v!r} is not an integer")
         if e < 0:
             raise ValueError(f"negative exponent in {v}")
@@ -196,10 +207,16 @@ class MonomialIdeal:
 
     @cached_property
     def _staircase(self) -> tuple:
-        """2 variables: generator x_0 exponents ascending, and the least x_1
-        exponent among generators up to each."""
-        gens = sorted(self.gens)
-        return [g[0] for g in gens], list(accumulate((g[1] for g in gens), min))
+        """2 variables: the corners, x_0 exponents ascending and x_1 exponents
+        strictly descending; a generator whose x_1 exponent does not drop below
+        all earlier ones is redundant and left out."""
+        xs: list = []
+        ys: list = []
+        for a, b in sorted(self.gens):
+            if not ys or b < ys[-1]:
+                xs.append(a)
+                ys.append(b)
+        return xs, ys
 
     def _contains(self, v) -> bool:
         """Membership of a vector of nvars non-negative ints, unchecked."""
@@ -237,7 +254,12 @@ class MonomialIdeal:
         """Strong stability: every exchange x_j -> x_i (i < j) of every monomial
         of the ideal stays in the ideal.
 
-        Only the adjacent moves x_j -> x_(j-1) of the minimal generators are
+        In 2 variables the corners of the staircase decide it: a corner
+        (a, b) with b > 0 moves to (a + 1, b - 1), which only the next corner
+        can divide, so the x_0 exponents of the corners must be consecutive
+        and the last corner must have b = 0.
+
+        Otherwise only the adjacent moves x_j -> x_(j-1) of the generators are
         tried, which is equivalent.  If u = g*w with g a generator, an
         adjacent move of u either moves a unit of g, giving (moved g)*w, or a
         unit of w, giving g*(moved w); both lie in the ideal when the moved
@@ -246,6 +268,9 @@ class MonomialIdeal:
         """
         if self.is_zero:
             raise ValueError("Borel test undefined for the zero ideal")
+        if self.nvars == 2:
+            xs, ys = self._staircase
+            return ys[-1] == 0 and xs[-1] - xs[0] == len(xs) - 1
         for g in self.gens:
             for j in range(1, self.nvars):
                 if g[j]:
@@ -290,10 +315,7 @@ class MonomialIdeal:
     def from_json(cls, obj: dict) -> "MonomialIdeal":
         if not isinstance(obj, dict) or "vars" not in obj or "gens" not in obj:
             raise ValueError("ideal JSON needs an object with 'vars' and 'gens'")
-        try:
-            nvars = int(obj["vars"])
-        except (TypeError, ValueError):
-            raise ValueError(f"ideal 'vars' must be an integer, got {obj['vars']!r}") from None
+        nvars = _check_int(obj["vars"], "ideal 'vars'")
         gens = obj["gens"]
         if not isinstance(gens, (list, tuple)) or not all(isinstance(g, (list, tuple)) for g in gens):
             raise ValueError(f"ideal 'gens' must be a list of exponent lists, got {gens!r}")

@@ -160,12 +160,16 @@ MALFORMED_SPECS = [
     {"kind": "power", "params": {"ideal": 5}},
     {"kind": "oscillating", "params": {"a": [1], "b": 2, "d": 2}},
     {"kind": "halfplane", "params": {"q1": "1", "q2": "2", "q": "3"}},
+    {"kind": "oscillating", "params": {"a": 1.9, "b": "3", "d": 2.5}},
+    {"kind": "doubling", "params": {"extra_vars": 0.5}},
+    {"kind": "power", "params": {"ideal": {"vars": 2.7, "gens": [[1, 0]]}}},
 ]
 MALFORMED_FLAGS = [
     ["hf", "--degree", "2", "--ideal", "5"],
     ["hf", "--degree", "2", "--ideal", '"vars gens"'],
     ["hf", "--degree", "2", "--ideal", '{"vars":2,"gens":5}'],
     ["hf", "--degree", "2", "--ideal", '{"vars":2,"gens":[[[1],0]]}'],
+    ["hf", "--degree", "2", "--ideal", '{"vars":true,"gens":[[1]]}'],
     ["family-eval", "--m", "1", "--family", "power", "--ideal", "5"],
     ["family-eval", "--m", "1", "--family", "power", "--ideal", '"vars gens"'],
     ["family-eval", "--m", "1", "--family", "chain", "--breakpoints", "5"],

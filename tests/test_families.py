@@ -3,12 +3,14 @@ from math import ceil
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limshape.families
 from limshape import (
     ExactShape,
     FamilyRuleError,
     GradedFamily,
+    GradednessReport,
     MonomialIdeal,
     WorkBudgetError,
     areg_estimate,
@@ -24,9 +26,14 @@ from limshape import (
     verify_graded,
     waldschmidt_estimate,
 )
-from limshape.families import GRADED_PRODUCT_FLOOR, MAX_DOUBLING_M, MAX_GRADED_PAIRS
+from limshape.families import (
+    GRADED_PRODUCT_FLOOR,
+    MAX_DOUBLING_M,
+    MAX_GRADED_PAIRS,
+    GradednessViolation,
+)
 
-from conftest import family_specs
+from conftest import divisible_by_a_generator, family_specs
 
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
 
@@ -298,6 +305,31 @@ def test_family_json_errors():
     assert capped.ideal(4) == make_halfplane_family(2, 3).ideal(4)
 
 
+@pytest.mark.parametrize("params, named", [
+    ({"a": 1.9, "b": "3", "d": 2.5}, "'a'"),
+    ({"a": 1, "b": "3", "d": 2}, "'b'"),
+    ({"a": 1, "b": 3, "d": 2.5}, "'d'"),
+    ({"a": True, "b": 3, "d": 2}, "'a'"),
+])
+def test_oscillating_parameters_are_refused_not_truncated(params, named):
+    message = f"parameter {named} must be an integer"
+    with pytest.raises(ValueError, match=message):
+        family_from_json({"kind": "oscillating", "params": params})
+    with pytest.raises(ValueError, match=message):
+        make_oscillating_family(params["a"], params["b"], params["d"])
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "doubling", "params": {"extra_vars": 0.5}}, "'extra_vars'"),
+    ({"kind": "doubling", "params": {"extra_vars": False}}, "'extra_vars'"),
+    ({"kind": "doubling", "params": {"extra_vars": "1"}}, "'extra_vars'"),
+    ({"kind": "halfplane", "params": {"q1": "2", "q2": "3", "degree_cap": 30.5}}, "'degree_cap'"),
+])
+def test_integer_family_parameters_are_refused_not_truncated(spec, named):
+    with pytest.raises(ValueError, match=f"parameter {named} must be an integer"):
+        family_from_json(spec)
+
+
 @settings(max_examples=80)
 @given(family_specs())
 def test_builtin_families_graded_and_round_trip_property(spec):
@@ -350,3 +382,40 @@ def test_integer_rules_match_fraction_formulas(spec):
         else:
             expected = chain_gens_by_fractions(shape.halfplanes, shape.vertices[0][0], m)
         assert family.ideal(m) == expected, (spec, m)
+
+
+def graded_by_products(family, max_m):
+    """verify_graded the long way: form every product I_p * I_q and report
+    its first generator, in (degree, vector) order, outside I_{p+q}."""
+    checked, violations = 0, []
+    for p in range(1, max_m // 2 + 1):
+        for q in range(p, max_m - p + 1):
+            target = family.ideal(p + q)
+            checked += 1
+            for g in family.ideal(p).product(family.ideal(q)).gens:
+                if not divisible_by_a_generator(target, g):
+                    violations.append(GradednessViolation(p, q, g))
+                    break
+    return GradednessReport(max_m, checked, tuple(violations))
+
+
+@st.composite
+def two_variable_families(draw):
+    """A 2-variable built-in family with up to three members replaced by the
+    zero ideal, the unit ideal or a random ideal, and a bound max_m."""
+    base = family_from_json(draw(family_specs(kinds=("halfplane", "chain", "oscillating"))))
+    members = {m: base.ideal(m) for m in range(1, 9)}
+    small = st.integers(0, 12)
+    for m in draw(st.lists(st.integers(1, 8), max_size=3, unique=True)):
+        gens = draw(st.one_of(
+            st.just([]), st.just([(0, 0)]), st.lists(st.tuples(small, small), min_size=1, max_size=4)
+        ))
+        members[m] = MonomialIdeal.from_gens(2, gens)
+    return GradedFamily(2, members.__getitem__, "drawn"), draw(st.integers(2, 8))
+
+
+@settings(max_examples=200)
+@given(two_variable_families())
+def test_verify_graded_matches_products_in_two_variables(drawn):
+    family, max_m = drawn
+    assert verify_graded(family, max_m) == graded_by_products(family, max_m)

@@ -37,7 +37,7 @@ from limshape import (
 )
 from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _staircase_area
 
-from conftest import area_by_inclusion_exclusion, family_specs
+from conftest import area_by_inclusion_exclusion, brute_hf, family_specs
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
@@ -81,6 +81,15 @@ def test_gamma_lattice_counts():
     assert gamma_lattice_count(DOUBLING_1.padded(3), 1, 1) == 3
     empty = StaircaseRegion(2, Fraction(-1), ())
     assert lattice_count(empty) == 0
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=5),
+       st.integers(0, 14))
+def test_padded_plane_lattice_count_matches_brute_hf(gens, d):
+    # d runs from below the first corner's degree to past every corner's
+    I = MonomialIdeal.from_gens(2, gens).padded(3)
+    assert gamma_lattice_count(I, 1, d) == brute_hf(I, d)
 
 
 def test_lattice_count_over_budget_is_refused():

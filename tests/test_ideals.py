@@ -19,7 +19,7 @@ from limshape import (
 )
 from limshape.ideals import MAX_PRODUCT_PAIRS, minimal_exponents
 
-from conftest import borel_by_full_scan, borel_closure, random_ideal
+from conftest import borel_by_full_scan, borel_closure, divisible_by_a_generator, random_ideal
 
 
 def test_monomial_divides_basics():
@@ -103,6 +103,12 @@ def test_minimal_exponents_match_quadratic_definition(vectors):
         if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vectors)
     }
     assert minimal_exponents(vectors) == tuple(sorted(minimal, key=lambda v: (sum(v), v)))
+
+
+@pytest.mark.parametrize("nvars", [2.7, True, "2", None])
+def test_ideal_json_variable_count_is_refused_not_truncated(nvars):
+    with pytest.raises(ValueError, match=re.escape(f"ideal 'vars' must be an integer, got {nvars!r}")):
+        MonomialIdeal.from_json({"vars": nvars, "gens": [[1, 0]]})
 
 
 @pytest.mark.parametrize("gens, named", [
@@ -201,6 +207,35 @@ def small_ideals(draw):
 @given(small_ideals())
 def test_is_borel_fixed_matches_full_scan_property(I):
     assert I.is_borel_fixed() == borel_by_full_scan(I)
+
+
+def borel_by_adjacent_moves(I: MonomialIdeal) -> bool:
+    """The generic generator test: every move x_j -> x_(j-1) of a generator
+    stays in the ideal."""
+    for g in I.gens:
+        for j in range(1, I.nvars):
+            if g[j]:
+                moved = list(g)
+                moved[j] -= 1
+                moved[j - 1] += 1
+                if not divisible_by_a_generator(I, moved):
+                    return False
+    return True
+
+
+pairs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300)
+@given(pairs, st.booleans())
+def test_two_variable_borel_test_matches_adjacent_moves(gens, close):
+    # the generators are kept as drawn, redundant ones included; the closure's
+    # generators added to them make the verdict true
+    if close:
+        gens = gens + list(borel_closure(MonomialIdeal.from_gens(2, gens)).gens)
+    I = MonomialIdeal(2, tuple(gens))
+    assert I.is_borel_fixed() == borel_by_adjacent_moves(I)
+    assert MonomialIdeal.from_gens(2, gens).is_borel_fixed() == I.is_borel_fixed()
 
 
 def test_borel_closed_under_products(rng):
