@@ -50,21 +50,18 @@ class WorkBudgetError(RuntimeError):
     reduction vectors; re-exported by `limshape.planar` and `limshape`."""
 
 
-def _is_int(value) -> bool:
-    """The integer rule: `operator.index` applies and `value` is no bool, so
-    1.5 and "3" are refused, never truncated."""
-    return not isinstance(value, bool) and hasattr(type(value), "__index__")
-
-
 def _check_int(value, name: str) -> int:
-    """`value` as an int by the integer rule; a ValueError names `name`."""
-    if not _is_int(value):
+    """`value` through `operator.index`, by the rule `_check_vector` applies to
+    exponents: a bool or a value without `__index__` (1.5, "3") is refused
+    with a ValueError naming `name`, never truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return index(value)
 
 
 def _check_vector(vec) -> tuple:
-    """`vec` as a tuple of non-negative ints by the integer rule."""
+    """`vec` as a tuple of non-negative ints; a bool or an entry without
+    `__index__` (1.5, "3") is refused, never truncated."""
     try:
         v = tuple(vec)
     except TypeError:
@@ -72,7 +69,7 @@ def _check_vector(vec) -> tuple:
     if not v:
         raise ValueError("exponent vector must be non-empty")
     for e in v:
-        if not _is_int(e):
+        if isinstance(e, bool) or not hasattr(type(e), "__index__"):
             raise ValueError(f"exponent {e!r} in {v!r} is not an integer")
         if e < 0:
             raise ValueError(f"negative exponent in {v}")
