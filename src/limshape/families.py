@@ -21,7 +21,7 @@ from math import ceil, lcm
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MonomialIdeal, WorkBudgetError, _check_int, _minimal
+from .ideals import MonomialIdeal, WorkBudgetError, _check_int, _degree_key, _minimal
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -54,6 +54,8 @@ MAX_GRADED_PAIRS = 10**5
 # least charge of one pair (p, q): the fixed cost of fetching its members and
 # testing them, which a pair of one-generator ideals spends almost alone
 GRADED_PRODUCT_FLOOR = 8
+# columns a = 0 .. ceil(m * x-intercept) one staircase member may walk
+MAX_STAIRCASE_COLUMNS = 10**6
 
 
 class FamilyRuleError(RuntimeError):
@@ -105,6 +107,10 @@ class GradedFamily:
     asks estimators to also report subsequence values along residues mod the
     period.  `exact_shape` carries the closed-form limit staircase when one
     is known.
+
+    Members are memoized in `_cache`, keyed by m.  `geometry` memoizes each
+    limiting shape and its complement, computed together, in `_shapes`:
+    keyed by t for a closed form, by (t, max_m) for an inner approximation.
     """
 
     def __init__(
@@ -125,6 +131,7 @@ class GradedFamily:
         self.json_spec = json_spec
         self._rule = rule
         self._cache: dict[int, MonomialIdeal] = {}
+        self._shapes: dict = {}
 
     def ideal(self, m: int) -> MonomialIdeal:
         if m < 1:
@@ -252,7 +259,8 @@ def make_ceiling_family(q) -> GradedFamily:
 def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
     """m -> the ideal of the lattice points on or above the shape's chain
     scaled by m: for each a up to m times the x-intercept, the least b
-    meeting every half-plane, kept where it drops."""
+    meeting every half-plane, kept where it drops.  A member walking more
+    than MAX_STAIRCASE_COLUMNS columns is refused with WorkBudgetError."""
     # each (A, B, C) times the lcm of its denominators; B > 0 throughout
     scaled = []
     for plane in shape.halfplanes:
@@ -261,10 +269,14 @@ def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
     n0, d0 = shape.vertices[0][0].as_integer_ratio()
 
     def rule(m: int) -> MonomialIdeal:
+        columns = -(-m * n0 // d0) + 1
+        if columns > MAX_STAIRCASE_COLUMNS:
+            raise WorkBudgetError(
+                f"staircase member m={m} walks {columns} columns, over {MAX_STAIRCASE_COLUMNS}")
         planes = [(A, B, m * C) for A, B, C in scaled]
         gens = []
         prev_b = None
-        for a in range(-(-m * n0 // d0) + 1):
+        for a in range(columns):
             b = 0
             for A, B, mC in planes:
                 need = mC - a * A
@@ -275,7 +287,8 @@ def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
                 prev_b = b
             if b == 0:
                 break
-        return _member(2, gens)
+        # a ascends while b strictly drops: already the minimal generators
+        return MonomialIdeal(2, tuple(sorted(gens, key=_degree_key)))
 
     return rule
 

@@ -284,7 +284,9 @@ class ShapePolygon:
     def make(cls, points) -> "ShapePolygon":
         """Polygon through the points in order, with Fraction coordinates
         (Fractions are kept as given), dropping cyclic repeats and vertices
-        collinear with their two neighbours."""
+        collinear with their two neighbours.  Collinearity is decided on the
+        integer points scaled by the lcm of the denominators; the kept
+        vertices are the Fractions themselves."""
         out = []
         for x, y in points:
             p = (x if type(x) is Fraction else Fraction(x),
@@ -293,14 +295,15 @@ class ShapePolygon:
                 out.append(p)
         if len(out) > 1 and out[0] == out[-1]:
             out.pop()
+        ints = _scaled(out)[0]
         # merge cyclically collinear runs
         changed = True
         while changed and len(out) > 2:
             changed = False
             for i in range(len(out)):
-                a, b, c = out[i - 1], out[i], out[(i + 1) % len(out)]
-                if _cross(a, b, c) == 0:
+                if _cross(ints[i - 1], ints[i], ints[(i + 1) % len(ints)]) == 0:
                     out.pop(i)
+                    ints.pop(i)
                     changed = True
                     break
         return cls(tuple(out))
@@ -310,15 +313,14 @@ class ShapePolygon:
         return len(self.vertices) == 0
 
     def signed_area(self) -> Fraction:
+        """Shoelace sum on the vertices scaled to integers by the lcm L of
+        their denominators, divided by 2 * L^2 once."""
         v = self.vertices
         if len(v) < 3:
             return Fraction(0)
-        twice = Fraction(0)
-        for i in range(len(v)):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % len(v)]
-            twice += x0 * y1 - x1 * y0
-        return twice / 2
+        ints, L = _scaled(v)
+        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ints, ints[1:] + ints[:1]))
+        return Fraction(twice, 2 * L * L)
 
     def area(self) -> Fraction:
         return abs(self.signed_area())
@@ -339,23 +341,6 @@ class ShapePolygon:
                 return False
         return True
 
-    def clip_halfplane(self, a, b, c) -> "ShapePolygon":
-        """Keep the part with a*x + b*y <= c (Sutherland-Hodgman step)."""
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        v = self.vertices
-        if not v:
-            return self
-        inside = [a * x + b * y <= c for x, y in v]
-        out = []
-        for cur, cur_in, nxt, nxt_in in zip(v, inside, v[1:] + v[:1], inside[1:] + inside[:1]):
-            if cur_in:
-                out.append(cur)
-            if cur_in != nxt_in:
-                dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
-                lam = (c - a * cur[0] - b * cur[1]) / (a * dx + b * dy)
-                out.append((cur[0] + lam * dx, cur[1] + lam * dy))
-        return ShapePolygon.make(out)
-
     def to_json(self) -> list:
         from .rationals import format_rational
 
@@ -364,6 +349,14 @@ class ShapePolygon:
 
 def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _scaled(points) -> tuple:
+    """The points times the lcm L of their coordinates' denominators, as
+    integer pairs, and L."""
+    L = lcm(*(c.denominator for p in points for c in p))
+    return [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+            for x, y in points], L
 
 
 def _monotone_chain(pts: list) -> list:
@@ -375,7 +368,11 @@ def _monotone_chain(pts: list) -> list:
     def half(seq) -> list:
         out: list = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+            x, y = p
+            while len(out) >= 2:  # pop unless out[-2], out[-1], p turn left
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
                 out.pop()
             out.append(p)
         return out[:-1]
@@ -442,41 +439,26 @@ def _chain_walk(shape, t: Fraction):
     return walk, x0 != 0
 
 
-def _exact_delta_polygon(shape, t: Fraction) -> ShapePolygon:
-    """The triangle x, y >= 0, x + y <= t on or above the chain, CCW from the
-    x-intercept: to (t, 0), up x + y = t to the crossing (or to (0, t) and
-    down the y-axis), then back along the walk; empty without a walk."""
+def _exact_pair(shape, t: Fraction) -> tuple:
+    """Both closed-form results from one walk.  Delta is the triangle
+    x, y >= 0, x + y <= t on or above the chain, CCW from the x-intercept: to
+    (t, 0), up x + y = t to the crossing (or to (0, t) and down the y-axis),
+    then back along the walk; empty without a walk.  Gamma is the triangle
+    below the chain: the origin, the walk and, after a crossing, (0, t); the
+    whole triangle without a walk."""
     walk, crossed = _chain_walk(shape, t)
-    return ShapePolygon.make(walk and [walk[0], (t, 0)] + [(0, t)] * (not crossed) + walk[:0:-1])
-
-
-def _exact_gamma_polygon(shape, t: Fraction) -> ShapePolygon:
-    """The triangle below the chain: the origin, the walk and, after a
-    crossing, (0, t); the whole triangle without a walk."""
-    walk, crossed = _chain_walk(shape, t)
+    delta = ShapePolygon.make(walk and [walk[0], (t, 0)] + [(0, t)] * (not crossed) + walk[:0:-1])
     if not walk:  # the chain starts beyond the line
         walk, crossed = [(t, 0)], True
-    return ShapePolygon.make([(0, 0)] + walk + [(0, t)] * crossed)
+    gamma = ShapePolygon.make([(0, 0)] + walk + [(0, t)] * crossed)
+    verts = tuple((Fraction(x), Fraction(y)) for x, y in shape.vertices)
+    return (ShapeResult("delta", t, True, delta, delta.area(), verts),
+            ShapeResult("gamma", t, True, gamma, gamma.area(), verts))
 
 
-def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
-    """Limiting shape at parameter t as a polygon in the exponent plane.
-
-    Exact for families carrying a closed form; otherwise the convex hull of
-    the scaled staircases for m <= max_m, an inner approximation that is
-    non-decreasing in max_m.  That hull is taken in integers on the common
-    scale D = lcm(1..max_m) * den(t), where every corner point of NP(I_m)/m
-    is integral.  The area is read off the integer hull, |shoelace|/(2D^2),
-    and only its vertices (never repeated or collinear) are divided by D.
-    """
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    shape = getattr(family, "exact_shape", None)
-    if shape is not None:
-        poly = _exact_delta_polygon(shape, t)
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in shape.vertices)
-        return ShapeResult("delta", t, True, poly, poly.area(), verts)
+def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
+    """The inner approximation (see `limiting_shape`) and its complement,
+    reported by area only: t^2/2 - area(delta)."""
     if max_m < 1:
         raise ValueError("max_m must be >= 1")
     D = lcm(*range(1, max_m + 1)) * t.denominator
@@ -490,22 +472,43 @@ def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
     hull = _monotone_chain(sorted(set(points)))
     twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
     poly = ShapePolygon(tuple((Fraction(x, D), Fraction(y, D)) for x, y in hull))
-    return ShapeResult("delta", t, False, poly, Fraction(abs(twice), 2 * D * D), None)
+    area = Fraction(abs(twice), 2 * D * D)
+    return (ShapeResult("delta", t, False, poly, area, None),
+            ShapeResult("gamma", t, False, None, t * t / 2 - area, None))
 
 
-def gamma_limit(family, t, max_m: int = 16) -> ShapeResult:
-    """Complement of the limiting shape inside the simplex of bound t."""
+def _shape_pair(family, t, max_m: int) -> tuple:
+    """(delta, gamma) at t, computed once and kept in `family._shapes`:
+    under t for a closed form, under (t, max_m) for an inner approximation."""
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
     shape = getattr(family, "exact_shape", None)
-    if shape is not None:
-        poly = _exact_gamma_polygon(shape, t)
-        verts = tuple((Fraction(x), Fraction(y)) for x, y in shape.vertices)
-        return ShapeResult("gamma", t, True, poly, poly.area(), verts)
-    delta = limiting_shape(family, t, max_m)
-    area = t * t / 2 - delta.area
-    return ShapeResult("gamma", t, False, None, area, None)
+    key = t if shape is not None else (t, max_m)
+    if key not in family._shapes:
+        family._shapes[key] = (_exact_pair(shape, t) if shape is not None
+                               else _inner_pair(family, t, max_m))
+    return family._shapes[key]
+
+
+def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
+    """Limiting shape at parameter t as a polygon in the exponent plane.
+
+    Exact for families carrying a closed form; otherwise the convex hull of
+    the scaled staircases for m <= max_m, an inner approximation that is
+    non-decreasing in max_m.  That hull is taken in integers on the common
+    scale D = lcm(1..max_m) * den(t), where every corner point of NP(I_m)/m
+    is integral.  The area is read off the integer hull, |shoelace|/(2D^2),
+    and only its vertices (never repeated or collinear) are divided by D.
+    The shape and its complement are computed together, once per family
+    and t (and max_m for inner approximations).
+    """
+    return _shape_pair(family, t, max_m)[0]
+
+
+def gamma_limit(family, t, max_m: int = 16) -> ShapeResult:
+    """Complement of the limiting shape inside the simplex of bound t."""
+    return _shape_pair(family, t, max_m)[1]
 
 
 def waldschmidt_from_shape(result: ShapeResult) -> Fraction:

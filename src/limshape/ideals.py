@@ -25,9 +25,6 @@ __all__ = [
     "ExponentVector",
     "MonomialIdeal",
     "monomial_divides",
-    "monomial_product",
-    "monomial_lcm",
-    "total_degree",
     "minimal_exponents",
     "minimal_generators",
     "parse_exponents",
@@ -76,29 +73,11 @@ def _check_vector(vec) -> tuple:
     return tuple(map(index, v))
 
 
-def _check_same_length(a, b) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"exponent length mismatch: {len(a)} vs {len(b)}")
-
-
 def monomial_divides(a, b) -> bool:
     """True iff x^a divides x^b, i.e. a <= b componentwise."""
-    _check_same_length(a, b)
+    if len(a) != len(b):
+        raise ValueError(f"exponent length mismatch: {len(a)} vs {len(b)}")
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_product(a, b) -> tuple:
-    _check_same_length(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b) -> tuple:
-    _check_same_length(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def total_degree(a) -> int:
-    return sum(a)
 
 
 def _degree_key(v) -> tuple:

@@ -23,12 +23,12 @@ _DIGITS = 12
 
 def _dec(q) -> str:
     """Decimal expansion of a rational, 12 fractional digits, zeros trimmed."""
-    q = Fraction(q)
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    scaled = q * 10**_DIGITS
-    # round half away from zero, deterministically
-    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    sign = "-" if n < 0 else ""
+    # round |q| * 10^12 half away from zero, deterministically
+    units = (2 * abs(n) * 10**_DIGITS + d) // (2 * d)
     whole, frac = divmod(units, 10**_DIGITS)
     text = f"{whole}.{frac:0{_DIGITS}d}".rstrip("0").rstrip(".")
     return sign + (text or "0")

@@ -4,7 +4,7 @@ Each oracle recomputes a quantity by a method independent of the production
 code path: Hilbert functions by brute monomial enumeration, staircase areas
 by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
-divisibility by every generator.
+divisibility by every generator, polygon vertices and areas in Fractions.
 """
 
 from __future__ import annotations
@@ -88,6 +88,56 @@ def area_by_inclusion_exclusion(corners) -> Fraction:
             s = min(Fraction(s) for _, s in subset)
             total += sign * tri_area(p0, p1, s)
     return total
+
+
+def fraction_polygon_make(points) -> tuple:
+    """The vertices `ShapePolygon.make` keeps, computed in Fractions: repeats
+    of the previous point and a closing repeat dropped, then the first vertex
+    collinear with its two cyclic neighbours removed, again and again."""
+    out = []
+    for x, y in points:
+        p = (Fraction(x), Fraction(y))
+        if not out or p != out[-1]:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        for i in range(len(out)):
+            (ax, ay), (bx, by), (cx, cy) = out[i - 1], out[i], out[(i + 1) % len(out)]
+            if (bx - ax) * (cy - ay) == (by - ay) * (cx - ax):
+                out.pop(i)
+                changed = True
+                break
+    return tuple(out)
+
+
+def fraction_signed_area(vertices) -> Fraction:
+    """Shoelace sum over consecutive vertices, in Fractions."""
+    if len(vertices) < 3:
+        return Fraction(0)
+    twice = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        twice += x0 * y1 - x1 * y0
+    return twice / 2
+
+
+def clip_halfplane(vertices, a, b, c) -> tuple:
+    """The part of the polygon with a*x + b*y <= c, by one Sutherland-Hodgman
+    step, as `fraction_polygon_make` vertices."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    v = tuple(vertices)
+    inside = [a * x + b * y <= c for x, y in v]
+    out = []
+    for cur, cur_in, nxt, nxt_in in zip(v, inside, v[1:] + v[:1], inside[1:] + inside[:1]):
+        if cur_in:
+            out.append(cur)
+        if cur_in != nxt_in:
+            dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
+            lam = (c - a * cur[0] - b * cur[1]) / (a * dx + b * dy)
+            out.append((cur[0] + lam * dx, cur[1] + lam * dy))
+    return fraction_polygon_make(out)
 
 
 def random_ideal(rng: random.Random, nvars: int, maxdeg: int = 5, ngens: int = 4):

@@ -3,9 +3,13 @@ import json
 import shlex
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limshape.cli
 import limshape.families
@@ -19,6 +23,7 @@ from limshape import (
     waldschmidt_from_shape,
 )
 from limshape.cli import main
+from limshape.svgfig import _dec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # stdout (or the --output file) of every README CLI example, captured before
@@ -394,8 +399,44 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
     ["family-eval", "--family", "doubling", "--m", "20000"],
     ["check-graded", "--family", "halfplane", "--q1", "1", "--q2", "2", "--max-m", "400"],
     ["check-graded", "--family", "ceiling", "--q", "5/3", "--max-m", "1000000000"],
+    # a staircase member is charged its columns before its loop
+    ["family-eval", "--family", "chain", "--breakpoints", "1000000,0;0,1000000", "--m", "1000"],
+    ["family-eval", "--family", "halfplane", "--q1", "1000000", "--q2", "1000000", "--m", "1000"],
 ])
 def test_work_over_budget_exits_2(capsys, argv):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("computation error: ")
+
+
+def _dec_by_fraction(q) -> str:
+    """The SVG decimal through a Fraction product, as it was first written."""
+    q = Fraction(q)
+    sign = "-" if q < 0 else ""
+    scaled = abs(q) * 10**12
+    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    whole, frac = divmod(units, 10**12)
+    return sign + (f"{whole}.{frac:012d}".rstrip("0").rstrip(".") or "0")
+
+
+@settings(max_examples=500)
+@given(st.fractions(max_denominator=10**15) | st.fractions(-1, 1, max_denominator=10**20))
+def test_svg_decimals_match_the_fraction_formula(q):
+    assert _dec(q) == _dec_by_fraction(q)
+
+
+@pytest.mark.parametrize("q, text", [
+    (Fraction(1, 2), "0.5"),
+    (Fraction(-7, 2), "-3.5"),
+    (Fraction(1, 2 * 10**12), "0.000000000001"),  # an exact half rounds away from zero
+    (Fraction(-1, 2 * 10**12), "-0.000000000001"),
+    (Fraction(1, 3 * 10**12), "0"),  # below 10^-12
+    (Fraction(-1, 3 * 10**12), "-0"),  # tiny negatives keep their sign
+    (Fraction(2, 3), "0.666666666667"),
+    (0, "0"),
+    (12, "12"),
+])
+def test_svg_decimals_pinned(q, text):
+    assert _dec(q) == _dec_by_fraction(q) == text

@@ -32,6 +32,7 @@ from limshape.families import (
     MAX_GRADED_PAIRS,
     GradednessViolation,
 )
+from limshape.ideals import minimal_exponents
 
 from conftest import divisible_by_a_generator, family_specs
 
@@ -419,3 +420,12 @@ def two_variable_families(draw):
 def test_verify_graded_matches_products_in_two_variables(drawn):
     family, max_m = drawn
     assert verify_graded(family, max_m) == graded_by_products(family, max_m)
+
+
+@settings(max_examples=80)
+@given(family_specs(kinds=("halfplane", "chain")), st.integers(1, 8))
+def test_staircase_members_are_their_own_minimal_generators(spec, m):
+    # the rule emits a strictly ascending, b strictly dropping: an antichain,
+    # listed in minimal_exponents' (degree, vector) order
+    gens = family_from_json(spec).ideal(m).gens
+    assert gens == minimal_exponents(reversed(gens))

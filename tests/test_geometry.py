@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,7 +37,14 @@ from limshape import (
 )
 from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _staircase_area
 
-from conftest import area_by_inclusion_exclusion, brute_hf, family_specs
+from conftest import (
+    area_by_inclusion_exclusion,
+    brute_hf,
+    clip_halfplane,
+    family_specs,
+    fraction_polygon_make,
+    fraction_signed_area,
+)
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
@@ -336,7 +343,7 @@ def test_convex_hull_and_polygon_ops():
     square = ShapePolygon.make(hull)
     assert square.area() == 4
     assert square.is_convex()
-    clipped = square.clip_halfplane(1, 1, 2)
+    clipped = ShapePolygon(clip_halfplane(square.vertices, 1, 1, 2))
     assert clipped.area() == 2
     merged = ShapePolygon.make([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
     assert len(merged.vertices) == 4
@@ -451,9 +458,9 @@ def test_gamma_region_vs_brute_force_random(rng):
 
 def _triangle_clipped_by_halfplanes(shape, t):
     """The closed-form delta as the triangle cut by each half-plane in turn."""
-    poly = ShapePolygon.make([(0, 0), (t, 0), (0, t)])
+    poly = fraction_polygon_make([(0, 0), (t, 0), (0, t)])
     for A, B, C in shape.halfplanes:
-        poly = poly.clip_halfplane(-A, -B, -C)  # keep A*x + B*y >= C
+        poly = clip_halfplane(poly, -A, -B, -C)  # keep A*x + B*y >= C
     return poly
 
 
@@ -465,7 +472,7 @@ def _below_chain_clipped(shape, t):
     boundary = [(0, 0)] + chain
     if chain[-1][0] != 0:
         boundary += [(chain[-1][0], big), (0, big)]
-    return ShapePolygon.make(boundary).clip_halfplane(1, 1, t)
+    return clip_halfplane(fraction_polygon_make(boundary), 1, 1, t)
 
 
 @settings(max_examples=120)
@@ -480,11 +487,11 @@ def test_closed_form_walk_matches_clipping(spec, t_extra):
     for t in sorted(t for t in ts if t >= 0):
         delta, gamma = limiting_shape(family, t), gamma_limit(family, t)
         clipped = _triangle_clipped_by_halfplanes(shape, t)
-        assert delta.polygon.vertices == clipped.vertices, (spec, t)
-        assert delta.area == clipped.area()
+        assert delta.polygon.vertices == clipped, (spec, t)
+        assert delta.area == abs(fraction_signed_area(clipped))
         below = _below_chain_clipped(shape, t)
-        assert gamma.polygon.vertices == below.vertices, (spec, t)
-        assert gamma.area == below.area() == t * t / 2 - delta.area
+        assert gamma.polygon.vertices == below, (spec, t)
+        assert gamma.area == abs(fraction_signed_area(below)) == t * t / 2 - delta.area
 
 
 @st.composite
@@ -555,3 +562,70 @@ def test_staircase_area_matches_inclusion_exclusion_on_ideals(gens, m, t):
     region = staircase_region(ideal, m, t)
     assert region_volume(region) == area_by_inclusion_exclusion(region.corners)
     assert region_volume(gamma_region(ideal, m, t)) == (m * t) ** 2 / 2 - region_volume(region)
+
+
+_coords = st.fractions(-6, 6, max_denominator=4)
+
+
+@st.composite
+def point_lists(draw):
+    """Rational point lists with repeats, collinear runs, sometimes a closing
+    repeat, or all on one line."""
+    if draw(st.booleans()):
+        base = draw(st.tuples(_coords, _coords))
+        step = draw(st.tuples(_coords, _coords))
+        scalars = draw(st.lists(st.fractions(-3, 3, max_denominator=3), max_size=7))
+        return [(base[0] + s * step[0], base[1] + s * step[1]) for s in scalars]
+    out = []
+    for p in draw(st.lists(st.tuples(_coords, _coords), max_size=7)):
+        if out and draw(st.booleans()):  # a collinear run towards p
+            q = out[-1]
+            out += [(q[0] + s * (p[0] - q[0]), q[1] + s * (p[1] - q[1]))
+                    for s in draw(st.lists(st.fractions(0, 1, max_denominator=4), max_size=3))]
+        out += [p] * draw(st.integers(1, 2))
+    if out and draw(st.booleans()):
+        out.append(out[0])
+    return out
+
+
+@settings(max_examples=400)
+@given(point_lists())
+def test_integer_polygon_kernels_match_fraction_oracle(points):
+    poly = ShapePolygon.make(points)
+    assert poly.vertices == fraction_polygon_make(points)
+    assert all(type(c) is Fraction for p in poly.vertices for c in p)
+    assert poly.signed_area() == fraction_signed_area(poly.vertices)
+    raw = ShapePolygon(tuple((Fraction(x), Fraction(y)) for x, y in points))
+    assert raw.signed_area() == fraction_signed_area(raw.vertices)
+
+
+_MEMO_CASES = [
+    (lambda: make_halfplane_family(Fraction(3, 2), Fraction(7, 3)), (4,)),
+    (lambda: make_chain_family(CHAIN_POINTS), (4,)),
+    (lambda: make_ceiling_family(Fraction(5, 3)), (4,)),
+    # the halfplane rule without its closed form: the inner area grows with max_m
+    (lambda: GradedFamily(2, make_halfplane_family(Fraction(5, 4), Fraction(9, 4)).ideal, "plain"),
+     (3, 5)),
+]
+
+
+@pytest.mark.parametrize("build, max_ms", _MEMO_CASES)
+def test_shape_memo_matches_fresh_families_in_every_order(build, max_ms):
+    calls = (limiting_shape, gamma_limit, ahf)
+    for t in (Fraction(5), Fraction(7, 2)):
+        for order in permutations(calls):
+            family = build()
+            for max_m in max_ms:
+                for call in order:
+                    assert call(family, t, max_m) == call(build(), t, max_m), (call, t, max_m)
+            assert len(family._shapes) == (len(max_ms) if family.exact_shape is None else 1)
+
+
+@pytest.mark.parametrize("build, max_ms", _MEMO_CASES)
+def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
+    family = build()
+    delta = limiting_shape(family, 5, max_ms[0])
+    assert gamma_limit(family, Fraction(5), max_ms[0]) is family._shapes[
+        Fraction(5) if family.exact_shape is not None else (Fraction(5), max_ms[0])][1]
+    assert limiting_shape(family, Fraction(5), max_ms[0]) is delta
+    assert len(family._shapes) == 1
