@@ -425,7 +425,7 @@ def test_verify_graded_matches_products_in_two_variables(drawn):
 @settings(max_examples=80)
 @given(family_specs(kinds=("halfplane", "chain")), st.integers(1, 8))
 def test_staircase_members_are_their_own_minimal_generators(spec, m):
-    # the rule emits a strictly ascending, b strictly dropping: an antichain,
+    # the rule emits a strictly ascending and b strictly dropping: an antichain,
     # listed in minimal_exponents' (degree, vector) order
     gens = family_from_json(spec).ideal(m).gens
     assert gens == minimal_exponents(reversed(gens))

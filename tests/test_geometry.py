@@ -625,7 +625,6 @@ def test_shape_memo_matches_fresh_families_in_every_order(build, max_ms):
 def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
     family = build()
     delta = limiting_shape(family, 5, max_ms[0])
-    assert gamma_limit(family, Fraction(5), max_ms[0]) is family._shapes[
-        Fraction(5) if family.exact_shape is not None else (Fraction(5), max_ms[0])][1]
     assert limiting_shape(family, Fraction(5), max_ms[0]) is delta
+    assert gamma_limit(family, Fraction(5), max_ms[0]) is gamma_limit(family, 5, max_ms[0])
     assert len(family._shapes) == 1
