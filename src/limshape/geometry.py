@@ -7,11 +7,12 @@ complement region is the simplex { beta >= 0, sum(beta) <= m*t } minus that
 union.  Lattice points of the complement count the quotient's monomial basis,
 which is the bridge identity the test-suite leans on.
 
-Shape computations for whole families work in the exponent plane: families in
-fewer than three variables are padded so that the region drawn is the limit
-of the scaled generator staircases (the picture the two-variable family
-figures show); families in more than three variables are refused in exact
-mode.
+Shape computations for whole families work in the exponent plane, where the
+region drawn is the limit of the scaled generator staircases (the picture the
+two-variable family figures show).  A member in one or two variables is read
+straight from the corners of its staircase, which is what padding it to three
+variables would give; a member in three variables goes through its generator
+boxes; members in more than three variables are refused.
 """
 
 from __future__ import annotations
@@ -133,25 +134,27 @@ def _staircase_lattice(corners, dim: int, dfloor: int) -> int:
     if dim == 1:
         ivs = [(p[0], s) for p, s in corners]
         return sum(hi - lo + 1 for lo, hi in _merge_intervals(ivs) if lo <= dfloor)
-    if dim == 2 and len({s for _, s in corners}) == 1:
-        # single hypotenuse (every padded plane ideal): column a holds b from
-        # the least b of the boxes reached so far up to s - a, so each step
-        # of that least b adds one arithmetic series
-        s = corners[0][1]
-        top = min(dfloor, s)
-        steps = sorted(p for p, _ in corners) + [(top + 1, 0)]
-        total, bmin = 0, s + 1
-        for (a, b), (nxt, _) in zip(steps, steps[1:]):
-            bmin = min(bmin, b)
-            hi = min(nxt - 1, top, s - bmin)  # last column of the step that counts
-            if hi >= a:
-                total += (2 * (s - bmin + 1) - a - hi) * (hi - a + 1) // 2
-        return total
+    s = corners[0][1]
+    if dim == 2 and s <= dfloor and all(c[1] == s for c in corners):
+        # single hypotenuse (every padded plane ideal): the prefixes' staircase
+        return _corner_count(*MonomialIdeal(2, tuple(p for p, _ in corners))._staircase, s)
     # generic: slice along the first coordinate
     total = 0
     for a in range(dfloor + 1):
         sub = [(p[1:], s - a) for p, s in corners if p[0] <= a and s - a >= sum(p[1:])]
         total += _staircase_lattice(sub, dim - 1, dfloor - a)
+    return total
+
+
+def _corner_count(xs, ys, d: int) -> int:
+    """Lattice points a + b <= d on or above the staircase with corners
+    (xs[i], ys[i]), xs ascending and ys strictly descending: corner i owns the
+    columns xs[i] .. xs[i+1] - 1 from ys[i] up, one arithmetic series."""
+    total = 0
+    for a, b, nxt in zip(xs, ys, [*xs[1:], d + 1]):
+        hi = min(nxt - 1, d - b)  # last column of the corner that counts
+        if hi >= a:
+            total += (2 * (d - b + 1) - a - hi) * (hi - a + 1) // 2
     return total
 
 
@@ -416,7 +419,7 @@ def _plane_ideal(family, m: int) -> MonomialIdeal:
         raise UnsupportedDimensionError(
             f"{family.label}: shape computations need at most 3 variables, got {I.nvars}"
         )
-    return I.padded(3)
+    return I.padded(2) if I.nvars == 1 else I
 
 
 def _chain_walk(shape, t: Fraction):
@@ -466,7 +469,15 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     points = []
     for m in range(1, max_m + 1):
         k = D // m  # sD = k * (m*t - last) is the generator's slack times D
-        for (p0, p1), sD in _boxes(_plane_ideal(family, m).gens, tD, k):
+        I = _plane_ideal(family, m)
+        if I.nvars == 2:
+            # the corners below x + y = tD and, of their projections onto that
+            # line, only the two ends: the rest lie between them
+            kept = [(a * k, b * k) for a, b in zip(*I._staircase) if k * (a + b) <= tD]
+            if kept:
+                points += kept + [(kept[0][0], tD - kept[0][0]), (tD - kept[-1][1], kept[-1][1])]
+            continue
+        for (p0, p1), sD in _boxes(I.gens, tD, k):
             x, y = p0 * k, p1 * k
             points += ((x, y), (x, sD - x), (sD - y, y))
     hull = _monotone_chain(sorted(set(points)))
@@ -546,12 +557,25 @@ class AhfResult:
 
 
 def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
+    """The complement area of the limiting shape at t and, with `diagnostics`,
+    the samples for m = 1..M = max_m.  Their sum(floor(m*t) + 1) <= t*M*(M+1)/2
+    + M columns are charged at once, before any member or shape is built."""
     t = Fraction(t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    M = max(max_m, 0) if diagnostics else 0
+    columns = floor(t * M * (M + 1) / 2) + M
+    if columns > MAX_LATTICE_COLUMNS:
+        raise WorkBudgetError(f"ahf samples up to m={max_m} at t={t} walk up to "
+                              f"{columns} columns, over {MAX_LATTICE_COLUMNS}")
     gamma = gamma_limit(family, t, max_m)
     samples = []
     if diagnostics:
         for m in range(1, max_m + 1):
-            count = gamma_lattice_count(_plane_ideal(family, m), m, t)
+            I, d = _plane_ideal(family, m), m * t.numerator // t.denominator  # floor(m*t)
+            inside = (_corner_count(*I._staircase, d) if I.nvars == 2
+                      else _staircase_lattice(_boxes(I.gens, d), 2, d))
+            count = comb(d + 2, 2) - inside
             samples.append((m, count, Fraction(count, m * m)))
     return AhfResult(t, gamma.area, gamma.exact, tuple(samples))
 

@@ -9,8 +9,8 @@ sequence is exactly the descending merge of the arithmetic progressions
 a_i*m, a_i*(m-1), ..., a_i.  The shared point adds the same weight to both
 lines, so it never changes which line is picked: the shared variant records
 that same merge plus max(m - k, 0) on the k-th pick (counting from 0).
-`reduction_vector` builds both by a sort; the step simulator with pluggable
-tie-breaking (`_simulate_reduction`) is only the tests' oracle.
+`reduction_vector` builds both by a sort; the test-suite checks it against a
+step simulator with pluggable tie-breaking.
 
 The graph extractor takes the lattice path (k, k + u_{k+1}) of the recorded
 entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
@@ -28,7 +28,7 @@ from math import lcm
 from operator import add, gt, sub
 
 from .geometry import ShapePolygon
-from .ideals import WorkBudgetError
+from .ideals import WorkBudgetError, _check_int
 
 __all__ = [
     "LineConfiguration",
@@ -58,7 +58,7 @@ class LineConfiguration:
 
     @classmethod
     def make(cls, counts, shared_intersection: bool = False) -> "LineConfiguration":
-        cs = tuple(int(a) for a in counts)
+        cs = tuple(_check_int(a, "point count") for a in counts)
         if not cs:
             raise ValueError("configuration needs at least one line")
         if any(a < 1 for a in cs):
@@ -106,30 +106,6 @@ class ReductionVector:
     entries: tuple
     multiplicity: int
     exact: bool
-
-
-def _simulate_reduction(config: LineConfiguration, m: int, pick=None) -> list:
-    """Step-by-step reduction; `pick` chooses among tied maximal lines."""
-    counts = config.counts
-    regs = [m] * len(counts)
-    p = m if config.shared_intersection else 0
-    entries = []
-    while True:
-        if config.shared_intersection:
-            weights = [counts[i] * regs[i] + p for i in range(len(counts))]
-        else:
-            weights = [counts[i] * regs[i] for i in range(len(counts))]
-        top = max(weights)
-        if top == 0:
-            break
-        tied = [i for i, w in enumerate(weights) if w == top]
-        i = tied[0] if pick is None else pick(tied)
-        entries.append(top)
-        if regs[i] > 0:
-            regs[i] -= 1
-        if p > 0:
-            p -= 1
-    return entries
 
 
 def reduction_vector(

@@ -4,7 +4,9 @@ Each oracle recomputes a quantity by a method independent of the production
 code path: Hilbert functions by brute monomial enumeration, staircase areas
 by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
-divisibility by every generator, polygon vertices and areas in Fractions.
+divisibility by every generator, polygon vertices and areas in Fractions,
+reduction vectors by stepping the reduction, and inner approximations by
+hulling every point of every member padded to three variables.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from limshape import MonomialIdeal, format_rational
+from limshape import MonomialIdeal, convex_hull, format_rational, staircase_region
 
 # every property test draws the same examples on every run
 settings.register_profile("limshape", derandomize=True, deadline=None)
@@ -138,6 +140,44 @@ def clip_halfplane(vertices, a, b, c) -> tuple:
             lam = (c - a * cur[0] - b * cur[1]) / (a * dx + b * dy)
             out.append((cur[0] + lam * dx, cur[1] + lam * dy))
     return fraction_polygon_make(out)
+
+
+def simulate_reduction(config, m: int, pick=None) -> list:
+    """Reduction step by step: the line of largest weight is recorded and
+    lowered by one, until every weight is zero; `pick` chooses among tied
+    maximal lines.  In the shared variant the shared point, of multiplicity m,
+    adds its weight to every line and is lowered on every pick."""
+    counts = config.counts
+    regs = [m] * len(counts)
+    p = m if config.shared_intersection else 0
+    entries = []
+    while True:
+        weights = [a * r + p for a, r in zip(counts, regs)]
+        top = max(weights)
+        if top == 0:
+            break
+        tied = [i for i, w in enumerate(weights) if w == top]
+        i = tied[0] if pick is None else pick(tied)
+        entries.append(top)
+        if regs[i] > 0:
+            regs[i] -= 1
+        if p > 0:
+            p -= 1
+    return entries
+
+
+def padded_inner_hull(family, t, max_m: int) -> list:
+    """Vertices of the inner approximation of the limiting shape from every
+    point the definition names: each member padded to three variables, and
+    for each box of its staircase region the corner and both projections
+    onto the box's hypotenuse, all scaled by 1/m."""
+    points = []
+    for m in range(1, max_m + 1):
+        for (p0, p1), s in staircase_region(family.ideal(m).padded(3), m, t).corners:
+            points += [(Fraction(p0, m), Fraction(p1, m)),
+                       (Fraction(p0, m), (s - p0) / m),
+                       ((s - p1) / m, Fraction(p1, m))]
+    return convex_hull(points)
 
 
 def random_ideal(rng: random.Random, nvars: int, maxdeg: int = 5, ngens: int = 4):

@@ -396,6 +396,8 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", str(10**12), "--max-m", "2"],
+    # every sample's columns are charged together, before the shape
+    ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", "5/2", "--max-m", "5000"],
     ["family-eval", "--family", "doubling", "--m", "20000"],
     ["check-graded", "--family", "halfplane", "--q1", "1", "--q2", "2", "--max-m", "400"],
     ["check-graded", "--family", "ceiling", "--q", "5/3", "--max-m", "1000000000"],

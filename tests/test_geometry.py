@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -35,7 +36,7 @@ from limshape import (
     staircase_region,
     waldschmidt_from_shape,
 )
-from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _staircase_area
+from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _corner_count, _staircase_area
 
 from conftest import (
     area_by_inclusion_exclusion,
@@ -44,6 +45,7 @@ from conftest import (
     family_specs,
     fraction_polygon_make,
     fraction_signed_area,
+    padded_inner_hull,
 )
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
@@ -628,3 +630,86 @@ def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
     assert limiting_shape(family, Fraction(5), max_ms[0]) is delta
     assert gamma_limit(family, Fraction(5), max_ms[0]) is gamma_limit(family, 5, max_ms[0])
     assert len(family._shapes) == 1
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6), st.integers(-2, 20))
+def test_corner_count_matches_enumeration(gens, d):
+    xs, ys = MonomialIdeal(2, tuple(gens))._staircase
+    brute = sum(
+        1
+        for a in range(d + 1)
+        for b in range(d - a + 1)
+        if any(x <= a and y <= b for x, y in gens)
+    )
+    assert _corner_count(xs, ys, d) == brute
+
+
+def _drawn_members(nvars):
+    """The zero ideal, the unit ideal, or MonomialIdeal(nvars, gens) built
+    directly from drawn generators, redundant and repeated ones included."""
+    gens = st.lists(st.tuples(*[st.integers(0, 9)] * nvars), max_size=6)
+    return st.one_of(
+        st.just(MonomialIdeal.zero(nvars)),
+        st.just(MonomialIdeal.unit(nvars)),
+        gens.map(lambda g: MonomialIdeal(nvars, tuple(g))),
+    )
+
+
+@st.composite
+def plane_families(draw):
+    """Families in one or two variables with one drawn member per m, or a
+    built-in rule without its closed form; t often puts every corner of a
+    member beyond x + y = m*t, and t = 0 is drawn too."""
+    max_m = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        nvars = draw(st.integers(1, 2))
+        members = draw(st.lists(_drawn_members(nvars), min_size=max_m, max_size=max_m))
+        family = GradedFamily(nvars, lambda m: members[m - 1], "drawn")
+    else:
+        built = family_from_json(draw(family_specs()))
+        family = GradedFamily(built.nvars, built.ideal, "plain " + built.label)
+    t = draw(st.just(Fraction(0)) | st.fractions(0, 8, max_denominator=4))
+    return family, t, max_m
+
+
+@settings(max_examples=200)
+@given(plane_families())
+def test_ahf_samples_on_plane_members_are_padded_lattice_counts(case):
+    family, t, max_m = case
+    result = ahf(family, t, max_m)
+    assert [m for m, _, _ in result.samples] == list(range(1, max_m + 1))
+    for m, count, ratio in result.samples:
+        member = family.ideal(m).padded(3)
+        assert count == lattice_count(gamma_region(member, m, t)), (member, m, t)
+        assert ratio == Fraction(count, m * m)
+
+
+@settings(max_examples=200)
+@given(plane_families())
+def test_inner_hull_of_plane_families_matches_padded_oracle(case):
+    family, t, max_m = case
+    delta = limiting_shape(family, t, max_m)
+    assert not delta.exact
+    assert list(delta.polygon.vertices) == padded_inner_hull(family, t, max_m)
+    assert delta.area == abs(fraction_signed_area(delta.polygon.vertices))
+    assert gamma_limit(family, t, max_m).area == t * t / 2 - delta.area
+
+
+def test_ahf_charges_every_sample_before_any_shape():
+    # sum(floor(m*t) + 1) over m = 1..5000 at t = 5/2 is about 3.1 * 10^7 columns
+    plain = GradedFamily(2, make_halfplane_family(1, 2).ideal, "plain")
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError):
+        ahf(plain, Fraction(5, 2), max_m=5000)
+    assert time.perf_counter() - start < 1
+    assert not plain._shapes and not plain._cache  # no member built, no hull started
+    # at t = 0 each sample is one column
+    with pytest.raises(WorkBudgetError):
+        ahf(make_halfplane_family(1, 2), 0, max_m=MAX_LATTICE_COLUMNS + 1)
+    # without samples nothing is charged
+    exact = ahf(make_halfplane_family(1, 2), Fraction(5, 2), max_m=5000, diagnostics=False)
+    assert exact.exact and exact.samples == ()
+    # t is checked first
+    with pytest.raises(ValueError):
+        ahf(plain, -1, max_m=5000)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -17,7 +18,9 @@ from limshape import (
     two_line_vertices,
     validate_configuration,
 )
-from limshape.planar import MAX_REDUCTION_ENTRIES, ReductionVector, _simulate_reduction
+from limshape.planar import MAX_REDUCTION_ENTRIES, ReductionVector
+
+from conftest import simulate_reduction
 
 FOUR_LINES = (10, 8, 5, 3)
 FOUR_LINE_VERTICES = (
@@ -44,6 +47,28 @@ def test_validate_configuration():
         validate_configuration((3, 2, 1), shared_intersection=True)
     with pytest.raises(ValueError):
         validate_configuration(())
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: validate_configuration([2.7, 1]), "2.7"),
+    (lambda: validate_configuration([True]), "True"),
+    (lambda: validate_configuration(["3", 1]), "'3'"),
+    (lambda: validate_configuration([3, Fraction(2)]), "Fraction(2, 1)"),
+    (lambda: two_line_vertices(3.5, 3), "3.5"),
+    (lambda: dhf_vertices_closed_form((5, 2.0)), "2.0"),
+])
+def test_point_counts_are_refused_not_truncated(call, bad):
+    # a count goes through the exponent rule: no int() truncation of 2.7 to 2
+    with pytest.raises(ValueError, match=re.escape(f"point count must be an integer, got {bad}")):
+        call()
+
+
+def test_integer_like_point_counts_are_read_by_index():
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert validate_configuration([Three(), 1]).counts == (3, 1)
 
 
 def test_divisibility_modulus():
@@ -97,7 +122,7 @@ def test_greedy_merge_equals_step_simulation(rng):
         cfg = validate_configuration(counts)
         m = rng.randint(1, 6)
         fast = reduction_vector(cfg, m, approximate=True).entries[:-1]
-        stepped = tuple(_simulate_reduction(cfg, m))
+        stepped = tuple(simulate_reduction(cfg, m))
         assert fast == stepped
 
 
@@ -110,7 +135,7 @@ def test_shared_merge_equals_step_simulation():
             cfg = validate_configuration((a1, a2), shared_intersection=True)
             for m in range(1, 51):
                 fast = reduction_vector(cfg, m, approximate=True).entries
-                assert fast == (*_simulate_reduction(cfg, m), 0), (a1, a2, m)
+                assert fast == (*simulate_reduction(cfg, m), 0), (a1, a2, m)
 
 
 def test_entries_invariant_under_tie_breaking(rng):
@@ -120,8 +145,8 @@ def test_entries_invariant_under_tie_breaking(rng):
         shared = n == 2 and counts[0] * counts[1] > sum(counts)
         cfg = validate_configuration(counts, shared)
         m = rng.randint(1, 5)
-        base = _simulate_reduction(cfg, m)
-        chaotic = _simulate_reduction(cfg, m, pick=rng.choice)
+        base = simulate_reduction(cfg, m)
+        chaotic = simulate_reduction(cfg, m, pick=rng.choice)
         assert base == chaotic
 
 
