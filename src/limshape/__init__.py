@@ -41,7 +41,6 @@ from .geometry import (
     gamma_limit,
     gamma_region,
     lattice_count,
-    lift_slice,
     limiting_shape,
     region_volume,
     staircase_region,
@@ -50,7 +49,6 @@ from .geometry import (
 from .hilbert import (
     IntegerPolynomial,
     NotStabilizedError,
-    first_difference_hf,
     hilbert_function,
     hilbert_function_extended,
     hilbert_polynomial,
@@ -58,11 +56,7 @@ from .hilbert import (
 )
 from .ideals import (
     MonomialIdeal,
-    format_exponents,
     format_monomial,
-    minimal_generators,
-    monomial_divides,
-    parse_exponents,
 )
 from .planar import (
     LineConfiguration,

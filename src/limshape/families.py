@@ -202,28 +202,20 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     )
 
 
-def make_halfplane_family(q1, q2, degree_cap: int | None = None) -> GradedFamily:
+def make_halfplane_family(q1, q2) -> GradedFamily:
     """m -> ideal of all x^a*y^b with a*q2 + b*q1 >= m*q1*q2, 0 < q1 <= q2.
 
     The generating set is the boundary staircase of the half-plane, which is
-    finite and independent of any search cap; an explicit `degree_cap` is
-    accepted but rejected when it would truncate the staircase.
+    finite and independent of any search cap.
     """
     q1, q2 = parse_rational(q1), parse_rational(q2)
     if not 0 < q1 <= q2:
         raise ValueError(f"need 0 < q1 <= q2, got q1={q1}, q2={q2}")
     shape = ExactShape(halfplanes=((q2, q1, q1 * q2),),
                        vertices=((q1, Fraction(0)), (Fraction(0), q2)))
-    staircase = _staircase_rule(shape)
-
-    def rule(m: int) -> MonomialIdeal:
-        if degree_cap is not None and degree_cap < max(ceil(m * q1), ceil(m * q2)):
-            raise ValueError(f"degree_cap={degree_cap} truncates the staircase at m={m}")
-        return staircase(m)
-
     return GradedFamily(
         2,
-        rule,
+        _staircase_rule(shape),
         label=f"halfplane(q1={q1}, q2={q2})",
         claims_borel=True,
         exact_shape=shape,
@@ -530,9 +522,7 @@ def _build_doubling(params: dict) -> GradedFamily:
 
 
 def _build_halfplane(params: dict) -> GradedFamily:
-    cap = params.get("degree_cap")
-    cap = None if cap is None else _check_int(cap, "parameter 'degree_cap'")
-    return make_halfplane_family(params["q1"], params["q2"], cap)
+    return make_halfplane_family(params["q1"], params["q2"])
 
 
 def _build_ceiling(params: dict) -> GradedFamily:
@@ -551,7 +541,7 @@ def _build_oscillating(params: dict) -> GradedFamily:
 _BUILDERS = {
     "power": (_build_power, ("ideal",)),
     "doubling": (_build_doubling, ("extra_vars",)),
-    "halfplane": (_build_halfplane, ("q1", "q2", "degree_cap")),
+    "halfplane": (_build_halfplane, ("q1", "q2")),
     "ceiling": (_build_ceiling, ("q",)),
     "chain": (_build_chain, ("breakpoints",)),
     "oscillating": (_build_oscillating, ("a", "b", "d")),

@@ -42,7 +42,6 @@ __all__ = [
     "waldschmidt_from_shape",
     "areg_from_shape",
     "ahf",
-    "lift_slice",
 ]
 
 
@@ -69,12 +68,20 @@ class StaircaseRegion:
     sorted.  Only nonempty boxes are stored (slack >= sum(prefix)).  The
     corner set is an antichain under (prefix smaller, slack larger)
     domination because the ideal's generators are minimal: a dominating
-    corner would come from a generator dividing the other's.
+    corner would come from a generator dividing the other's.  A corner whose
+    box leaves the simplex (a prefix not of length dim, a negative prefix
+    entry, or a slack above the bound) is refused, so no count or volume of
+    the complement is negative.
     """
 
     dim: int
     bound: Fraction
     corners: tuple
+
+    def __post_init__(self):
+        for prefix, slack in self.corners:
+            if slack > self.bound or len(prefix) != self.dim or min(prefix, default=0) < 0:
+                raise ValueError(f"corner {(prefix, slack)} leaves the simplex of bound {self.bound}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +284,7 @@ def region_volume(region) -> Fraction:
 class ShapePolygon:
     """Simple polygon with exact rational vertices in boundary (CCW) order.
 
-    Limiting shapes are convex; their complements generally are not, so
-    convexity is a property to query, not an invariant.
+    Limiting shapes are convex; their complements generally are not.
     """
 
     vertices: tuple
@@ -327,22 +333,6 @@ class ShapePolygon:
 
     def area(self) -> Fraction:
         return abs(self.signed_area())
-
-    def is_convex(self) -> bool:
-        v = self.vertices
-        if len(v) < 4:
-            return True
-        sign = 0
-        for i in range(len(v)):
-            c = _cross(v[i - 1], v[i], v[(i + 1) % len(v)])
-            if c == 0:
-                continue
-            s = 1 if c > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
-        return True
 
     def to_json(self) -> list:
         from .rationals import format_rational
@@ -462,8 +452,6 @@ def _exact_pair(shape, t: Fraction) -> tuple:
 def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     """The inner approximation (see `limiting_shape`) and its complement,
     reported by area only: t^2/2 - area(delta)."""
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
     D = lcm(*range(1, max_m + 1)) * t.denominator
     tD = t.numerator * (D // t.denominator)
     points = []
@@ -494,6 +482,8 @@ def _shape_pair(family, t, max_m: int) -> tuple:
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
+    if max_m < 1:
+        raise ValueError("max_m must be >= 1")
     shape = getattr(family, "exact_shape", None)
     key = t if shape is not None else (t, max_m)
     if key not in family._shapes:
@@ -578,17 +568,3 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
             count = comb(d + 2, 2) - inside
             samples.append((m, count, Fraction(count, m * m)))
     return AhfResult(t, gamma.area, gamma.exact, tuple(samples))
-
-
-def lift_slice(points, t):
-    """Append the slack coordinate: a slice point x maps to (x, t - sum(x))."""
-    t = Fraction(t)
-    if isinstance(points, ShapePolygon):
-        points = points.vertices
-    out = []
-    for p in points:
-        p = tuple(Fraction(v) for v in (p if isinstance(p, (tuple, list)) else (p,)))
-        if len(p) > 2:
-            raise UnsupportedDimensionError("lift defined for slices in R^1 and R^2")
-        out.append(p + (t - sum(p),))
-    return tuple(out)

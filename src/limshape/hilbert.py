@@ -31,7 +31,6 @@ __all__ = [
     "NotStabilizedError",
     "hilbert_function",
     "hilbert_function_extended",
-    "first_difference_hf",
     "hilbert_polynomial",
     "regularity_index",
     "degree_cap",
@@ -92,15 +91,6 @@ def hilbert_function_extended(I: MonomialIdeal, t) -> int:
     if t < 0:
         raise ValueError("extended Hilbert function needs t >= 0")
     return hilbert_function(I, int(t.numerator // t.denominator))
-
-
-def first_difference_hf(I: MonomialIdeal, d: int) -> int:
-    """HF(d) - HF(d-1), with HF(-1) = 0."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if d == 0:
-        return hilbert_function(I, 0)
-    return hilbert_function(I, d) - hilbert_function(I, d - 1)
 
 
 @dataclass(frozen=True)

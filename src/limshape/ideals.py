@@ -7,14 +7,13 @@ i < j.  Ideals are stored as the antichain of minimal generators; the empty
 generator set denotes the zero ideal.
 
 Exponent vectors are checked (entries through `operator.index`, none
-negative) only where they enter: `from_gens`, `from_json`, `contains`,
-`minimal_exponents` and `minimal_generators`.  Products and family rules
-build theirs from checked integers and call the unchecked kernel `_minimal`.
+negative) only where they enter: `from_gens`, `from_json`, `contains` and
+`minimal_exponents`.  Products and family rules build theirs from checked
+integers and call the unchecked kernel `_minimal`.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,20 +21,11 @@ from operator import add, index
 from typing import Iterable
 
 __all__ = [
-    "ExponentVector",
     "MonomialIdeal",
-    "monomial_divides",
     "minimal_exponents",
-    "minimal_generators",
-    "parse_exponents",
-    "format_exponents",
     "format_monomial",
     "WorkBudgetError",
 ]
-
-ExponentVector = tuple  # tuple[int, ...]; kept loose for readable signatures
-
-_VAR_NAMES = ("x", "y", "z", "w")
 
 MAX_PRODUCT_PAIRS = 10**6
 
@@ -71,13 +61,6 @@ def _check_vector(vec) -> tuple:
         if e < 0:
             raise ValueError(f"negative exponent in {v}")
     return tuple(map(index, v))
-
-
-def monomial_divides(a, b) -> bool:
-    """True iff x^a divides x^b, i.e. a <= b componentwise."""
-    if len(a) != len(b):
-        raise ValueError(f"exponent length mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _degree_key(v) -> tuple:
@@ -216,16 +199,6 @@ class MonomialIdeal:
         sums = {tuple(map(add, a, b)) for a in self.gens for b in other.gens}
         return MonomialIdeal(self.nvars, _minimal(sums))
 
-    def power(self, k: int) -> "MonomialIdeal":
-        if k < 0:
-            raise ValueError("negative ideal power")
-        if k == 0:
-            return MonomialIdeal.unit(self.nvars)
-        out = self
-        for _ in range(k - 1):
-            out = out.product(self)
-        return out
-
     def is_borel_fixed(self) -> bool:
         """Strong stability: every exchange x_j -> x_i (i < j) of every monomial
         of the ideal stays in the ideal.
@@ -268,13 +241,6 @@ class MonomialIdeal:
             raise ValueError("zero ideal has no generators")
         return max(sum(g) for g in self.gens)
 
-    def borel_regularity(self) -> int:
-        """Regularity of a strongly stable ideal: the maximal generator degree.
-        Rejects non-Borel input, where this formula is not valid."""
-        if not self.is_borel_fixed():
-            raise ValueError("regularity-by-generator-degree needs a Borel-fixed ideal")
-        return self.max_generator_degree()
-
     def padded(self, nvars: int) -> "MonomialIdeal":
         """Extend to a larger polynomial ring (new variables get exponent 0)."""
         if nvars < self.nvars:
@@ -301,58 +267,6 @@ class MonomialIdeal:
         if self.is_zero:
             return "(0)"
         return "(" + ", ".join(format_monomial(g) for g in self.gens) + ")"
-
-
-def minimal_generators(gens: Iterable, nvars: int | None = None) -> MonomialIdeal:
-    """Minimalize a generator set into an ideal; `nvars` required when empty."""
-    gens = [tuple(g) for g in gens]
-    if nvars is None and not gens:
-        raise ValueError("empty generator set needs an explicit variable count")
-    return MonomialIdeal.from_gens(len(gens[0]) if nvars is None else nvars, gens)
-
-
-_TUPLE_RE = re.compile(r"^\(?\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*,?\s*\)?$")
-_FACTOR_RE = re.compile(r"^([A-Za-z])(\d*)(?:\^(\d+))?$")
-
-
-def parse_exponents(text: str, nvars: int | None = None) -> tuple:
-    """Parse "(2,0,1)" or "x0^2*x2" (also x/y/z/w names) into a vector."""
-    s = text.strip()
-    if s == "1":
-        if nvars is None:
-            raise ValueError("monomial '1' needs an explicit variable count")
-        return (0,) * nvars
-    m = _TUPLE_RE.match(s)
-    if m:
-        vec = tuple(int(p) for p in m.group(1).split(","))
-        if any(e < 0 for e in vec):
-            raise ValueError(f"negative exponent in {text!r}")
-        if nvars is not None and len(vec) != nvars:
-            raise ValueError(f"expected {nvars} exponents in {text!r}")
-        return vec
-    indices: dict[int, int] = {}
-    for factor in s.split("*"):
-        fm = _FACTOR_RE.match(factor.strip())
-        if not fm:
-            raise ValueError(f"cannot parse monomial factor {factor!r}")
-        name, idx, exp = fm.groups()
-        if idx:
-            if name != "x":
-                raise ValueError(f"indexed variables must use 'x' in {factor!r}")
-            i = int(idx)
-        else:
-            if name not in _VAR_NAMES:
-                raise ValueError(f"unknown variable {name!r}")
-            i = _VAR_NAMES.index(name)
-        indices[i] = indices.get(i, 0) + (int(exp) if exp else 1)
-    width = nvars if nvars is not None else max(indices) + 1
-    if max(indices) >= width:
-        raise ValueError(f"variable index out of range in {text!r}")
-    return tuple(indices.get(i, 0) for i in range(width))
-
-
-def format_exponents(vec) -> str:
-    return "(" + ",".join(str(e) for e in vec) + ")"
 
 
 def format_monomial(vec) -> str:

@@ -4,9 +4,10 @@ Each oracle recomputes a quantity by a method independent of the production
 code path: Hilbert functions by brute monomial enumeration, staircase areas
 by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
-divisibility by every generator, polygon vertices and areas in Fractions,
-reduction vectors by stepping the reduction, and inner approximations by
-hulling every point of every member padded to three variables.
+divisibility by every generator, polygon vertices, areas and convexity in
+Fractions, reduction vectors by stepping the reduction, and inner
+approximations by hulling every point of every member padded to three
+variables.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ def fraction_signed_area(vertices) -> Fraction:
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
         twice += x0 * y1 - x1 * y0
     return twice / 2
+
+
+def is_convex(vertices) -> bool:
+    """No two turns along the closed polygon bend opposite ways."""
+    v = tuple(vertices)
+    turns = set()
+    for (ax, ay), (bx, by), (cx, cy) in zip(v[-1:] + v[:-1], v, v[1:] + v[:1]):
+        c = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if c:
+            turns.add(c > 0)
+    return len(turns) < 2
 
 
 def clip_halfplane(vertices, a, b, c) -> tuple:

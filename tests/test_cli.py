@@ -179,6 +179,9 @@ MALFORMED_FLAGS = [
     ["family-eval", "--m", "1", "--family", "power", "--ideal", '"vars gens"'],
     ["family-eval", "--m", "1", "--family", "chain", "--breakpoints", "5"],
     ["family-eval", "--m", "1", "--family", "halfplane", "--q1", "1", "--q2", "2", "--a", "3"],
+    # max_m below 1, closed form or not
+    *([command, *flags, "--t", "3", "--max-m", "0"]
+      for command in ("shape", "ahf") for flags, _ in FAMILY_FLAGS_AND_SPECS),
 ]
 
 
@@ -258,7 +261,8 @@ def test_hf_and_render_evaluate_the_power_family(capsys):
     # with --family, --ideal is the power family's base ideal: hf and render
     # read I^m, as family-eval does; --ideal alone is still the ideal itself
     base = '{"vars":2,"gens":[[1,0],[0,1]]}'
-    cube = json.dumps(MonomialIdeal.from_json(json.loads(base)).power(3).to_json())
+    ideal = MonomialIdeal.from_json(json.loads(base))
+    cube = json.dumps(ideal.product(ideal).product(ideal).to_json())
     family = ("--family", "power", "--ideal", base, "--m", "3")
     _, out, _ = run_cli(capsys, "hf", *family, "--degree", "1")
     assert json.loads(out) == {"ideal": json.loads(cube), "degree": 1, "value": 2}

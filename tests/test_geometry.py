@@ -24,7 +24,6 @@ from limshape import (
     hilbert_function,
     hilbert_function_extended,
     lattice_count,
-    lift_slice,
     limiting_shape,
     make_ceiling_family,
     make_chain_family,
@@ -45,6 +44,7 @@ from conftest import (
     family_specs,
     fraction_polygon_make,
     fraction_signed_area,
+    is_convex,
     padded_inner_hull,
 )
 
@@ -90,6 +90,17 @@ def test_gamma_lattice_counts():
     assert gamma_lattice_count(DOUBLING_1.padded(3), 1, 1) == 3
     empty = StaircaseRegion(2, Fraction(-1), ())
     assert lattice_count(empty) == 0
+
+
+def test_staircase_region_refuses_a_box_outside_its_simplex():
+    for corner in [((0, 0), 5),  # would count 18 points against the simplex's 10
+                   ((1, 0), Fraction(7, 2)),
+                   ((-2, 1), 3),  # a negative prefix reaches outside the simplex
+                   ((0,), 2), ((0, 0, 1), 2)]:  # a prefix of the wrong length
+        with pytest.raises(ValueError, match="leaves the simplex"):
+            StaircaseRegion(2, Fraction(3), (corner,))
+    whole = ComplementRegion(StaircaseRegion(2, Fraction(3), (((0, 0), 3),)))
+    assert lattice_count(whole) == 0 and region_volume(whole) == 0
 
 
 @settings(max_examples=300)
@@ -205,7 +216,7 @@ def test_limiting_shape_halfplane():
     fam = make_halfplane_family(2, 3)
     delta = limiting_shape(fam, 10)
     assert delta.exact
-    assert delta.polygon.is_convex()
+    assert is_convex(delta.polygon.vertices)
     gamma = gamma_limit(fam, 10)
     assert set(gamma.polygon.vertices) == {
         (Fraction(0), Fraction(0)),
@@ -327,12 +338,6 @@ def test_ahf_convergence_trend_halfplane():
     assert tail < head
 
 
-def test_lift_slice():
-    assert lift_slice([(1, 0)], 3) == ((Fraction(1), Fraction(0), Fraction(2)),)
-    assert lift_slice([(0, 0)], 5) == ((Fraction(0), Fraction(0), Fraction(5)),)
-    assert lift_slice([(2,)], 5) == ((Fraction(2), Fraction(3)),)
-
-
 def test_convex_hull_and_polygon_ops():
     pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (2, 0)]
     hull = convex_hull(pts)
@@ -344,7 +349,7 @@ def test_convex_hull_and_polygon_ops():
     }
     square = ShapePolygon.make(hull)
     assert square.area() == 4
-    assert square.is_convex()
+    assert is_convex(square.vertices)
     clipped = ShapePolygon(clip_halfplane(square.vertices, 1, 1, 2))
     assert clipped.area() == 2
     merged = ShapePolygon.make([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
@@ -630,6 +635,21 @@ def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
     assert limiting_shape(family, Fraction(5), max_ms[0]) is delta
     assert gamma_limit(family, Fraction(5), max_ms[0]) is gamma_limit(family, 5, max_ms[0])
     assert len(family._shapes) == 1
+
+
+@pytest.mark.parametrize("build, max_ms", _MEMO_CASES)
+def test_max_m_below_1_is_refused_for_every_family(build, max_ms):
+    # closed forms and inner approximations alike, before the memo is read
+    family = build()
+    for max_m in (0, -5):
+        for call in (limiting_shape, gamma_limit, ahf):
+            with pytest.raises(ValueError, match="max_m must be >= 1"):
+                call(family, 5, max_m)
+        with pytest.raises(ValueError, match="max_m must be >= 1"):
+            ahf(family, 5, max_m, diagnostics=False)
+    limiting_shape(family, 5, max_ms[0])
+    with pytest.raises(ValueError, match="max_m must be >= 1"):
+        gamma_limit(family, 5, 0)
 
 
 @settings(max_examples=300)

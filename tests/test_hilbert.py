@@ -9,7 +9,6 @@ from limshape import (
     IntegerPolynomial,
     MonomialIdeal,
     NotStabilizedError,
-    first_difference_hf,
     hilbert_function,
     hilbert_function_extended,
     hilbert_polynomial,
@@ -91,22 +90,6 @@ def test_hilbert_function_extended():
         hilbert_function_extended(DOUBLING_1, Fraction(-1, 2))
 
 
-def test_first_difference():
-    zero3 = MonomialIdeal.zero(3)
-    for d in range(8):
-        assert first_difference_hf(zero3, d) == d + 1
-    assert first_difference_hf(DOUBLING_1, 3) == -1
-    assert first_difference_hf(DOUBLING_1, 0) == 1
-
-
-def test_first_difference_telescopes(rng):
-    for _ in range(10):
-        I = random_ideal(rng, rng.randint(2, 3))
-        for d in range(6):
-            total = sum(first_difference_hf(I, e) for e in range(d + 1))
-            assert total == hilbert_function(I, d)
-
-
 def test_hilbert_polynomial_examples():
     assert str(hilbert_polynomial(DOUBLING_1)) == "1"
     three_var = DOUBLING_1.padded(3)
@@ -142,12 +125,15 @@ def test_regularity_index_examples():
 
 def test_regularity_index_below_borel_regularity(rng):
     # strict inequality witnessed by the wide 4-variable ideal: 6 < 8
-    assert regularity_index(WIDE) < WIDE.borel_regularity()
+    # (a strongly stable ideal's regularity is its largest generator degree)
+    assert WIDE.is_borel_fixed()
+    assert regularity_index(WIDE) < WIDE.max_generator_degree()
     from conftest import borel_closure
 
     for _ in range(8):
         I = borel_closure(random_ideal(rng, rng.randint(2, 3), maxdeg=4, ngens=2))
-        assert regularity_index(I) <= I.borel_regularity()
+        assert I.is_borel_fixed()
+        assert regularity_index(I) <= I.max_generator_degree()
 
 
 def test_doubling_regularity_index_growth():

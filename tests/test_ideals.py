@@ -8,29 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limshape.planar
-from limshape import (
-    MonomialIdeal,
-    WorkBudgetError,
-    format_exponents,
-    format_monomial,
-    minimal_generators,
-    monomial_divides,
-    parse_exponents,
-)
+from limshape import MonomialIdeal, WorkBudgetError, format_monomial
 from limshape.ideals import MAX_PRODUCT_PAIRS, minimal_exponents
 
 from conftest import borel_by_full_scan, borel_closure, divisible_by_a_generator, random_ideal
-
-
-def test_monomial_divides_basics():
-    assert monomial_divides((1, 2), (1, 2))
-    assert not monomial_divides((2, 0), (1, 2))
-    assert monomial_divides((1, 0), (1, 2))
-
-
-def test_monomial_divides_length_mismatch():
-    with pytest.raises(ValueError):
-        monomial_divides((1, 2), (1, 2, 3))
 
 
 def test_ideal_contains():
@@ -47,7 +28,7 @@ def test_ideal_contains():
 )))
 def test_contains_matches_divisibility(case):
     gens, monos = case
-    I = minimal_generators(gens, nvars=len(monos[0]))
+    I = MonomialIdeal.from_gens(len(monos[0]), gens)
     for mono in monos:
         # divisibility by any of the raw, unminimalized generators
         assert I.contains(mono) == any(all(a <= b for a, b in zip(g, mono)) for g in gens)
@@ -60,11 +41,11 @@ def test_contains_dimension_mismatch():
 
 
 def test_minimal_generators():
-    I = minimal_generators([(2, 0), (3, 0), (1, 2)])
+    I = MonomialIdeal.from_gens(2, [(2, 0), (3, 0), (1, 2)])
     assert set(I.gens) == {(2, 0), (1, 2)}
-    assert minimal_generators([], nvars=2).is_zero
+    assert MonomialIdeal.from_gens(2, []).is_zero
     # duplicated middle generators collapse to the antichain
-    J = minimal_generators([(4, 0), (3, 2), (3, 2), (2, 4)])
+    J = MonomialIdeal.from_gens(2, [(4, 0), (3, 2), (3, 2), (2, 4)])
     assert set(J.gens) == {(4, 0), (3, 2), (2, 4)}
 
 
@@ -141,7 +122,7 @@ ideal_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.one_of(
 @given(ideal_pairs)
 def test_product_equals_checked_minimalization_of_sums(case):
     n, gens_a, gens_b = case
-    I, J = minimal_generators(gens_a, nvars=n), minimal_generators(gens_b, nvars=n)
+    I, J = MonomialIdeal.from_gens(n, gens_a), MonomialIdeal.from_gens(n, gens_b)
     sums = [tuple(x + y for x, y in zip(a, b)) for a in I.gens for b in J.gens]
     assert I.product(J).gens == minimal_exponents(sums)
 
@@ -264,14 +245,13 @@ def test_alpha():
 
 
 def test_borel_regularity():
-    assert MonomialIdeal.from_gens(2, [(2, 0), (1, 2)]).borel_regularity() == 3
-    wide = MonomialIdeal.from_gens(
-        4, [(5, 0, 0, 0), (4, 1, 0, 0), (3, 3, 0, 0), (2, 5, 0, 0), (1, 7, 0, 0)]
-    )
-    assert wide.borel_regularity() == 8
-    assert MonomialIdeal.from_gens(2, [(1, 0)]).borel_regularity() == 1
-    with pytest.raises(ValueError):
-        MonomialIdeal.from_gens(2, [(0, 1)]).borel_regularity()
+    # a strongly stable ideal's regularity is its largest generator degree
+    for gens, reg in [([(2, 0), (1, 2)], 3), ([(1, 0)], 1),
+                      ([(5, 0, 0, 0), (4, 1, 0, 0), (3, 3, 0, 0), (2, 5, 0, 0), (1, 7, 0, 0)], 8)]:
+        I = MonomialIdeal.from_gens(len(gens[0]), gens)
+        assert I.is_borel_fixed()
+        assert I.max_generator_degree() == reg
+    assert not MonomialIdeal.from_gens(2, [(0, 1)]).is_borel_fixed()
 
 
 def test_padding():
@@ -283,16 +263,10 @@ def test_padding():
         J.padded(2)
 
 
-def test_parse_and_format():
-    assert parse_exponents("(2,0,1)") == (2, 0, 1)
-    assert parse_exponents("x0^2*x2") == (2, 0, 1)
-    assert parse_exponents("x^2*z") == (2, 0, 1)
-    assert parse_exponents("1", nvars=2) == (0, 0)
-    assert format_exponents((2, 0, 1)) == "(2,0,1)"
+def test_format_monomial():
     assert format_monomial((2, 0, 1)) == "x0^2*x2"
     assert format_monomial((0, 0)) == "1"
-    with pytest.raises(ValueError):
-        parse_exponents("x0^-1")
+    assert str(MonomialIdeal.from_gens(3, [(2, 0, 1), (0, 1, 0)])) == "(x1, x0^2*x2)"
 
 
 def test_json_round_trip():

@@ -20,7 +20,7 @@ from limshape import (
 )
 from limshape.planar import MAX_REDUCTION_ENTRIES, ReductionVector
 
-from conftest import simulate_reduction
+from conftest import is_convex, simulate_reduction
 
 FOUR_LINES = (10, 8, 5, 3)
 FOUR_LINE_VERTICES = (
@@ -268,7 +268,7 @@ def test_gamma_vertices_four_lines():
         (Fraction(0), Fraction(10)),
     )
     assert poly.signed_area() > 0  # counterclockwise boundary
-    assert not poly.is_convex()  # complements bulge towards the origin
+    assert not is_convex(poly.vertices)  # complements bulge towards the origin
 
 
 def test_gamma_vertices_two_lines():
