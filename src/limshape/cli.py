@@ -23,6 +23,7 @@ from . import geometry, planar
 from .families import (
     FamilyRuleError,
     GradedFamily,
+    _check_max_m,
     areg_estimate,
     family_from_json,
     verify_graded,
@@ -188,6 +189,7 @@ def _cmd_shape(args) -> dict:
 
 def _cmd_waldschmidt(args) -> dict:
     family = _family_from_args(args)
+    _check_max_m(args.max_m)  # refused for closed forms too, which never read it
     if family.exact_shape is not None:
         value = family.exact_shape.vertices[0][0]  # the chain starts on the x-axis
         return {"label": family.label, "method": "shape", "value": format_rational(value)}
@@ -203,6 +205,7 @@ def _cmd_waldschmidt(args) -> dict:
 
 def _cmd_areg(args) -> dict:
     family = _family_from_args(args)
+    _check_max_m(args.max_m)  # refused for closed forms too, which never read it
     if family.exact_shape is not None:
         value = max(x + y for x, y in family.exact_shape.vertices)
         return {"label": family.label, "method": "shape", "value": format_rational(value)}

@@ -382,6 +382,15 @@ class GradednessReport:
         return not self.violations
 
 
+def _check_max_m(max_m, least: int = 1) -> int:
+    """`max_m` through `_check_int`, refused below `least` for every family,
+    closed form or not."""
+    max_m = _check_int(max_m, "max_m")
+    if max_m < least:
+        raise ValueError(f"max_m must be >= {least}")
+    return max_m
+
+
 def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     """Check I_p * I_q <= I_{p+q} for every p <= q with p + q <= max_m;
     refused with WorkBudgetError before the pair (p, q) that would take the
@@ -393,8 +402,7 @@ def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     (degree, vector) is the witness.  It is the product's first missing
     generator, since a missing sum's minimal divisor among the sums is
     itself a missing sum of no larger degree."""
-    if max_m < 2:
-        raise ValueError("max_m must be at least 2")
+    max_m = _check_max_m(max_m, 2)
     violations = []
     checked = 0
     work = 0
@@ -478,8 +486,7 @@ def _estimate_from_values(values, tolerance, period) -> LimitEstimate:
 def waldschmidt_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
     """Sequence alpha(I_m)/m.  Subadditivity makes the limit equal the inf
     over all m, so `inf_value` over a prefix is an exact upper bound."""
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
+    max_m = _check_max_m(max_m)
     values = []
     for m in range(1, max_m + 1):
         ideal = family.ideal(m)
@@ -493,6 +500,7 @@ def areg_estimate(
     family: GradedFamily, max_m: int, tolerance=DEFAULT_TOLERANCE
 ) -> LimitEstimate:
     """Sequence reg(I_m)/m for Borel-fixed families (max generator degree)."""
+    max_m = _check_max_m(max_m)
     if not family.claims_borel:
         raise ValueError("asymptotic regularity estimate needs a Borel-fixed family")
     values = [
@@ -506,6 +514,7 @@ def ri_estimate(
     family: GradedFamily, max_m: int, tolerance=DEFAULT_TOLERANCE
 ) -> LimitEstimate:
     """Sequence ri(I_m)/m via the Hilbert-polynomial regularity index."""
+    max_m = _check_max_m(max_m)
     values = [
         (m, Fraction(regularity_index(family.ideal(m)), m))
         for m in range(1, max_m + 1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, lcm
 
+from .families import _check_max_m
 from .ideals import MonomialIdeal, WorkBudgetError
 
 __all__ = [
@@ -352,25 +353,28 @@ def _scaled(points) -> tuple:
             for x, y in points], L
 
 
+def _half_chain(seq) -> list:
+    """One half of Andrew's monotone chain, ends included: over points of
+    strictly increasing x the lower hull, with no repeated or collinear
+    vertex."""
+    out: list = []
+    for p in seq:
+        x, y = p
+        while len(out) >= 2:  # pop unless out[-2], out[-1], p turn left
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                break
+            out.pop()
+        out.append(p)
+    return out
+
+
 def _monotone_chain(pts: list) -> list:
     """Andrew's monotone chain over sorted distinct points: the CCW hull with
     no repeated or collinear vertex (the points themselves if at most two)."""
     if len(pts) <= 2:
         return pts
-
-    def half(seq) -> list:
-        out: list = []
-        for p in seq:
-            x, y = p
-            while len(out) >= 2:  # pop unless out[-2], out[-1], p turn left
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
-                    break
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return half(pts) + half(reversed(pts))
+    return _half_chain(pts)[:-1] + _half_chain(reversed(pts))[:-1]
 
 
 def convex_hull(points) -> list:
@@ -482,8 +486,7 @@ def _shape_pair(family, t, max_m: int) -> tuple:
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    if max_m < 1:
-        raise ValueError("max_m must be >= 1")
+    max_m = _check_max_m(max_m)
     shape = getattr(family, "exact_shape", None)
     key = t if shape is not None else (t, max_m)
     if key not in family._shapes:
@@ -553,7 +556,8 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    M = max(max_m, 0) if diagnostics else 0
+    max_m = _check_max_m(max_m)
+    M = max_m if diagnostics else 0
     columns = floor(t * M * (M + 1) / 2) + M
     if columns > MAX_LATTICE_COLUMNS:
         raise WorkBudgetError(f"ahf samples up to m={max_m} at t={t} walk up to "

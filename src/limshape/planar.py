@@ -16,6 +16,9 @@ The graph extractor takes the lattice path (k, k + u_{k+1}) of the recorded
 entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
 divisible by every line count the hull breakpoints coincide exactly with the
 closed-form vertex chain, which is the oracle the test-suite enforces.
+
+Hulls, the closed form and `PLGraph`'s collinearity and areas run on
+integers; a Fraction is built once per output vertex or area.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import lcm
-from operator import add, gt, sub
+from operator import add, lt, mul
 
-from .geometry import ShapePolygon
+from .geometry import ShapePolygon, _cross, _half_chain, _scaled
 from .ideals import WorkBudgetError, _check_int
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 MAX_REDUCTION_ENTRIES = 10**6
+MAX_LINES = 1000  # the closed form's scale lcm(counts) grows with every line
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,9 @@ class LineConfiguration:
 
     @classmethod
     def make(cls, counts, shared_intersection: bool = False) -> "LineConfiguration":
+        counts = tuple(counts)
+        if len(counts) > MAX_LINES:
+            raise WorkBudgetError(f"{len(counts)} lines, over {MAX_LINES}")
         cs = tuple(_check_int(a, "point count") for a in counts)
         if not cs:
             raise ValueError("configuration needs at least one line")
@@ -111,6 +118,7 @@ class ReductionVector:
 def reduction_vector(
     config: LineConfiguration, m: int, approximate: bool = False
 ) -> ReductionVector:
+    m = _check_int(m, "multiplicity m")
     if m < 1:
         raise ValueError("multiplicity m must be >= 1")
     base = lcm(*config.counts)
@@ -132,7 +140,7 @@ def reduction_vector(
         # the shared point weighs m - k on the k-th pick, the same on both lines
         entries = map(add, entries, chain(range(m, 0, -1), repeat(0)))
     exact = m % divisibility_modulus(config) == 0
-    return ReductionVector(tuple(entries) + (0,), m, exact)
+    return ReductionVector((*entries, 0), m, exact)
 
 
 @dataclass(frozen=True)
@@ -149,14 +157,20 @@ class PLGraph:
 
     @classmethod
     def make(cls, points) -> "PLGraph":
+        """Chain through the points as Fractions, without repeats of the
+        previous point or middle points of collinear runs, both decided on
+        the points scaled to integers by `_scaled`."""
+        pts = [(x if type(x) is Fraction else Fraction(x),
+                y if type(y) is Fraction else Fraction(y)) for x, y in points]
         out: list = []
-        for x, y in points:
-            p = (x if type(x) is Fraction else Fraction(x),
-                 y if type(y) is Fraction else Fraction(y))
-            if out and p == out[-1]:
+        kept: list = []  # the scaled points of `out`
+        for p, q in zip(pts, _scaled(pts)[0]):
+            if kept and q == kept[-1]:
                 continue
-            while len(out) >= 2 and _collinear(out[-2], out[-1], p):
+            while len(kept) >= 2 and _cross(kept[-2], kept[-1], q) == 0:
+                kept.pop()
                 out.pop()
+            kept.append(q)
             out.append(p)
         return cls(tuple(out))
 
@@ -195,16 +209,22 @@ class PLGraph:
         return PLGraph(tuple(kept))
 
     def area(self, upto=None) -> Fraction:
-        """Exact trapezoid area between the chain and the x-axis."""
+        """Exact trapezoid area between the chain and the x-axis, summed on
+        the vertices scaled to integers by L and divided by 2 * L^2 once."""
         # a truncation of an x-monotone graph is x-monotone, so only self is checked
         v = self.vertices if upto is None else self.truncated(upto).vertices
         if not self.is_function:
             raise ValueError("area needs an x-monotone graph")
-        return Fraction(sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])), 2)
+        ints, L = _scaled(v)
+        twice = sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(ints, ints[1:]))
+        return Fraction(twice, 2 * L * L)
 
 
-def _collinear(a, b, c) -> bool:
-    return (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+# The first hull of `dhf_envelope` takes every SAMPLE_STRIDE-th point.  A
+# constant, not a parameter: on the planar-sweep pools of seeds 5 and 31
+# (CPython 3.11), strides 12-16 measured fastest of 4-48, and strides of
+# 0.5-2 times sqrt(len(entries)) were slower.
+SAMPLE_STRIDE = 16
 
 
 def dhf_envelope(u: ReductionVector) -> PLGraph:
@@ -214,52 +234,57 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     of the pick count is convex, so the lower hull keeps exactly the phase
     breakpoints, scaled by the multiplicity.  A slope-one diagonal from the
     origin closes the graph on the left.
+
+    The hull is taken on (k, e_k), a shear of the path with the same hull
+    indices: first of every SAMPLE_STRIDE-th point and the last, then of that
+    hull's vertices and the points strictly below its edges.  That is exact,
+    since a strict hull vertex lies strictly below every chord over it.
     """
-    entries = list(u.entries)
-    while entries and entries[-1] == 0:
-        entries.pop()
-    m = u.multiplicity
-    if not entries:
+    entries, m = u.entries, u.multiplicity
+    last = len(entries)  # the path ends at (last, 0), after the last nonzero entry
+    while last and entries[last - 1] == 0:
+        last -= 1
+    if not last:
         return PLGraph.make([(0, 0)])
-    entries.append(0)
-    # the slope from k-1 to k is 1 - gap_k with gap_k = e_(k-1) - e_k, so an
-    # interior point whose gap does not exceed the next one lies on or above
-    # the chord of its neighbours and cannot be a strict hull vertex
-    gaps = list(map(sub, entries, entries[1:]))
-    ks = compress(range(len(entries)), chain((True,), map(gt, gaps, gaps[1:]), (True,)))
-    hull: list = []  # (k, x) with x convex in k
-    for k in ks:
-        x = k + entries[k]
-        while len(hull) >= 2:
-            (k1, x1), (k2, x2) = hull[-2], hull[-1]
-            # drop the middle point when it lies on or above the new chord
-            if (x2 - x1) * (k - k1) >= (x - x1) * (k2 - k1):
-                hull.pop()
-            else:
-                break
-        hull.append((k, x))
+    if last == len(entries):
+        entries = (*entries, 0)
+    sampled = zip(range(0, last, SAMPLE_STRIDE), entries[:last:SAMPLE_STRIDE])
+    sample = _half_chain(chain(sampled, ((last, 0),)))
+    kept = sample[:1]
+    for (k1, e1), (k2, e2) in zip(sample, sample[1:]):
+        dk, de = k2 - k1, e2 - e1
+        # (k, e_k) is strictly below the edge iff e_k*dk < c + de*k
+        c = e1 * dk - de * k1
+        rhs = range(c + de * (k1 + 1), c + de * k2, de) if de else repeat(c)
+        below = map(lt, map(mul, entries[k1 + 1:k2], repeat(dk)), rhs)
+        kept.extend([(k, entries[k]) for k in compress(range(k1 + 1, k2), below)])
+        kept.append((k2, e2))
+    hull = _half_chain(kept)
     verts = [(Fraction(0), Fraction(0))]
-    verts.extend((Fraction(x, m), Fraction(k, m)) for k, x in reversed(hull))
+    verts.extend((Fraction(k + e, m), Fraction(k, m)) for k, e in reversed(hull))
     return PLGraph.make(verts)
 
 
 def dhf_vertices_closed_form(counts) -> PLGraph:
     """Vertex chain of the limiting first-difference graph for disjoint lines.
 
-    With a_{n+1} = 0 and S_i the total scaled pick count needed to level the
-    first i lines down to weight a_{i+1}, the chain is
+    With a_{n+1} = 0, H_i = 1/a_1 + ... + 1/a_i and S_i the total scaled pick
+    count needed to level the first i lines down to weight a_{i+1}, so that
+    S_i = S_{i-1} + (a_i - a_{i+1}) H_i, the chain is
     (0,0), (n,n), then (a_{i+1} + S_i, S_i) for i = n-1 .. 1, then (a_1, 0).
+    H_i and S_i are carried as integers times D = lcm(a_1..a_n).
     """
     config = LineConfiguration.make(counts)
-    a = list(config.counts) + [0]
+    a = config.counts + (0,)
     n = len(config.counts)
-    S = [Fraction(0)] * (n + 1)
-    harmonic = Fraction(0)
+    D = lcm(*config.counts)
+    SD = [0] * (n + 1)
+    HD = 0
     for i in range(1, n + 1):
-        harmonic += Fraction(1, a[i - 1])
-        S[i] = S[i - 1] + (a[i - 1] - a[i]) * harmonic
+        HD += D // a[i - 1]
+        SD[i] = SD[i - 1] + (a[i - 1] - a[i]) * HD
     verts = [(Fraction(0), Fraction(0))]
-    verts.extend((a[i] + S[i], S[i]) for i in range(n, -1, -1))
+    verts.extend((Fraction(a[i] * D + SD[i], D), Fraction(SD[i], D)) for i in range(n, -1, -1))
     return PLGraph.make(verts)
 
 

@@ -4,10 +4,10 @@ Each oracle recomputes a quantity by a method independent of the production
 code path: Hilbert functions by brute monomial enumeration, staircase areas
 by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
-divisibility by every generator, polygon vertices, areas and convexity in
-Fractions, reduction vectors by stepping the reduction, and inner
-approximations by hulling every point of every member padded to three
-variables.
+divisibility by every generator, polygon and graph vertices, areas and
+convexity in Fractions, the closed-form graph from harmonic Fractions,
+reduction vectors by stepping the reduction, and inner approximations by
+hulling every point of every member padded to three variables.
 """
 
 from __future__ import annotations
@@ -176,6 +176,43 @@ def simulate_reduction(config, m: int, pick=None) -> list:
         if p > 0:
             p -= 1
     return entries
+
+
+def fraction_graph_make(points) -> tuple:
+    """The vertices `PLGraph.make` keeps, computed in Fractions: a repeat of
+    the previous point dropped, and the middle of three collinear points
+    removed as each point arrives."""
+    out = []
+    for x, y in points:
+        p = (Fraction(x), Fraction(y))
+        if out and p == out[-1]:
+            continue
+        while len(out) >= 2:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (p[1] - ay) != (by - ay) * (p[0] - ax):
+                break
+            out.pop()
+        out.append(p)
+    return tuple(out)
+
+
+def fraction_graph_area(vertices) -> Fraction:
+    """Trapezoids between consecutive vertices and the x-axis, in Fractions."""
+    return sum(((y0 + y1) * (x1 - x0) / 2 for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])),
+               Fraction(0))
+
+
+def harmonic_closed_form(counts) -> tuple:
+    """The disjoint-lines vertex chain from harmonic Fractions: with
+    H_i = 1/a_1 + ... + 1/a_i and S_i = S_(i-1) + (a_i - a_(i+1)) H_i, the
+    points (0,0), then (a_(i+1) + S_i, S_i) for i = n .. 0, through
+    `fraction_graph_make`."""
+    a = list(counts) + [0]
+    S, harmonic = [Fraction(0)], Fraction(0)
+    for i in range(1, len(counts) + 1):
+        harmonic += Fraction(1, a[i - 1])
+        S.append(S[-1] + (a[i - 1] - a[i]) * harmonic)
+    return fraction_graph_make([(0, 0)] + [(a[i] + S[i], S[i]) for i in range(len(counts), -1, -1)])
 
 
 def padded_inner_hull(family, t, max_m: int) -> list:

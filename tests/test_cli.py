@@ -182,6 +182,8 @@ MALFORMED_FLAGS = [
     # max_m below 1, closed form or not
     *([command, *flags, "--t", "3", "--max-m", "0"]
       for command in ("shape", "ahf") for flags, _ in FAMILY_FLAGS_AND_SPECS),
+    *([command, *flags, "--max-m", "0"]
+      for command in ("waldschmidt", "areg") for flags, _ in FAMILY_FLAGS_AND_SPECS),
 ]
 
 
@@ -408,6 +410,10 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
     # a staircase member is charged its columns before its loop
     ["family-eval", "--family", "chain", "--breakpoints", "1000000,0;0,1000000", "--m", "1000"],
     ["family-eval", "--family", "halfplane", "--q1", "1000000", "--q2", "1000000", "--m", "1000"],
+    # the number of lines is charged before any count is read
+    ["planar-vertices", "--counts", ",".join(map(str, range(2000, 0, -1)))],
+    ["planar-vertices", "--counts", ",".join(map(str, range(20000, 0, -1)))],
+    ["planar-reduce", "--counts", ",".join(map(str, range(2000, 0, -1))), "--m", "1", "--approximate"],
 ])
 def test_work_over_budget_exits_2(capsys, argv):
     start = time.perf_counter()

@@ -1,5 +1,7 @@
+import re
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -15,6 +17,7 @@ from limshape import (
     WorkBudgetError,
     ComplementRegion,
     ahf,
+    areg_estimate,
     areg_from_shape,
     convex_hull,
     family_from_json,
@@ -32,7 +35,10 @@ from limshape import (
     make_oscillating_family,
     make_power_family,
     region_volume,
+    ri_estimate,
     staircase_region,
+    verify_graded,
+    waldschmidt_estimate,
     waldschmidt_from_shape,
 )
 from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _corner_count, _staircase_area
@@ -641,15 +647,31 @@ def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
 def test_max_m_below_1_is_refused_for_every_family(build, max_ms):
     # closed forms and inner approximations alike, before the memo is read
     family = build()
+    shape_calls = (limiting_shape, gamma_limit, ahf, partial(ahf, diagnostics=False))
+    estimators = (waldschmidt_estimate, areg_estimate, ri_estimate)
     for max_m in (0, -5):
-        for call in (limiting_shape, gamma_limit, ahf):
+        for call in shape_calls:
             with pytest.raises(ValueError, match="max_m must be >= 1"):
                 call(family, 5, max_m)
-        with pytest.raises(ValueError, match="max_m must be >= 1"):
-            ahf(family, 5, max_m, diagnostics=False)
+        for call in estimators:
+            with pytest.raises(ValueError, match="max_m must be >= 1"):
+                call(family, max_m)
+    with pytest.raises(ValueError, match="max_m must be >= 2"):
+        verify_graded(family, 1)
+    # a non-integer is refused, not truncated or read as 1, on every path
+    for max_m in (2.5, True, 6.0, "3"):
+        expected = re.escape(f"max_m must be an integer, got {max_m!r}")
+        for call in shape_calls:
+            with pytest.raises(ValueError, match=expected):
+                call(family, 5, max_m)
+        for call in (*estimators, verify_graded):
+            with pytest.raises(ValueError, match=expected):
+                call(family, max_m)
     limiting_shape(family, 5, max_ms[0])
     with pytest.raises(ValueError, match="max_m must be >= 1"):
         gamma_limit(family, 5, 0)
+    with pytest.raises(ValueError, match="max_m must be an integer"):
+        limiting_shape(family, 5, float(max_ms[0]))
 
 
 @settings(max_examples=300)

@@ -18,9 +18,15 @@ from limshape import (
     two_line_vertices,
     validate_configuration,
 )
-from limshape.planar import MAX_REDUCTION_ENTRIES, ReductionVector
+from limshape.planar import MAX_LINES, MAX_REDUCTION_ENTRIES, ReductionVector
 
-from conftest import is_convex, simulate_reduction
+from conftest import (
+    fraction_graph_area,
+    fraction_graph_make,
+    harmonic_closed_form,
+    is_convex,
+    simulate_reduction,
+)
 
 FOUR_LINES = (10, 8, 5, 3)
 FOUR_LINE_VERTICES = (
@@ -61,6 +67,14 @@ def test_point_counts_are_refused_not_truncated(call, bad):
     # a count goes through the exponent rule: no int() truncation of 2.7 to 2
     with pytest.raises(ValueError, match=re.escape(f"point count must be an integer, got {bad}")):
         call()
+
+
+@pytest.mark.parametrize("m, bad", [(True, "True"), (6.0, "6.0"), (2.5, "2.5"), ("6", "'6'")])
+def test_multiplicity_is_refused_not_truncated(m, bad):
+    # True is not read as 1, nor 6.0 as 6, even where approximate allows any m
+    config = validate_configuration((3, 2))
+    with pytest.raises(ValueError, match=re.escape(f"multiplicity m must be an integer, got {bad}")):
+        reduction_vector(config, m, approximate=True)
 
 
 def test_integer_like_point_counts_are_read_by_index():
@@ -358,7 +372,7 @@ def test_envelope_equals_closed_form_property(config, k):
 
 
 def _unfiltered_envelope(u: ReductionVector) -> tuple:
-    """Reference: the integer monotone chain over every entry, no gap filter."""
+    """Reference: the integer monotone chain over every entry, no sampling."""
     entries = list(u.entries)
     while entries and entries[-1] == 0:
         entries.pop()
@@ -384,18 +398,20 @@ def _unfiltered_envelope(u: ReductionVector) -> tuple:
 @st.composite
 def entry_tuples(draw):
     """Entry tuples as drawn, non-increasing, tied, or in collinear runs,
-    with up to three extra trailing zeros."""
+    with up to three extra trailing zeros.  Up to 200 entries, so the hull
+    of the sample (every SAMPLE_STRIDE-th index) has many edges to prune."""
     shape = draw(st.sampled_from(["drawn", "non-increasing", "tied", "collinear"]))
     if shape == "collinear":
-        runs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)), max_size=4))
-        top = draw(st.integers(0, 60))
+        runs = draw(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 12)), max_size=6))
+        top = draw(st.integers(0, 400))
         entries = []
         for length, step in runs:
             entries.extend(max(top - step * i, 0) for i in range(length))
             top = entries[-1]
     else:
-        values = st.sampled_from([0, 3, 6, 9]) if shape == "tied" else st.integers(0, 40)
-        entries = draw(st.lists(values, max_size=30))
+        values = st.sampled_from([0, 3, 6, 9]) if shape == "tied" else st.integers(0, 400)
+        size = draw(st.integers(0, 200))  # drawn first: list draws favour short lists
+        entries = draw(st.lists(values, min_size=size, max_size=size))
         if shape != "drawn":
             entries.sort(reverse=True)
     return tuple(entries) + (0,) * draw(st.integers(0, 3))
@@ -406,3 +422,60 @@ def entry_tuples(draw):
 def test_envelope_equals_unfiltered_hull(entries, m):
     vec = ReductionVector(entries, m, False)
     assert dhf_envelope(vec).vertices == _unfiltered_envelope(vec)
+
+
+@st.composite
+def graph_points(draw, monotone=False):
+    """Points with Fraction coordinates (denominators up to 6), some given as
+    ints, in runs: repeats of the previous point, collinear runs along one
+    step, and vertical steps.  With `monotone`, x never decreases."""
+    coord = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    x, y = draw(coord), draw(coord)
+    points = [(x, y)]
+    moves = st.tuples(st.sampled_from(["repeat", "run", "vertical"]), coord, coord, st.integers(1, 4))
+    for kind, dx, dy, length in draw(st.lists(moves, max_size=8)):
+        dx = 0 if kind != "run" else abs(dx) if monotone else dx
+        dy = 0 if kind == "repeat" else dy
+        for _ in range(length):
+            x, y = x + dx, y + dy
+            points.append((x, y))
+    if draw(st.booleans()):
+        points = [tuple(int(c) if c.denominator == 1 else c for c in p) for p in points]
+    return points
+
+
+@settings(max_examples=300)
+@given(graph_points())
+def test_graph_make_equals_fraction_oracle(points):
+    vertices = PLGraph.make(points).vertices
+    assert vertices == fraction_graph_make(points)
+    assert all(type(c) is Fraction for p in vertices for c in p)
+
+
+@settings(max_examples=300)
+@given(graph_points(monotone=True), st.fractions(-14, 60, max_denominator=6))
+def test_graph_area_equals_fraction_oracle(points, t):
+    graph = PLGraph.make(points)
+    assert graph.is_function
+    assert graph.area() == fraction_graph_area(graph.vertices)
+    if t >= graph.vertices[0][0]:
+        assert graph.area(t) == fraction_graph_area(graph.truncated(t).vertices)
+
+
+@settings(max_examples=300)
+@given(st.sets(st.integers(1, 40), min_size=1, max_size=6))
+def test_closed_form_equals_harmonic_fractions(counts):
+    counts = sorted(counts, reverse=True)
+    graph = dhf_vertices_closed_form(counts)
+    assert graph.vertices == harmonic_closed_form(counts)
+    if graph.is_function:
+        assert graph.area() == fraction_graph_area(graph.vertices) == Fraction(sum(counts), 2)
+
+
+def test_lines_over_budget_are_refused_before_any_count_is_read():
+    # counts that are not even integers: the line count is refused first
+    with pytest.raises(WorkBudgetError, match=f"over {MAX_LINES}"):
+        validate_configuration(["x"] * (MAX_LINES + 1))
+    with pytest.raises(WorkBudgetError):
+        dhf_vertices_closed_form(range(2 * MAX_LINES, 0, -1))
+    assert len(validate_configuration(range(MAX_LINES, 0, -1)).counts) == MAX_LINES
