@@ -8,7 +8,10 @@ Hilbert data are exact; setting LIMSHAPE_MAX_DEGREE makes the Hilbert
 polynomial and regularity index relative to that degree cap.
 
 main(argv) may be called repeatedly in one process: the parser is built once
-and no state is kept between calls.
+and no state is kept between calls.  Each call parses once: when argv[0] names
+a subcommand, that subcommand's own parser reads the rest; anything else (no
+command, an unknown one, top-level -h) goes through the full parser, the one
+source of top-level usage, help and errors.
 """
 
 from __future__ import annotations
@@ -366,12 +369,19 @@ def _build_parser() -> _Parser:
 
     for sub in subs.choices.values():  # the last flag of every subcommand
         sub.add_argument("--output")
+    parser.commands = subs.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:  # what the full parser would do, without its own pass
+            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         # looked up per call, not stored on the cached parser, so patches apply
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
         _emit(args, handler(args))

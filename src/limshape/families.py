@@ -21,7 +21,14 @@ from math import ceil, lcm
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MonomialIdeal, WorkBudgetError, _check_int, _degree_key, _minimal
+from .ideals import (
+    MAX_PRODUCT_PAIRS,
+    MonomialIdeal,
+    WorkBudgetError,
+    _check_int,
+    _degree_key,
+    _minimal,
+)
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -154,15 +161,28 @@ class GradedFamily:
 
 
 def make_power_family(I: MonomialIdeal) -> GradedFamily:
-    """Ordinary powers m -> I^m of a fixed proper nonzero ideal."""
+    """Ordinary powers m -> I^m of a fixed proper nonzero ideal.
+
+    The chain of products I^(k-1)*I shares one budget: a product that would
+    take the family's total of generator pairs over MAX_PRODUCT_PAIRS is
+    refused with WorkBudgetError before it is formed."""
     if not I.is_proper:
         raise ValueError("power family needs a proper nonzero ideal")
     powers = {1: I}
+    charged = 0
 
     def rule(m: int) -> MonomialIdeal:
+        nonlocal charged
         top = max(k for k in powers if k <= m)
         out = powers[top]
         for k in range(top + 1, m + 1):
+            pairs = len(out.gens) * len(I.gens)
+            if charged + pairs > MAX_PRODUCT_PAIRS:
+                raise WorkBudgetError(
+                    f"power I^{k} would take the chain's products to {charged + pairs} "
+                    f"generator pairs, over {MAX_PRODUCT_PAIRS}"
+                )
+            charged += pairs
             out = out.product(I)
             powers[k] = out
         return out

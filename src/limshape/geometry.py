@@ -23,6 +23,7 @@ from math import comb, floor, lcm
 
 from .families import _check_max_m
 from .ideals import MonomialIdeal, WorkBudgetError
+from .rationals import format_rational
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -336,8 +337,6 @@ class ShapePolygon:
         return abs(self.signed_area())
 
     def to_json(self) -> list:
-        from .rationals import format_rational
-
         return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
 
 

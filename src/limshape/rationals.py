@@ -26,5 +26,8 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    # str of an int or a Fraction is already "num" or "num/den"; a bool or
+    # anything else is read as a Fraction first
+    if type(q) is not int and not isinstance(q, Fraction):
+        q = Fraction(q)
+    return str(q)

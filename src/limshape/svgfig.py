@@ -1,15 +1,16 @@
 """Deterministic SVG 1.1 rendering of staircases, graphs and polygons.
 
-Coordinates are exact rationals until emission, where they are expanded to
-at most twelve decimal digits with a fixed rounding rule, so identical input
-always produces byte-identical output.  Shaded regions use a diagonal hatch
-pattern.
+Coordinates are exact rationals until emission.  There every coordinate is
+written as an integer numerator over one common denominator of the scene (the
+lcm of the denominators of its points and extents) and expanded to at most
+twelve decimal digits with a fixed rounding rule, so identical input always
+produces byte-identical output.  Shaded regions use a diagonal hatch pattern.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import lcm
 
 from .geometry import ShapePolygon, StaircaseRegion
 from .ideals import MonomialIdeal
@@ -25,13 +26,28 @@ def _dec(q) -> str:
     """Decimal expansion of a rational, 12 fractional digits, zeros trimmed."""
     if not isinstance(q, (int, Fraction)):
         q = Fraction(q)
-    n, d = q.numerator, q.denominator
+    return _dec_nd(q.numerator, q.denominator)
+
+
+def _dec_nd(n: int, d: int) -> str:
+    """`_dec` of n/d, for d > 0 and n/d not necessarily in lowest terms."""
+    if n % d == 0:
+        return str(n // d)
     sign = "-" if n < 0 else ""
-    # round |q| * 10^12 half away from zero, deterministically
+    # round |n/d| * 10^12 half away from zero, deterministically
     units = (2 * abs(n) * 10**_DIGITS + d) // (2 * d)
     whole, frac = divmod(units, 10**_DIGITS)
     text = f"{whole}.{frac:0{_DIGITS}d}".rstrip("0").rstrip(".")
     return sign + (text or "0")
+
+
+def _rat(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _over(v, den: int) -> int:
+    """Numerator of v over den, a multiple of v's denominator."""
+    return v.numerator * (den // v.denominator)
 
 
 class SvgScene:
@@ -41,42 +57,48 @@ class SvgScene:
         self.scale = scale
         self.margin = margin
         self._items: list = []  # ("polyline"|"polygon"|"point"|"label", data)
-        self._xmax = Fraction(1)
-        self._ymax = Fraction(1)
+        self._xmax = 1
+        self._ymax = 1
+        self._den = 1  # lcm of the denominators of every stored coordinate
 
     def _track(self, points) -> None:
         for x, y in points:
-            self._xmax = max(self._xmax, Fraction(x))
-            self._ymax = max(self._ymax, Fraction(y))
+            self._xmax = max(self._xmax, x)
+            self._ymax = max(self._ymax, y)
+            self._den = lcm(self._den, x.denominator, y.denominator)
 
     def add_polyline(self, points, dashed: bool = False, width: str = "1.5") -> None:
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
+        pts = [(_rat(x), _rat(y)) for x, y in points]
         self._track(pts)
         self._items.append(("polyline", pts, dashed, width))
 
     def add_polygon(self, points, hatched: bool = True) -> None:
-        pts = [(Fraction(x), Fraction(y)) for x, y in points]
+        pts = [(_rat(x), _rat(y)) for x, y in points]
         if len(pts) < 3:
             return
         self._track(pts)
         self._items.append(("polygon", pts, hatched))
 
     def add_point(self, point, label: str | None = None) -> None:
-        p = (Fraction(point[0]), Fraction(point[1]))
+        p = (_rat(point[0]), _rat(point[1]))
         self._track([p])
         self._items.append(("point", p, label))
 
-    def _map(self, p) -> tuple:
-        x = self.margin + self.scale * Fraction(p[0])
-        y = self.margin + self.scale * (self._ymax - Fraction(p[1]))
-        return x, y
+    def _map(self, p, frame) -> tuple:
+        """p's SVG coordinates (y down) as integer numerators over den."""
+        den, x0, y0 = frame
+        return x0 + self.scale * _over(p[0], den), y0 - self.scale * _over(p[1], den)
 
-    def _fmt_points(self, pts) -> str:
-        return " ".join(f"{_dec(x)},{_dec(y)}" for x, y in (self._map(p) for p in pts))
+    def _fmt_points(self, pts, frame) -> str:
+        return " ".join(",".join(_dec_nd(v, frame[0]) for v in self._map(p, frame)) for p in pts)
 
     def to_svg(self) -> str:
-        width = _dec(2 * self.margin + self.scale * self._xmax)
-        height = _dec(2 * self.margin + self.scale * self._ymax)
+        # over the scene's common denominator den, x = X/den maps to the
+        # numerator margin*den + scale*X and y = Y/den to margin*den + scale*(Y_max - Y)
+        den, s, m = self._den, self.scale, self.margin
+        frame = (den, m * den, m * den + s * _over(self._ymax, den))
+        width = _dec_nd(2 * m * den + s * _over(self._xmax, den), den)
+        height = _dec_nd(frame[2] + m * den, den)
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -87,75 +109,70 @@ class SvgScene:
             "</pattern>",
             "</defs>",
         ]
-        parts.extend(self._axes())
+        parts.extend(self._axes(frame))
         for item in self._items:
             if item[0] == "polyline":
                 _, pts, dashed, width_ = item
                 dash = ' stroke-dasharray="6,4"' if dashed else ""
                 parts.append(
-                    f'<polyline points="{self._fmt_points(pts)}" fill="none" '
+                    f'<polyline points="{self._fmt_points(pts, frame)}" fill="none" '
                     f'stroke="black" stroke-width="{width_}"{dash}/>'
                 )
             elif item[0] == "polygon":
                 _, pts, hatched = item
                 fill = "url(#hatch)" if hatched else "none"
                 parts.append(
-                    f'<polygon points="{self._fmt_points(pts)}" fill="{fill}" '
+                    f'<polygon points="{self._fmt_points(pts, frame)}" fill="{fill}" '
                     'stroke="black" stroke-width="1"/>'
                 )
             elif item[0] == "point":
                 _, p, label = item
-                x, y = self._map(p)
+                x, y = self._map(p, frame)
                 parts.append(
-                    f'<circle cx="{_dec(x)}" cy="{_dec(y)}" r="3" fill="black"/>'
+                    f'<circle cx="{_dec_nd(x, den)}" cy="{_dec_nd(y, den)}" r="3" fill="black"/>'
                 )
                 if label:
                     parts.append(
-                        f'<text x="{_dec(x + 5)}" y="{_dec(y - 5)}" '
+                        f'<text x="{_dec_nd(x + 5 * den, den)}" y="{_dec_nd(y - 5 * den, den)}" '
                         f'font-size="11">{label}</text>'
                     )
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 
-    def _axes(self) -> list:
+    def _axes(self, frame) -> list:
+        den, x0, y0 = frame
+        xm, ym = _over(self._xmax, den), _over(self._ymax, den)
+
+        def dec(n: int) -> str:
+            return _dec_nd(n, den)
+
         out = []
-        origin = self._map((0, 0))
-        xend = self._map((self._xmax, 0))
-        yend = self._map((0, self._ymax))
-        out.append(
-            f'<line x1="{_dec(origin[0])}" y1="{_dec(origin[1])}" '
-            f'x2="{_dec(xend[0])}" y2="{_dec(xend[1])}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<line x1="{_dec(origin[0])}" y1="{_dec(origin[1])}" '
-            f'x2="{_dec(yend[0])}" y2="{_dec(yend[1])}" stroke="black" stroke-width="1"/>'
-        )
-        step = max(1, ceil(max(self._xmax, self._ymax) / 10))
-        k = step
-        while k <= self._xmax:
-            x, y = self._map((k, 0))
+        for x, y in ((x0 + self.scale * xm, y0), (x0, y0 - self.scale * ym)):
             out.append(
-                f'<line x1="{_dec(x)}" y1="{_dec(y - 3)}" x2="{_dec(x)}" '
-                f'y2="{_dec(y + 3)}" stroke="black" stroke-width="1"/>'
+                f'<line x1="{dec(x0)}" y1="{dec(y0)}" '
+                f'x2="{dec(x)}" y2="{dec(y)}" stroke="black" stroke-width="1"/>'
             )
-            out.append(f'<text x="{_dec(x - 3)}" y="{_dec(y + 16)}" font-size="11">{k}</text>')
-            k += step
-        k = step
-        while k <= self._ymax:
-            x, y = self._map((0, k))
+        step = max(1, -(-max(xm, ym) // (10 * den)))  # ceil(max extent / 10)
+        for k in range(step, xm // den + 1, step):
+            x = x0 + self.scale * k * den
             out.append(
-                f'<line x1="{_dec(x - 3)}" y1="{_dec(y)}" x2="{_dec(x + 3)}" '
-                f'y2="{_dec(y)}" stroke="black" stroke-width="1"/>'
+                f'<line x1="{dec(x)}" y1="{dec(y0 - 3 * den)}" x2="{dec(x)}" '
+                f'y2="{dec(y0 + 3 * den)}" stroke="black" stroke-width="1"/>'
             )
-            out.append(f'<text x="{_dec(x - 20)}" y="{_dec(y + 4)}" font-size="11">{k}</text>')
-            k += step
+            out.append(f'<text x="{dec(x - 3 * den)}" y="{dec(y0 + 16 * den)}" font-size="11">{k}</text>')
+        for k in range(step, ym // den + 1, step):
+            y = y0 - self.scale * k * den
+            out.append(
+                f'<line x1="{dec(x0 - 3 * den)}" y1="{dec(y)}" x2="{dec(x0 + 3 * den)}" '
+                f'y2="{dec(y)}" stroke="black" stroke-width="1"/>'
+            )
+            out.append(f'<text x="{dec(x0 - 20 * den)}" y="{dec(y + 4 * den)}" font-size="11">{k}</text>')
         return out
 
 
 def _corner_triangle(prefix, slack) -> list:
-    p0, p1 = Fraction(prefix[0]), Fraction(prefix[1])
-    s = Fraction(slack)
-    return [(p0, p1), (p0, s - p0), (s - p1, p1)]
+    p0, p1 = prefix
+    return [(p0, p1), (p0, slack - p0), (slack - p1, p1)]
 
 
 def render_staircase(I: MonomialIdeal, m: int, t) -> str:
@@ -167,8 +184,7 @@ def render_staircase(I: MonomialIdeal, m: int, t) -> str:
     if region.dim != 2:
         raise ValueError("staircase rendering needs a two-dimensional region")
     scene = SvgScene()
-    bound = Fraction(region.bound)
-    scene.add_polyline([(0, bound), (bound, 0)], dashed=True)
+    scene.add_polyline([(0, region.bound), (region.bound, 0)], dashed=True)
     for prefix, slack in region.corners:
         scene.add_polygon(_corner_triangle(prefix, slack), hatched=True)
     return scene.to_svg()

@@ -6,8 +6,9 @@ by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
 divisibility by every generator, polygon and graph vertices, areas and
 convexity in Fractions, the closed-form graph from harmonic Fractions,
-reduction vectors by stepping the reduction, and inner approximations by
-hulling every point of every member padded to three variables.
+reduction vectors by stepping the reduction, inner approximations by
+hulling every point of every member padded to three variables, and SVG
+scenes by mapping every point in Fractions.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from math import ceil
+
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from limshape import MonomialIdeal, convex_hull, format_rational, staircase_region
+from limshape.svgfig import SvgScene, _dec
 
 # every property test draws the same examples on every run
 settings.register_profile("limshape", derandomize=True, deadline=None)
@@ -227,6 +231,101 @@ def padded_inner_hull(family, t, max_m: int) -> list:
                        (Fraction(p0, m), (s - p0) / m),
                        ((s - p1) / m, Fraction(p1, m))]
     return convex_hull(points)
+
+
+class FractionSvgScene(SvgScene):
+    """`SvgScene` emitting each coordinate from its Fraction image
+    margin + scale*x, margin + scale*(y_max - y), one point at a time."""
+
+    def __init__(self, scale: int = 48, margin: int = 40):
+        super().__init__(scale, margin)
+        self._xmax = Fraction(1)
+        self._ymax = Fraction(1)
+
+    def _track(self, points) -> None:
+        for x, y in points:
+            self._xmax = max(self._xmax, Fraction(x))
+            self._ymax = max(self._ymax, Fraction(y))
+
+    def _map(self, p) -> tuple:
+        x = self.margin + self.scale * Fraction(p[0])
+        y = self.margin + self.scale * (self._ymax - Fraction(p[1]))
+        return x, y
+
+    def _fmt_points(self, pts) -> str:
+        return " ".join(f"{_dec(x)},{_dec(y)}" for x, y in (self._map(p) for p in pts))
+
+    def to_svg(self) -> str:
+        width = _dec(2 * self.margin + self.scale * self._xmax)
+        height = _dec(2 * self.margin + self.scale * self._ymax)
+        parts = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">',
+            "<defs>",
+            '<pattern id="hatch" patternUnits="userSpaceOnUse" width="7" height="7">',
+            '<path d="M0,7 L7,0" stroke="black" stroke-width="0.6"/>',
+            "</pattern>",
+            "</defs>",
+        ]
+        parts.extend(self._axes())
+        for item in self._items:
+            if item[0] == "polyline":
+                _, pts, dashed, width_ = item
+                dash = ' stroke-dasharray="6,4"' if dashed else ""
+                parts.append(
+                    f'<polyline points="{self._fmt_points(pts)}" fill="none" '
+                    f'stroke="black" stroke-width="{width_}"{dash}/>'
+                )
+            elif item[0] == "polygon":
+                _, pts, hatched = item
+                fill = "url(#hatch)" if hatched else "none"
+                parts.append(
+                    f'<polygon points="{self._fmt_points(pts)}" fill="{fill}" '
+                    'stroke="black" stroke-width="1"/>'
+                )
+            elif item[0] == "point":
+                _, p, label = item
+                x, y = self._map(p)
+                parts.append(f'<circle cx="{_dec(x)}" cy="{_dec(y)}" r="3" fill="black"/>')
+                if label:
+                    parts.append(
+                        f'<text x="{_dec(x + 5)}" y="{_dec(y - 5)}" '
+                        f'font-size="11">{label}</text>'
+                    )
+        parts.append("</svg>")
+        return "\n".join(parts) + "\n"
+
+    def _axes(self) -> list:
+        out = []
+        origin = self._map((0, 0))
+        xend = self._map((self._xmax, 0))
+        yend = self._map((0, self._ymax))
+        for end in (xend, yend):
+            out.append(
+                f'<line x1="{_dec(origin[0])}" y1="{_dec(origin[1])}" '
+                f'x2="{_dec(end[0])}" y2="{_dec(end[1])}" stroke="black" stroke-width="1"/>'
+            )
+        step = max(1, ceil(max(self._xmax, self._ymax) / 10))
+        k = step
+        while k <= self._xmax:
+            x, y = self._map((k, 0))
+            out.append(
+                f'<line x1="{_dec(x)}" y1="{_dec(y - 3)}" x2="{_dec(x)}" '
+                f'y2="{_dec(y + 3)}" stroke="black" stroke-width="1"/>'
+            )
+            out.append(f'<text x="{_dec(x - 3)}" y="{_dec(y + 16)}" font-size="11">{k}</text>')
+            k += step
+        k = step
+        while k <= self._ymax:
+            x, y = self._map((0, k))
+            out.append(
+                f'<line x1="{_dec(x - 3)}" y1="{_dec(y)}" x2="{_dec(x + 3)}" '
+                f'y2="{_dec(y)}" stroke="black" stroke-width="1"/>'
+            )
+            out.append(f'<text x="{_dec(x - 20)}" y="{_dec(y + 4)}" font-size="11">{k}</text>')
+            k += step
+        return out
 
 
 def random_ideal(rng: random.Random, nvars: int, maxdeg: int = 5, ngens: int = 4):

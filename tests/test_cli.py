@@ -23,7 +23,9 @@ from limshape import (
     waldschmidt_from_shape,
 )
 from limshape.cli import main
-from limshape.svgfig import _dec
+from limshape.svgfig import SvgScene, _dec
+
+from conftest import FractionSvgScene
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # stdout (or the --output file) of every README CLI example, captured before
@@ -394,6 +396,58 @@ def test_parser_built_once_and_every_subcommand_has_a_handler(capsys):
     assert handlers == {name for name in vars(limshape.cli) if name.startswith("_cmd_")}
 
 
+# refused before any handler runs, or help: argparse's own errors and exits
+DISPATCH_REFUSED = [
+    [],
+    ["nonsense"],
+    ["shape", "--family", "halfplane", "--q1", "1", "--q2", "2"],
+    ["planar-vertices", "--counts", "5", "trailing"],
+    ["hf", "--ideal", '{"vars":2,"gens":[[1,0]]}', "--degree", "x"],
+    ["render", "--kind", "bogus"],
+    ["shape", "-h"],
+    ["-h"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(shlex.split(g["example"])[1:], id=f"readme-{i}") for i, g in enumerate(README_GOLDEN)),
+    *(pytest.param(a, id=f"leak-{i}") for i, a in enumerate(LEAK_SEQUENCE)),
+    *(pytest.param(a, id=f"refused-{i}") for i, a in enumerate(DISPATCH_REFUSED)),
+])
+def test_dispatch_equals_the_full_parser(monkeypatch, tmp_path, capsys, argv):
+    # main parses a known subcommand with that subcommand's parser alone; with
+    # an empty subcommand map every argv goes through _build_parser().parse_args
+    argv = list(argv)
+    target = None
+    if "--output" in argv:
+        i = argv.index("--output") + 1
+        target = argv[i] = str(tmp_path / argv[i])
+    parser = limshape.cli._build_parser()
+    full_parses = []
+    parse_args = limshape.cli._Parser.parse_args
+
+    def counted(self, *a, **kw):
+        full_parses.extend([self] if self is parser else [])
+        return parse_args(self, *a, **kw)
+
+    def call():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        written = Path(target).read_text(encoding="utf-8") if target else None
+        return code, out, err, written
+
+    monkeypatch.setattr(limshape.cli._Parser, "parse_args", counted)
+    known = bool(argv) and argv[0] in parser.commands
+    dispatched = call()
+    assert len(full_parses) == (not known)
+    monkeypatch.setattr(parser, "commands", {})
+    assert call() == dispatched
+    assert len(full_parses) == 1 + (not known)
+
+
 def test_planar_reduce_over_work_budget_exits_2(capsys):
     code, out, err = run_cli(capsys, "planar-reduce", "--counts", "3,2", "--m", "600000000000")
     assert code == 2 and out == ""
@@ -421,6 +475,21 @@ def test_work_over_budget_exits_2(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("computation error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family-eval", "--family", "power", "--ideal", '{"vars":2,"gens":[[1,0],[0,1]]}', "--m", "10000"],
+    ["hf", "--family", "power", "--ideal", '{"vars":3,"gens":[[2,0,0],[1,1,1],[0,2,0],[0,0,3]]}',
+     "--hp", "--degree", "3", "--m", "200"],
+])
+def test_power_chain_over_budget_exits_2(capsys, argv):
+    # the products below the budget run before the refusal: 1.3 s and 1.9 s
+    # measured on a 2-CPU Linux container
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err.startswith("computation error: ") and "generator pairs" in err
 
 
 def _dec_by_fraction(q) -> str:
@@ -452,3 +521,27 @@ def test_svg_decimals_match_the_fraction_formula(q):
 ])
 def test_svg_decimals_pinned(q, text):
     assert _dec(q) == _dec_by_fraction(q) == text
+
+
+_svg_coords = st.integers(-2, 60) | st.fractions(-2, 60, max_denominator=10**6)
+_svg_points = st.tuples(_svg_coords, _svg_coords)
+_svg_items = st.one_of(
+    st.tuples(st.just("polyline"), st.lists(_svg_points, min_size=1, max_size=6), st.booleans()),
+    st.tuples(st.just("polygon"), st.lists(_svg_points, max_size=6), st.booleans()),
+    st.tuples(st.just("point"), _svg_points, st.none() | st.text("(),/-0123456789", max_size=9)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_svg_items, max_size=6), st.sampled_from([(48, 40), (7, 3), (1, 0)]))
+def test_svg_scene_equals_fraction_oracle(items, frame):
+    scenes = SvgScene(*frame), FractionSvgScene(*frame)
+    for scene in scenes:
+        for kind, data, flag in items:
+            if kind == "polyline":
+                scene.add_polyline(data, dashed=flag)
+            elif kind == "polygon":
+                scene.add_polygon(data, hatched=flag)
+            else:
+                scene.add_point(data, label=flag)
+    assert scenes[0].to_svg() == scenes[1].to_svg()

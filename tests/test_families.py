@@ -62,6 +62,24 @@ def test_power_family():
         make_power_family(MonomialIdeal.unit(2))
 
 
+def test_power_chain_shares_one_budget(monkeypatch):
+    # forming I^k from I^(k-1) charges |G_(k-1)| * |G_1| = 2k pairs for (x, y),
+    # so the members up to I^m take m(m + 1) - 2 pairs in all: 88 at m = 9
+    monkeypatch.setattr(limshape.families, "MAX_PRODUCT_PAIRS", 100)
+    maximal = MonomialIdeal.from_gens(2, [(1, 0), (0, 1)])
+    fam = make_power_family(maximal)
+    assert len(fam.ideal(9).gens) == 10
+    with pytest.raises(WorkBudgetError, match="108 generator pairs"):
+        fam.ideal(10)
+    assert len(fam.ideal(9).gens) == 10  # a refusal keeps the members made
+    split = make_power_family(maximal)  # a fresh family starts from zero
+    split.ideal(5)
+    with pytest.raises(WorkBudgetError):
+        split.ideal(10)
+    monkeypatch.setattr(limshape.families, "MAX_PRODUCT_PAIRS", 108)
+    assert len(make_power_family(maximal).ideal(10).gens) == 11
+
+
 def test_doubling_family():
     fam = make_doubling_family()
     assert set(fam.ideal(1).gens) == {(2, 0), (1, 2)}
