@@ -21,14 +21,7 @@ from math import ceil, lcm
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import (
-    MAX_PRODUCT_PAIRS,
-    MonomialIdeal,
-    WorkBudgetError,
-    _check_int,
-    _degree_key,
-    _minimal,
-)
+from .ideals import MAX_PRODUCT_PAIRS, MonomialIdeal, WorkBudgetError, _check_int, _degree_key, _minimal
 from .rationals import format_rational, parse_rational
 
 __all__ = [

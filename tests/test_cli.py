@@ -427,7 +427,8 @@ def test_dispatch_equals_the_full_parser(monkeypatch, tmp_path, capsys, argv):
     parse_args = limshape.cli._Parser.parse_args
 
     def counted(self, *a, **kw):
-        full_parses.extend([self] if self is parser else [])
+        if self is parser:
+            full_parses.append(self)
         return parse_args(self, *a, **kw)
 
     def call():
