@@ -320,7 +320,8 @@ def _build_parser() -> _Parser:
     family.add_argument("--b", type=int)
     family.add_argument("--d", type=int)
 
-    parser = _Parser(prog="limshape", description=__doc__)
+    parser = _Parser(prog="limshape", description="Exact invariants of graded families of "
+                     "monomial ideals and planar reduction vectors, as JSON on stdout.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("family-eval", help="evaluate a family at one index", parents=[family])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, floor, lcm
 
 from .families import _check_max_m
@@ -282,54 +283,74 @@ def region_volume(region) -> Fraction:
     raise TypeError(f"not a region: {region!r}")
 
 
+class _Imaged:
+    """Base of `ShapePolygon` and `planar.PLGraph`: exact rational vertices
+    carrying one integer image, the vertices times a scale L.  A builder
+    that already holds a scale passes the image to `_from_image`; otherwise
+    `_scaled` takes it when first read.  `cls._reduce` picks the vertices."""
+
+    @classmethod
+    def make(cls, points):
+        """Through the points as Fractions (Fractions are kept as given),
+        reduced by `_reduce` on the points scaled to integers."""
+        pts = [(x if type(x) is Fraction else Fraction(x),
+                y if type(y) is Fraction else Fraction(y)) for x, y in points]
+        return cls._from_image(*_scaled(pts), pts)
+
+    @classmethod
+    def _from_image(cls, ints, L, pts=None):
+        """Through the integer points over the scale L, reduced on them.  Each
+        kept vertex is its point of `pts` where given, else one Fraction per
+        coordinate; the kept integer points and L are cached as the image."""
+        keep = cls._reduce(ints)
+        image = [ints[i] for i in keep]
+        obj = cls(tuple(pts[i] for i in keep) if pts is not None
+                  else tuple((Fraction(x, L), Fraction(y, L)) for x, y in image))
+        obj.__dict__["_image"] = image, L
+        return obj
+
+    @cached_property
+    def _image(self) -> tuple:
+        return _scaled(self.vertices)
+
+
 @dataclass(frozen=True)
-class ShapePolygon:
+class ShapePolygon(_Imaged):
     """Simple polygon with exact rational vertices in boundary (CCW) order.
 
     Limiting shapes are convex; their complements generally are not.
+    Collinearity and the area are decided on the integer image.
     """
 
     vertices: tuple
 
-    @classmethod
-    def make(cls, points) -> "ShapePolygon":
-        """Polygon through the points in order, with Fraction coordinates
-        (Fractions are kept as given), dropping cyclic repeats and vertices
-        collinear with their two neighbours.  Collinearity is decided on the
-        integer points scaled by the lcm of the denominators; the kept
-        vertices are the Fractions themselves."""
-        out = []
-        for x, y in points:
-            p = (x if type(x) is Fraction else Fraction(x),
-                 y if type(y) is Fraction else Fraction(y))
-            if not out or p != out[-1]:
-                out.append(p)
-        if len(out) > 1 and out[0] == out[-1]:
-            out.pop()
-        ints = _scaled(out)[0]
-        # merge cyclically collinear runs
+    @staticmethod
+    def _reduce(ints) -> list:
+        """Indices of the integer points kept: cyclic repeats dropped, then,
+        again and again, the first vertex collinear with its two cyclic
+        neighbours."""
+        keep = [i for i, q in enumerate(ints) if not i or q != ints[i - 1]]
+        if len(keep) > 1 and ints[keep[0]] == ints[keep[-1]]:
+            keep.pop()
         changed = True
-        while changed and len(out) > 2:
+        while changed and len(keep) > 2:
             changed = False
-            for i in range(len(out)):
-                if _cross(ints[i - 1], ints[i], ints[(i + 1) % len(ints)]) == 0:
-                    out.pop(i)
-                    ints.pop(i)
+            for i in range(len(keep)):
+                if _cross(ints[keep[i - 1]], ints[keep[i]], ints[keep[(i + 1) % len(keep)]]) == 0:
+                    keep.pop(i)
                     changed = True
                     break
-        return cls(tuple(out))
+        return keep
 
     @property
     def is_empty(self) -> bool:
         return len(self.vertices) == 0
 
     def signed_area(self) -> Fraction:
-        """Shoelace sum on the vertices scaled to integers by the lcm L of
-        their denominators, divided by 2 * L^2 once."""
-        v = self.vertices
-        if len(v) < 3:
+        """Shoelace sum on the image, divided by 2 * L^2 once."""
+        ints, L = self._image
+        if len(ints) < 3:
             return Fraction(0)
-        ints, L = _scaled(v)
         twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ints, ints[1:] + ints[:1]))
         return Fraction(twice, 2 * L * L)
 
@@ -471,10 +492,9 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
         for (p0, p1), sD in _boxes(I.gens, tD, k):
             x, y = p0 * k, p1 * k
             points += ((x, y), (x, sD - x), (sD - y, y))
-    hull = _monotone_chain(sorted(set(points)))
-    twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
-    poly = ShapePolygon(tuple((Fraction(x, D), Fraction(y, D)) for x, y in hull))
-    area = Fraction(abs(twice), 2 * D * D)
+    # a strictly convex hull: the reduction keeps every vertex
+    poly = ShapePolygon._from_image(_monotone_chain(sorted(set(points))), D)
+    area = poly.area()
     return (ShapeResult("delta", t, False, poly, area, None),
             ShapeResult("gamma", t, False, None, t * t / 2 - area, None))
 

@@ -17,8 +17,10 @@ entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
 divisible by every line count the hull breakpoints coincide exactly with the
 closed-form vertex chain, which is the oracle the test-suite enforces.
 
-Hulls, the closed form and `PLGraph`'s collinearity and areas run on
-integers; a Fraction is built once per output vertex or area.
+Hulls and the closed form run on integers, and each graph carries that
+integer image with its scale.  Cuts at t, the gamma map and every area run on
+the image (a cut on its scale times den(t) and the cut segment's dx), so a
+Fraction is built only once per output coordinate or area.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import chain, compress, repeat
 from math import lcm
 from operator import add, lt, mul
 
-from .geometry import ShapePolygon, _cross, _half_chain, _scaled
+from .geometry import ShapePolygon, _cross, _half_chain, _Imaged
 from .ideals import WorkBudgetError, _check_int
 
 __all__ = [
@@ -144,78 +146,84 @@ def reduction_vector(
 
 
 @dataclass(frozen=True)
-class PLGraph:
+class PLGraph(_Imaged):
     """Piecewise-linear chain through exact rational vertices.
 
     Valid first-difference graphs start at (0,0), climb with slope one to the
     diagonal corner, then descend to the x-axis; `is_function` reports
     whether x is non-decreasing (configurations with too few points per line
     produce folded chains, which are still comparable vertex-for-vertex).
+    Cuts, values and areas run on the integer image.
     """
 
     vertices: tuple
 
-    @classmethod
-    def make(cls, points) -> "PLGraph":
-        """Chain through the points as Fractions, without repeats of the
-        previous point or middle points of collinear runs, both decided on
-        the points scaled to integers by `_scaled`."""
-        pts = [(x if type(x) is Fraction else Fraction(x),
-                y if type(y) is Fraction else Fraction(y)) for x, y in points]
-        out: list = []
-        kept: list = []  # the scaled points of `out`
-        for p, q in zip(pts, _scaled(pts)[0]):
-            if kept and q == kept[-1]:
+    @staticmethod
+    def _reduce(ints) -> list:
+        """Indices of the integer points kept: no repeat of the previous
+        point, and no middle point of a collinear run."""
+        keep: list = []
+        for i, q in enumerate(ints):
+            if keep and q == ints[keep[-1]]:
                 continue
-            while len(kept) >= 2 and _cross(kept[-2], kept[-1], q) == 0:
-                kept.pop()
-                out.pop()
-            kept.append(q)
-            out.append(p)
-        return cls(tuple(out))
+            while len(keep) >= 2 and _cross(ints[keep[-2]], ints[keep[-1]], q) == 0:
+                keep.pop()
+            keep.append(i)
+        return keep
 
     @cached_property
     def is_function(self) -> bool:
-        v = self.vertices
-        return all(p[0] <= q[0] for p, q in zip(v, v[1:]))
+        P = self._image[0]
+        return all(p[0] <= q[0] for p, q in zip(P, P[1:]))
 
-    def value_at(self, x) -> Fraction:
-        x = Fraction(x)
-        v = self.vertices
+    def _at(self, t: Fraction) -> tuple:
+        """Where the chain meets x = t: the number j of vertices left of t,
+        and the point on the first segment over t (the top of a vertical
+        one) as integers on the scale L * k, with k."""
         if not self.is_function:
             raise ValueError("graph is not x-monotone")
-        if not v or x < v[0][0] or x > v[-1][0]:
-            raise ValueError(f"x={x} outside graph range")
-        for (x0, y0), (x1, y1) in zip(v, v[1:]):
-            if x0 <= x <= x1:
-                if x1 == x0:
-                    return y1
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-        return v[-1][1]
+        P, L = self._image
+        nt, dt = t.numerator, t.denominator
+        tL = nt * L
+        if not P or tL < P[0][0] * dt or tL > P[-1][0] * dt:
+            raise ValueError(f"x={t} outside graph range")
+        j = sum(x * dt < tL for x, _ in P)
+        i = max(j - 1, 0)
+        (x0, y0), (x1, y1) = P[i], P[min(i + 1, len(P) - 1)]
+        dx = x1 - x0 or 1  # a vertical segment (or a lone vertex) gives y1
+        return j, dt * dx, (tL * dx, y1 * dx * dt - (y1 - y0) * (x1 * dt - tL))
+
+    def _cut(self, t: Fraction):
+        """The image of the chain truncated at x = t, as (points, scale): the
+        vertices left of t (or the first), then the point at t unless it is
+        the last of them.  None when t is at or past the last x."""
+        P, L = self._image
+        if t.numerator * L >= P[-1][0] * t.denominator:
+            return None
+        j, k, cut = self._at(t)
+        pts = [(x * k, y * k) for x, y in P[:j] or P[:1]]
+        if pts[-1] != cut:
+            pts.append(cut)
+        return pts, L * k
+
+    def value_at(self, x) -> Fraction:
+        _, k, (_, y) = self._at(Fraction(x))
+        return Fraction(y, self._image[1] * k)
 
     def truncated(self, t) -> "PLGraph":
-        t = Fraction(t)
-        v = self.vertices
-        if t >= v[-1][0]:
-            return self
-        cut = (t, self.value_at(t))
-        # the vertices are already reduced, and a cut strictly inside the last
-        # kept segment is never collinear with it; a cut at a vertex's x is
-        # that vertex, or for a chain opening with a vertical segment at t,
-        # the top of that segment
-        kept = [p for p in v if p[0] < t] or [v[0]]
-        if kept[-1] != cut:
-            kept.append(cut)
-        return PLGraph(tuple(kept))
+        """The chain cut at x = t, or itself when t is at or past the last x;
+        a cut at a vertex's x ends at that vertex, or for a chain opening with
+        a vertical segment at t, at the top of that segment."""
+        cut = self._cut(Fraction(t))
+        return PLGraph._from_image(*cut) if cut else self
 
     def area(self, upto=None) -> Fraction:
         """Exact trapezoid area between the chain and the x-axis, summed on
-        the vertices scaled to integers by L and divided by 2 * L^2 once."""
+        the image (of the truncated chain) and divided by 2 * L^2 once."""
         # a truncation of an x-monotone graph is x-monotone, so only self is checked
-        v = self.vertices if upto is None else self.truncated(upto).vertices
+        ints, L = (upto is not None and self._cut(Fraction(upto))) or self._image
         if not self.is_function:
             raise ValueError("area needs an x-monotone graph")
-        ints, L = _scaled(v)
         twice = sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(ints, ints[1:]))
         return Fraction(twice, 2 * L * L)
 
@@ -259,10 +267,7 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
         below = map(lt, map(mul, entries[k1 + 1:k2], repeat(dk)), rhs)
         kept.extend([(k, entries[k]) for k in compress(range(k1 + 1, k2), below)])
         kept.append((k2, e2))
-    hull = _half_chain(kept)
-    verts = [(Fraction(0), Fraction(0))]
-    verts.extend((Fraction(k + e, m), Fraction(k, m)) for k, e in reversed(hull))
-    return PLGraph.make(verts)
+    return PLGraph._from_image([(0, 0), *((k + e, k) for k, e in reversed(_half_chain(kept)))], m)
 
 
 def dhf_vertices_closed_form(counts) -> PLGraph:
@@ -283,46 +288,31 @@ def dhf_vertices_closed_form(counts) -> PLGraph:
     for i in range(1, n + 1):
         HD += D // a[i - 1]
         SD[i] = SD[i - 1] + (a[i - 1] - a[i]) * HD
-    verts = [(Fraction(0), Fraction(0))]
-    verts.extend((Fraction(a[i] * D + SD[i], D), Fraction(SD[i], D)) for i in range(n, -1, -1))
-    return PLGraph.make(verts)
+    return PLGraph._from_image([(0, 0), *((a[i] * D + SD[i], SD[i]) for i in range(n, -1, -1))], D)
 
 
 def two_line_vertices(a1: int, a2: int) -> PLGraph:
     """Closed-form graph for two lines sharing one extra intersection point."""
     config = LineConfiguration.make((a1, a2), shared_intersection=True)
     a1, a2 = config.counts
-    if a1 > a2:
-        verts = [
-            (0, 0),
-            (2, 2),
-            (Fraction(a1 * a2 + a1 + a2, a1 + a2), 1),
-            (a2 + 1, Fraction(a1 - a2, a1)),
-            (a1 + 1, 0),
-        ]
-    else:
-        verts = [(0, 0), (2, 2), (Fraction(a1 + 2, 2), 1), (a1 + 1, 0)]
-    return PLGraph.make(verts)
+    L = a1 * (a1 + a2)  # the scale; a1 = a2 repeats the last point, which is dropped
+    return PLGraph._from_image([(0, 0), (2 * L, 2 * L), ((a1 * a2 + a1 + a2) * a1, L),
+                                ((a2 + 1) * L, (a1 - a2) * (a1 + a2)), ((a1 + 1) * L, 0)], L)
 
 
 def gamma_vertices(graph: PLGraph, t=None) -> ShapePolygon:
     """Boundary of the limiting-shape complement read off the graph.
 
     Each graph point (x, y) with x <= t maps to the boundary point (y, x-y);
-    truncation closes the region along the simplex edge back to (0, t).
+    truncation closes the region along the simplex edge back to (0, t).  The
+    map runs on the graph's image (cut at t), the polygon on the same scale.
     """
-    verts = graph.vertices
-    if t is None or Fraction(t) >= verts[-1][0]:
-        pts = verts
-        closing = None
-    else:
-        t = Fraction(t)
-        pts = graph.truncated(t).vertices
-        closing = (Fraction(0), t)
-    out = [(y, x - y) for x, y in pts]
-    if closing is not None and (not out or out[-1] != closing):
+    cut = t is not None and graph._cut(t := Fraction(t))
+    ints, L = cut or graph._image
+    out = [(y, x - y) for x, y in ints]
+    if cut and out[-1] != (closing := (0, t.numerator * (L // t.denominator))):
         out.append(closing)
-    return ShapePolygon.make(out)
+    return ShapePolygon._from_image(out, L)
 
 
 def area_under_graph(graph: PLGraph, t=None) -> Fraction:

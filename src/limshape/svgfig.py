@@ -13,13 +13,14 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import ShapePolygon, StaircaseRegion
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, WorkBudgetError
 from .planar import PLGraph
 from .rationals import format_rational
 
 __all__ = ["SvgScene", "render_staircase", "render_graph", "render_polygon"]
 
 _DIGITS = 12
+MAX_TRIANGLES = 10**4  # corner triangles of one staircase figure
 
 
 def _dec(q) -> str:
@@ -177,9 +178,13 @@ def _corner_triangle(prefix, slack) -> list:
 
 def render_staircase(I: MonomialIdeal, m: int, t) -> str:
     """Staircase region of an ideal in three variables (or padded to three):
-    hatched corner triangles inside the dashed simplex."""
+    hatched corner triangles inside the dashed simplex.  Up to one triangle
+    per generator: more than MAX_TRIANGLES generators are refused with
+    WorkBudgetError before the region is built."""
     from .geometry import staircase_region
 
+    if len(I.gens) > MAX_TRIANGLES:
+        raise WorkBudgetError(f"{len(I.gens)} generators to draw, over {MAX_TRIANGLES}")
     region = staircase_region(I.padded(3) if I.nvars < 3 else I, m, t)
     if region.dim != 2:
         raise ValueError("staircase rendering needs a two-dimensional region")

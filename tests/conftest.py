@@ -4,8 +4,8 @@ Each oracle recomputes a quantity by a method independent of the production
 code path: Hilbert functions by brute monomial enumeration, staircase areas
 by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
-divisibility by every generator, polygon and graph vertices, areas and
-convexity in Fractions, the closed-form graph from harmonic Fractions,
+divisibility by every generator, polygon and graph vertices, cuts, areas
+and convexity in Fractions, the closed-form graph from harmonic Fractions,
 reduction vectors by stepping the reduction, inner approximations by
 hulling every point of every member padded to three variables, and SVG
 scenes by mapping every point in Fractions.
@@ -204,6 +204,27 @@ def fraction_graph_area(vertices) -> Fraction:
     """Trapezoids between consecutive vertices and the x-axis, in Fractions."""
     return sum(((y0 + y1) * (x1 - x0) / 2 for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])),
                Fraction(0))
+
+
+def fraction_graph_value(vertices, x) -> Fraction:
+    """The chain's y at x, in Fractions: on the first segment over x,
+    interpolated, or the top of a vertical one; a lone vertex gives its y."""
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+        if x0 <= x <= x1:
+            return y1 if x0 == x1 else y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return vertices[-1][1]
+
+
+def fraction_graph_truncate(vertices, t) -> tuple:
+    """The x-monotone chain cut at x = t >= its first x, in Fractions: the
+    vertices left of t (or the first), then (t, value) unless it is the last
+    of them; the chain itself when t is at or past its last x."""
+    t = Fraction(t)
+    if t >= vertices[-1][0]:
+        return tuple(vertices)
+    kept = [p for p in vertices if p[0] < t] or [vertices[0]]
+    cut = (t, fraction_graph_value(vertices, t))
+    return tuple(kept if kept[-1] == cut else kept + [cut])
 
 
 def harmonic_closed_form(counts) -> tuple:

@@ -469,6 +469,9 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
     ["planar-vertices", "--counts", ",".join(map(str, range(2000, 0, -1)))],
     ["planar-vertices", "--counts", ",".join(map(str, range(20000, 0, -1)))],
     ["planar-reduce", "--counts", ",".join(map(str, range(2000, 0, -1))), "--m", "1", "--approximate"],
+    # a staircase figure is charged one triangle per generator before its region
+    ["render", "--kind", "staircase", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", "3",
+     "--m", "100000"],
 ])
 def test_work_over_budget_exits_2(capsys, argv):
     start = time.perf_counter()
@@ -476,6 +479,15 @@ def test_work_over_budget_exits_2(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("computation error: ")
+
+
+def test_top_level_help_is_one_sentence(capsys):
+    # the module docstring's implementation notes are not part of the help
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: limshape")
+    assert "may be called repeatedly" not in out and "LIMSHAPE_MAX_DEGREE" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,6 +23,10 @@ from limshape.planar import MAX_LINES, MAX_REDUCTION_ENTRIES, ReductionVector
 from conftest import (
     fraction_graph_area,
     fraction_graph_make,
+    fraction_graph_truncate,
+    fraction_graph_value,
+    fraction_polygon_make,
+    fraction_signed_area,
     harmonic_closed_form,
     is_convex,
     simulate_reduction,
@@ -459,7 +463,62 @@ def test_graph_area_equals_fraction_oracle(points, t):
     assert graph.is_function
     assert graph.area() == fraction_graph_area(graph.vertices)
     if t >= graph.vertices[0][0]:
-        assert graph.area(t) == fraction_graph_area(graph.truncated(t).vertices)
+        assert graph.area(t) == fraction_graph_area(fraction_graph_truncate(graph.vertices, t))
+
+
+def _cut_points(vertices, lam, beyond) -> list:
+    """Every vertex's x (vertical segments and the last x among them), a point
+    at lam inside every segment that moves in x, and one past the last x."""
+    xs = [x for x, _ in vertices]
+    inside = [a + lam * (b - a) for a, b in zip(xs, xs[1:]) if a < b]
+    return sorted(set(xs)) + inside + [xs[-1] + beyond]
+
+
+@settings(max_examples=300)
+@given(graph_points(monotone=True), st.fractions(0, 1, max_denominator=7).filter(lambda q: 0 < q < 1),
+       st.fractions(1, 5, max_denominator=3))
+def test_cuts_equal_fraction_oracle(points, lam, beyond):
+    graph = PLGraph.make(points)
+    v = graph.vertices
+    for t in _cut_points(v, lam, beyond):
+        ref = fraction_graph_truncate(v, t)
+        truncated = graph.truncated(t)
+        assert truncated.vertices == ref and truncated.area() == fraction_graph_area(ref)
+        assert graph.area(t) == area_under_graph(graph, t) == fraction_graph_area(ref)
+        if t <= v[-1][0]:
+            assert graph.value_at(t) == fraction_graph_value(v, t)
+        closing = [(0, t)] if t < v[-1][0] else []
+        ref_gamma = fraction_polygon_make([(y, x - y) for x, y in ref] + closing)
+        gamma = gamma_vertices(graph, t)
+        assert gamma.vertices == ref_gamma, (v, t)
+        assert gamma.area() == abs(fraction_signed_area(ref_gamma))
+        assert all(type(c) is Fraction for p in truncated.vertices + gamma.vertices for c in p)
+    # before the first x every cut is refused with the same message
+    t = v[0][0] - beyond
+    for cut in (graph.value_at, graph.truncated, graph.area, lambda t: gamma_vertices(graph, t)):
+        with pytest.raises(ValueError, match=re.escape(f"x={t} outside graph range")):
+            cut(t)
+
+
+@settings(max_examples=200)
+@given(graph_points())
+def test_folded_graph_cuts_are_refused(points):
+    graph = PLGraph.make(points)
+    assume(not graph.is_function)
+    v = graph.vertices
+    last = v[-1][0]
+    below = min(x for x, _ in v) - 1
+    for cut in (graph.value_at, graph.truncated, graph.area, lambda t: gamma_vertices(graph, t)):
+        with pytest.raises(ValueError, match="^graph is not x-monotone$"):
+            cut(below)
+    with pytest.raises(ValueError, match="^graph is not x-monotone$"):
+        graph.value_at(last)
+    # at or past the last x nothing is cut: the area still refuses the fold
+    for upto in (None, last, last + 1):
+        with pytest.raises(ValueError, match="^area needs an x-monotone graph$"):
+            graph.area(upto)
+    assert graph.truncated(last + 1) is graph
+    assert gamma_vertices(graph, last).vertices == fraction_polygon_make([(y, x - y) for x, y in v])
 
 
 @settings(max_examples=300)
