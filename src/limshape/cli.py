@@ -41,7 +41,7 @@ from .hilbert import (
 )
 from .ideals import MonomialIdeal
 from .rationals import format_rational, parse_rational
-from .svgfig import render_graph, render_polygon, render_staircase
+from .svgfig import _charge_triangles, render_graph, render_polygon, render_staircase
 
 __all__ = ["main"]
 
@@ -97,13 +97,18 @@ def _family_from_args(args) -> GradedFamily:
     return family_from_json(spec)
 
 
-def _ideal_from_args(args) -> MonomialIdeal:
+def _ideal_from_args(args, charge=None) -> MonomialIdeal:
     """The family's member at --m when a family is given (--ideal is then the
-    power family's parameter), else --ideal itself."""
+    power family's parameter), else --ideal itself.  `charge`, when given, is
+    called with the generator count of a 2-variable closed-form member,
+    ceil(m * x-intercept) + 1, before that member is built."""
     if args.family or args.input:
         if args.m is None:
             raise CliError("--m required to evaluate a family to an ideal")
-        return _family_from_args(args).ideal(args.m)
+        family = _family_from_args(args)
+        if charge and family.exact_shape is not None and family.nvars == 2:
+            charge(family.exact_shape.columns(args.m))
+        return family.ideal(args.m)
     if args.ideal:
         return MonomialIdeal.from_json(_load_json_arg(args.ideal, "ideal"))
     raise CliError("provide --ideal JSON or a family plus --m")
@@ -282,7 +287,7 @@ def _cmd_planar_vertices(args) -> dict:
 
 def _cmd_render(args) -> str:
     if args.kind == "staircase":
-        ideal = _ideal_from_args(args)
+        ideal = _ideal_from_args(args, _charge_triangles)
         if args.m is None or args.t is None:
             raise CliError("render staircase needs --m and --t")
         return render_staircase(ideal, args.m, _rat(args.t))

@@ -7,22 +7,26 @@ exponents, single-variable ceiling families (x^ceil(m*q)), chain families
 bounded by a concave staircase of rational breakpoints, and a periodic family
 whose regularity sequence oscillates between two subsequence limits.
 
-Limit estimators never claim convergence: they report the value sequence with
-inf / tail-liminf / tail-limsup and oscillation or divergence flags.  Exact
-closed-form limits live in the geometry module.
+Closed forms (halfplane, ceiling, chain) carry an `ExactShape`, whose chain
+is validated, and whose staircase rule reads its planes, on one integer image
+of the vertices.  Limit estimators never claim convergence: they report the
+value sequence with inf / tail-liminf / tail-limsup and oscillation or
+divergence flags, decided on integer pairs.  Exact closed-form limits live in
+the geometry module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm
+from functools import cmp_to_key
+from math import ceil
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MAX_PRODUCT_PAIRS, MonomialIdeal, WorkBudgetError, _check_int, _degree_key, _minimal
-from .rationals import format_rational, parse_rational
+from .ideals import MAX_PRODUCT_PAIRS, MonomialIdeal, WorkBudgetError, _check_int, _minimal
+from .rationals import _ZERO, _scaled, format_rational, parse_rational
 
 __all__ = [
     "ExactShape",
@@ -56,6 +60,10 @@ MAX_GRADED_PAIRS = 10**5
 GRADED_PRODUCT_FLOOR = 8
 # columns a = 0 .. ceil(m * x-intercept) one staircase member may walk
 MAX_STAIRCASE_COLUMNS = 10**6
+# members m = 1 .. max_m an estimator or an inner approximation may walk: the
+# inner shape of the oscillating family (2, 3, 2) at t = 3 takes about 0.2 s
+# at max_m 2000 and 0.6 s at 3000 (Python 3.11, 2-CPU Linux container)
+MAX_WALK_M = 2000
 
 
 class FamilyRuleError(RuntimeError):
@@ -69,29 +77,51 @@ class ExactShape:
     plane: the set { A*x + B*y >= C for all half-planes } in the first
     quadrant.  `vertices` is the boundary chain of extremal points, listed
     from the x-axis towards the y-axis; a chain ending off the y-axis goes
-    on up a vertical ray.  `geometry` walks `vertices` once, which needs the
-    chain to start on the x-axis with x strictly decreasing and slopes -1 or
+    on up a vertical ray.  `geometry` walks the chain once, which needs it
+    to start on the x-axis with x strictly decreasing and slopes -1 or
     steeper that strictly steepen (so x + y never decreases along it); any
-    other chain is refused with ValueError."""
+    other chain is refused with ValueError.
 
-    halfplanes: tuple  # ((A, B, C), ...) with A, B >= 0 Fractions
+    The shape carries one integer image, `_image`: its vertices times the
+    lcm L of their denominators, made by `_scaled`.  The chain is validated
+    on the image by cross products, the staircase rule and `geometry`'s walk
+    run on it, and `halfplanes` are read off it: the line through each two
+    consecutive vertices, then the vertical ray x >= x_n of a chain ending
+    off the y-axis."""
+
     vertices: tuple  # ((x, y), ...) Fractions
+    halfplanes: tuple = field(init=False)  # ((A, B, C), ...) with A, B >= 0
 
     def __post_init__(self):
         v = self.vertices
-        if not v or v[0][1] != 0 or any(not x1 < x0 for (x0, _), (x1, _) in zip(v, v[1:])):
+        ints, L = _scaled(v)
+        if not ints or ints[0][1] or any(not x1 < x0 for (x0, _), (x1, _) in zip(ints, ints[1:])):
             raise ValueError(f"chain must start on the x-axis, x strictly decreasing: {v!r}")
-        slopes = [Fraction(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(v, v[1:])]
-        if slopes and slopes[0] > -1:
-            raise ValueError(
-                f"first slope {slopes[0]} exceeds -1: chain must start at -1 or steeper"
-            )
-        for i in range(1, len(slopes)):
-            if not slopes[i] < slopes[i - 1]:
+        # (dx, dy) of each segment, dx < 0: slope dy/dx is -1 or steeper when
+        # dx + dy >= 0, and steeper than dy0/dx0 when dy * dx0 < dy0 * dx
+        steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(ints, ints[1:])]
+        if steps and sum(steps[0]) < 0:
+            raise ValueError(f"first slope {Fraction(steps[0][1], steps[0][0])} exceeds -1: "
+                             "chain must start at -1 or steeper")
+        for i in range(1, len(steps)):
+            (dx0, dy0), (dx, dy) = steps[i - 1], steps[i]
+            if dy * dx0 >= dy0 * dx:
                 raise ValueError(
                     f"slopes must strictly steepen: segment {i} has slope "
-                    f"{slopes[i]}, previous {slopes[i - 1]}"
+                    f"{Fraction(dy, dx)}, previous {Fraction(dy0, dx0)}"
                 )
+        self.__dict__["_image"] = ints, L
+        planes = [(y1 - y0, x0 - x1, Fraction(x0 * y1 - x1 * y0, L))
+                  for (x0, y0), (x1, y1) in zip(ints, ints[1:])]
+        if ints[-1][0]:
+            planes.append((1, 0, v[-1][0]))
+        object.__setattr__(self, "halfplanes", tuple(planes))
+
+    def columns(self, m: int) -> int:
+        """ceil(m * x-intercept) + 1: the columns of member m of its staircase
+        rule, and its generators for a chain ending on the y-axis."""
+        ints, L = self._image
+        return -(-m * ints[0][0] // L) + 1
 
 
 def _member(nvars: int, gens) -> MonomialIdeal:
@@ -224,18 +254,15 @@ def make_halfplane_family(q1, q2) -> GradedFamily:
     q1, q2 = parse_rational(q1), parse_rational(q2)
     if not 0 < q1 <= q2:
         raise ValueError(f"need 0 < q1 <= q2, got q1={q1}, q2={q2}")
-    shape = ExactShape(halfplanes=((q2, q1, q1 * q2),),
-                       vertices=((q1, Fraction(0)), (Fraction(0), q2)))
+    shape = ExactShape(((q1, _ZERO), (_ZERO, q2)))
+    text1, text2 = format_rational(q1), format_rational(q2)
     return GradedFamily(
         2,
         _staircase_rule(shape),
-        label=f"halfplane(q1={q1}, q2={q2})",
+        label=f"halfplane(q1={text1}, q2={text2})",
         claims_borel=True,
         exact_shape=shape,
-        json_spec={
-            "kind": "halfplane",
-            "params": {"q1": format_rational(q1), "q2": format_rational(q2)},
-        },
+        json_spec={"kind": "halfplane", "params": {"q1": text1, "q2": text2}},
     )
 
 
@@ -253,47 +280,44 @@ def make_ceiling_family(q) -> GradedFamily:
         rule,
         label=f"ceiling(q={q})",
         claims_borel=True,
-        exact_shape=ExactShape(
-            halfplanes=((Fraction(1), Fraction(0), q),),
-            vertices=((q, Fraction(0)),),
-        ),
+        exact_shape=ExactShape(((q, _ZERO),)),
         json_spec={"kind": "ceiling", "params": {"q": format_rational(q)}},
     )
 
 
 def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
     """m -> the ideal of the lattice points on or above the shape's chain
-    scaled by m: for each a up to m times the x-intercept, the least b
-    meeting every half-plane, kept where it drops.  A member walking more
-    than MAX_STAIRCASE_COLUMNS columns is refused with WorkBudgetError."""
-    # each (A, B, C) times the lcm of its denominators; B > 0 throughout
-    scaled = []
-    for plane in shape.halfplanes:
-        k = lcm(*(v.denominator for v in plane))
-        scaled.append(tuple(int(v * k) for v in plane))
-    n0, d0 = shape.vertices[0][0].as_integer_ratio()
+    scaled by m, for a chain ending on the y-axis.  Every slope is -1 or
+    steeper, so the least b of the columns a = 0 .. ceil(m * x-intercept)
+    drops strictly until it reaches 0 in the last: each column is a
+    generator, with the staircase corners already known.  Column a reads the
+    one segment above it, from consecutive points of the shape's image.  A
+    member walking more than MAX_STAIRCASE_COLUMNS columns is refused with
+    WorkBudgetError."""
+    ints, L = shape._image
+    # segment j, from image point j to j + 1, as A*a + B*b >= m*C on lattice
+    # points (a, b); listed from the y-axis, each with the image x of its
+    # right end, which bounds its columns
+    segments = [((y1 - y0) * L, (x0 - x1) * L, x0 * y1 - x1 * y0, x0)
+                for (x0, y0), (x1, y1) in zip(ints, ints[1:])][::-1]
 
     def rule(m: int) -> MonomialIdeal:
-        columns = -(-m * n0 // d0) + 1
+        columns = shape.columns(m)
         if columns > MAX_STAIRCASE_COLUMNS:
             raise WorkBudgetError(
                 f"staircase member m={m} walks {columns} columns, over {MAX_STAIRCASE_COLUMNS}")
-        planes = [(A, B, m * C) for A, B, C in scaled]
-        gens = []
-        prev_b = None
-        for a in range(columns):
-            b = 0
-            for A, B, mC in planes:
-                need = mC - a * A
-                if need > b * B:  # the plane needs more than b: ceil(need / B)
-                    b = -(-need // B)
-            if prev_b is None or b < prev_b:
-                gens.append((a, b))
-                prev_b = b
-            if b == 0:
-                break
-        # a ascends while b strictly drops: already the minimal generators
-        return MonomialIdeal(2, tuple(sorted(gens, key=_degree_key)))
+        ys: list = []
+        for A, B, C, x in segments:
+            mC = m * C
+            # ceil((m*C - a*A) / B) for the columns a <= floor(m * x / L)
+            ys += [(mC - a * A + B - 1) // B for a in range(len(ys), m * x // L + 1)]
+        if len(ys) < columns:  # m * x-intercept is not an integer
+            ys.append(0)
+        xs = list(range(columns))
+        # a ascends, so a stable sort by degree gives the (degree, vector) order
+        I = MonomialIdeal(2, tuple(sorted(zip(xs, ys), key=sum)))
+        I.__dict__["_staircase"] = xs, ys
+        return I
 
     return rule
 
@@ -323,29 +347,16 @@ def make_chain_family(breakpoints) -> GradedFamily:
             raise ValueError(f"s must strictly decrease: {s0} then {s1}")
         if not t1 > t0:
             raise ValueError(f"t must strictly increase: {t0} then {t1}")
-    if any(s < 0 or t < 0 for s, t in pts):
-        raise ValueError("breakpoints must be non-negative")
-    # the line through consecutive breakpoints: A*a + B*b >= C
-    planes = tuple((t1 - t0, s0 - s1, s0 * t1 - s1 * t0)
-                   for (s0, t0), (s1, t1) in zip(pts, pts[1:]))
     # ExactShape refuses a first slope above -1 and slopes that do not steepen
-    shape = ExactShape(halfplanes=planes, vertices=tuple(pts))
-    rule = _staircase_rule(shape)
-    chain_text = ";".join(f"({format_rational(s)},{format_rational(t)})" for s, t in pts)
+    shape = ExactShape(tuple(pts))
+    text = [[format_rational(s), format_rational(t)] for s, t in pts]
     return GradedFamily(
         2,
-        rule,
-        label=f"chain[{chain_text}]",
+        _staircase_rule(shape),
+        label="chain[" + ";".join(f"({s},{t})" for s, t in text) + "]",
         claims_borel=True,
         exact_shape=shape,
-        json_spec={
-            "kind": "chain",
-            "params": {
-                "breakpoints": [
-                    [format_rational(s), format_rational(t)] for s, t in pts
-                ]
-            },
-        },
+        json_spec={"kind": "chain", "params": {"breakpoints": text}},
     )
 
 
@@ -469,26 +480,36 @@ class LimitEstimate:
     residue_values: tuple | None = None  # ((residue, tail value), ...)
 
 
+# orders integer pairs (m, n) by n/m, m > 0
+_BY_VALUE = cmp_to_key(lambda u, w: u[1] * w[0] - w[1] * u[0])
+
+
 def _estimate_from_values(values, tolerance, period) -> LimitEstimate:
-    tolerance = Fraction(tolerance)
+    """The estimate of the sequence v_m = n/m from its integer pairs (m, n),
+    m = 1 .. max_m.  Values are compared by cross products, and one Fraction
+    is built per value."""
+    if type(tolerance) is not Fraction:
+        tolerance = Fraction(tolerance)
+    tn, td = tolerance.numerator, tolerance.denominator
+
+    def over(lo, hi):  # v(hi) - v(lo) > tolerance
+        return (hi[1] * lo[0] - lo[1] * hi[0]) * td > tn * lo[0] * hi[0]
+
     max_m = values[-1][0]
-    tail = [v for m, v in values if m > max_m // 2]
-    liminf, limsup = min(tail), max(tail)
-    increasing = all(x < y for x, y in zip(tail, tail[1:]))
-    diverging = increasing and (tail[-1] - tail[0]) > tolerance
-    oscillating = (not diverging) and (limsup - liminf) > tolerance
+    fracs = [(m, Fraction(n, m)) for m, n in values]
+    tail = values[max_m // 2:]
+    low, high = min(tail, key=_BY_VALUE), max(tail, key=_BY_VALUE)
+    increasing = all(n0 * m1 < n1 * m0 for (m0, n0), (m1, n1) in zip(tail, tail[1:]))
+    diverging = increasing and over(tail[0], tail[-1])
+    oscillating = (not diverging) and over(low, high)
     residues = None
     if period:
-        by_res: dict[int, Fraction] = {}
-        for m, v in values:
-            if m > max_m // 2:
-                by_res[m % period] = v
-        residues = tuple(sorted(by_res.items()))
+        residues = tuple(sorted({m % period: v for m, v in fracs[max_m // 2:]}.items()))
     return LimitEstimate(
-        values=tuple(values),
-        inf_value=min(v for _, v in values),
-        liminf=liminf,
-        limsup=limsup,
+        values=tuple(fracs),
+        inf_value=fracs[min(values, key=_BY_VALUE)[0] - 1][1],
+        liminf=fracs[low[0] - 1][1],
+        limsup=fracs[high[0] - 1][1],
         oscillating=oscillating,
         diverging=diverging,
         tolerance=tolerance,
@@ -496,16 +517,25 @@ def _estimate_from_values(values, tolerance, period) -> LimitEstimate:
     )
 
 
+def _check_walk(family: GradedFamily, max_m: int) -> None:
+    """Refuse with WorkBudgetError, before any member is built, a walk over
+    the members m = 1 .. max_m above MAX_WALK_M."""
+    if max_m > MAX_WALK_M:
+        raise WorkBudgetError(
+            f"{family.label}: walking the members up to max_m={max_m} is over {MAX_WALK_M}")
+
+
 def waldschmidt_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
     """Sequence alpha(I_m)/m.  Subadditivity makes the limit equal the inf
     over all m, so `inf_value` over a prefix is an exact upper bound."""
     max_m = _check_max_m(max_m)
+    _check_walk(family, max_m)
     values = []
     for m in range(1, max_m + 1):
         ideal = family.ideal(m)
         if ideal.is_zero:
             raise ValueError(f"{family.label}: rule({m}) is the zero ideal")
-        values.append((m, Fraction(ideal.alpha(), m)))
+        values.append((m, ideal.alpha()))
     return _estimate_from_values(values, DEFAULT_TOLERANCE, family.period)
 
 
@@ -516,10 +546,8 @@ def areg_estimate(
     max_m = _check_max_m(max_m)
     if not family.claims_borel:
         raise ValueError("asymptotic regularity estimate needs a Borel-fixed family")
-    values = [
-        (m, Fraction(family.ideal(m).max_generator_degree(), m))
-        for m in range(1, max_m + 1)
-    ]
+    _check_walk(family, max_m)
+    values = [(m, family.ideal(m).max_generator_degree()) for m in range(1, max_m + 1)]
     return _estimate_from_values(values, tolerance, family.period)
 
 
@@ -528,10 +556,8 @@ def ri_estimate(
 ) -> LimitEstimate:
     """Sequence ri(I_m)/m via the Hilbert-polynomial regularity index."""
     max_m = _check_max_m(max_m)
-    values = [
-        (m, Fraction(regularity_index(family.ideal(m)), m))
-        for m in range(1, max_m + 1)
-    ]
+    _check_walk(family, max_m)
+    values = [(m, regularity_index(family.ideal(m))) for m in range(1, max_m + 1)]
     return _estimate_from_values(values, tolerance, family.period)
 
 

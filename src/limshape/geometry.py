@@ -12,7 +12,9 @@ region drawn is the limit of the scaled generator staircases (the picture the
 two-variable family figures show).  A member in one or two variables is read
 straight from the corners of its staircase, which is what padding it to three
 variables would give; a member in three variables goes through its generator
-boxes; members in more than three variables are refused.
+boxes; members in more than three variables are refused.  A closed form is
+walked once per t on its `ExactShape`'s integer image, and only the crossing
+with x + y = t and the areas become Fractions.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, floor, lcm
 
-from .families import _check_max_m
+from .families import _check_max_m, _check_walk
 from .ideals import MonomialIdeal, WorkBudgetError
-from .rationals import format_rational
+from .rationals import _ZERO, _scaled, format_rational
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -365,14 +367,6 @@ def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _scaled(points) -> tuple:
-    """The points times the lcm L of their coordinates' denominators, as
-    integer pairs, and L."""
-    L = lcm(*(c.denominator for p in points for c in p))
-    return [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
-            for x, y in points], L
-
-
 def _half_chain(seq) -> list:
     """One half of Andrew's monotone chain, ends included: over points of
     strictly increasing x the lower hull, with no repeated or collinear
@@ -436,46 +430,65 @@ def _plane_ideal(family, m: int) -> MonomialIdeal:
     return I.padded(2) if I.nvars == 1 else I
 
 
-def _chain_walk(shape, t: Fraction):
-    """The chain's vertices with x + y <= t, then the point where it meets
-    x + y = t, and whether it met it.  Every slope is -1 or steeper, so x + y
-    never decreases along the chain and one pass finds both; a chain ending
-    off the y-axis goes on up a vertical ray, which always meets the line."""
-    walk = []
-    for x, y in shape.vertices:
-        if x + y > t:
+def _exact_pair(shape, t: Fraction) -> tuple:
+    """Both closed-form results from one walk of the shape's image, on the
+    scale S = L * den(t) where t is the integer T = num(t) * L.
+
+    The walk takes the chain's vertices with x + y <= t, then the point where
+    it meets x + y = t, and whether it met it.  Every slope is -1 or steeper,
+    so x + y never decreases along the chain and one pass finds both; a chain
+    ending off the y-axis goes on up a vertical ray, which always meets the
+    line.  A crossing inside a segment whose ends' sums differ by d is
+    integral on the scale S * d, which the walk then moves to.
+
+    Delta is the triangle x, y >= 0, x + y <= t on or above the chain, CCW
+    from the x-intercept: to (t, 0), up x + y = t to the crossing (or to
+    (0, t) and down the y-axis), then back along the walk; empty without a
+    walk.  Gamma is the triangle below the chain: the origin, the walk and,
+    after a crossing, (0, t); the whole triangle without a walk.  A chain
+    vertex they keep is the shape's own pair, so only the crossing and the
+    areas are built as Fractions."""
+    ints, L = shape._image
+    q = t.denominator
+    S, T = L * q, t.numerator * L
+    walk, pts, crossed = [], [], False  # integer points on the scale S, their pairs
+    for (x, y), v in zip(ints, shape.vertices):
+        x, y = x * q, y * q
+        if x + y > T:
             if walk:
                 x0, y0 = walk[-1]
-                lam = (t - x0 - y0) / (x + y - x0 - y0)
-                walk.append((x0 + lam * (x - x0), y0 + lam * (y - y0)))
-            return walk, bool(walk)
+                d, k = x + y - x0 - y0, T - x0 - y0
+                walk = [(a * d, b * d) for a, b in walk]
+                S, T, crossed = S * d, T * d, True
+                walk.append((x0 * d + k * (x - x0), y0 * d + k * (y - y0)))
+                pts.append((Fraction(walk[-1][0], S), Fraction(walk[-1][1], S)))
+            break
         walk.append((x, y))
-    x0 = walk[-1][0]
-    if x0 != 0:
-        walk.append((x0, t - x0))
-    return walk, x0 != 0
-
-
-def _exact_pair(shape, t: Fraction) -> tuple:
-    """Both closed-form results from one walk.  Delta is the triangle
-    x, y >= 0, x + y <= t on or above the chain, CCW from the x-intercept: to
-    (t, 0), up x + y = t to the crossing (or to (0, t) and down the y-axis),
-    then back along the walk; empty without a walk.  Gamma is the triangle
-    below the chain: the origin, the walk and, after a crossing, (0, t); the
-    whole triangle without a walk."""
-    walk, crossed = _chain_walk(shape, t)
-    delta = ShapePolygon.make(walk and [walk[0], (t, 0)] + [(0, t)] * (not crossed) + walk[:0:-1])
-    if not walk:  # the chain starts beyond the line
-        walk, crossed = [(t, 0)], True
-    gamma = ShapePolygon.make([(0, 0)] + walk + [(0, t)] * crossed)
-    verts = tuple((Fraction(x), Fraction(y)) for x, y in shape.vertices)
-    return (ShapeResult("delta", t, True, delta, delta.area(), verts),
-            ShapeResult("gamma", t, True, gamma, gamma.area(), verts))
+        pts.append(v)
+    else:
+        x0 = walk[-1][0]
+        if x0:
+            walk.append((x0, T - x0))
+            pts.append((pts[-1][0], Fraction(T - x0, S)))
+            crossed = True
+    if walk:
+        delta = ShapePolygon._from_image(
+            [walk[0], (T, 0)] + [(0, T)] * (not crossed) + walk[:0:-1], S,
+            [pts[0], (t, _ZERO)] + [(_ZERO, t)] * (not crossed) + pts[:0:-1])
+    else:  # the chain starts beyond the line
+        delta = ShapePolygon._from_image([], S)
+        walk, pts, crossed = [(T, 0)], [(t, _ZERO)], True
+    gamma = ShapePolygon._from_image([(0, 0)] + walk + [(0, T)] * crossed, S,
+                                     [(_ZERO, _ZERO)] + pts + [(_ZERO, t)] * crossed)
+    return (ShapeResult("delta", t, True, delta, delta.area(), shape.vertices),
+            ShapeResult("gamma", t, True, gamma, gamma.area(), shape.vertices))
 
 
 def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     """The inner approximation (see `limiting_shape`) and its complement,
-    reported by area only: t^2/2 - area(delta)."""
+    reported by area only: t^2/2 - area(delta).  A max_m over MAX_WALK_M is
+    refused with WorkBudgetError before D is formed."""
+    _check_walk(family, max_m)
     D = lcm(*range(1, max_m + 1)) * t.denominator
     tD = t.numerator * (D // t.denominator)
     points = []
@@ -502,16 +515,18 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
 def _shape_pair(family, t, max_m: int) -> tuple:
     """(delta, gamma) at t, computed once and kept in `family._shapes`:
     under t for a closed form, under (t, max_m) for an inner approximation."""
-    t = Fraction(t)
-    if t < 0:
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    if t.numerator < 0:
         raise ValueError("t must be >= 0")
     max_m = _check_max_m(max_m)
     shape = getattr(family, "exact_shape", None)
     key = t if shape is not None else (t, max_m)
-    if key not in family._shapes:
-        family._shapes[key] = (_exact_pair(shape, t) if shape is not None
-                               else _inner_pair(family, t, max_m))
-    return family._shapes[key]
+    pair = family._shapes.get(key)
+    if pair is None:
+        pair = family._shapes[key] = (_exact_pair(shape, t) if shape is not None
+                                      else _inner_pair(family, t, max_m))
+    return pair
 
 
 def limiting_shape(family, t, max_m: int = 16) -> ShapeResult:
@@ -539,19 +554,22 @@ def waldschmidt_from_shape(result: ShapeResult) -> Fraction:
     first axis.  Refuses inner approximations."""
     if not result.exact or result.staircase_vertices is None:
         raise ValueError("Waldschmidt from shape needs an exact limiting shape")
-    first = result.staircase_vertices[0]
-    if first[1] != 0:
+    x, y = result.staircase_vertices[0]
+    if y != 0:
         raise ValueError("staircase chain must start on the x-axis")
-    return Fraction(first[0])
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def areg_from_shape(result: ShapeResult) -> Fraction:
-    """Largest coordinate sum over the extremal points of an exact shape."""
+    """Largest coordinate sum over the extremal points of an exact shape: the
+    last one's, since x + y never decreases along its chain."""
     if not result.exact or result.staircase_vertices is None:
         raise ValueError("asymptotic regularity from shape needs an exact shape")
     if not result.staircase_vertices:
         raise ValueError("shape has no extremal points below the simplex bound")
-    return max(Fraction(x) + Fraction(y) for x, y in result.staircase_vertices)
+    x, y = result.staircase_vertices[-1]
+    value = x + y
+    return value if type(value) is Fraction else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -571,13 +589,16 @@ class AhfResult:
 def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     """The complement area of the limiting shape at t and, with `diagnostics`,
     the samples for m = 1..M = max_m.  Their sum(floor(m*t) + 1) <= t*M*(M+1)/2
-    + M columns are charged at once, before any member or shape is built."""
-    t = Fraction(t)
-    if t < 0:
+    + M columns are charged at once, on integers, before any member or shape
+    is built."""
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    p, q = t.numerator, t.denominator
+    if p < 0:
         raise ValueError("t must be >= 0")
     max_m = _check_max_m(max_m)
     M = max_m if diagnostics else 0
-    columns = floor(t * M * (M + 1) / 2) + M
+    columns = p * M * (M + 1) // (2 * q) + M
     if columns > MAX_LATTICE_COLUMNS:
         raise WorkBudgetError(f"ahf samples up to m={max_m} at t={t} walk up to "
                               f"{columns} columns, over {MAX_LATTICE_COLUMNS}")
@@ -585,7 +606,7 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     samples = []
     if diagnostics:
         for m in range(1, max_m + 1):
-            I, d = _plane_ideal(family, m), m * t.numerator // t.denominator  # floor(m*t)
+            I, d = _plane_ideal(family, m), m * p // q  # floor(m*t)
             inside = (_corner_count(*I._staircase, d) if I.nvars == 2
                       else _staircase_lattice(_boxes(I.gens, d), 2, d))
             count = comb(d + 2, 2) - inside

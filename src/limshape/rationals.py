@@ -8,10 +8,12 @@ a positive denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["Rational", "parse_rational", "format_rational"]
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def parse_rational(text) -> Fraction:
@@ -31,3 +33,11 @@ def format_rational(q) -> str:
     if type(q) is not int and not isinstance(q, Fraction):
         q = Fraction(q)
     return str(q)
+
+
+def _scaled(points) -> tuple:
+    """The points times the lcm L of their coordinates' denominators, as
+    integer pairs, and L."""
+    L = lcm(*(c.denominator for p in points for c in p))
+    return [(x.numerator * (L // x.denominator), y.numerator * (L // y.denominator))
+            for x, y in points], L

@@ -176,6 +176,13 @@ def _corner_triangle(prefix, slack) -> list:
     return [(p0, p1), (p0, slack - p0), (slack - p1, p1)]
 
 
+def _charge_triangles(n: int) -> None:
+    """Refuse a staircase figure of n > MAX_TRIANGLES corner triangles with
+    WorkBudgetError."""
+    if n > MAX_TRIANGLES:
+        raise WorkBudgetError(f"{n} generators to draw, over {MAX_TRIANGLES}")
+
+
 def render_staircase(I: MonomialIdeal, m: int, t) -> str:
     """Staircase region of an ideal in three variables (or padded to three):
     hatched corner triangles inside the dashed simplex.  Up to one triangle
@@ -183,8 +190,7 @@ def render_staircase(I: MonomialIdeal, m: int, t) -> str:
     WorkBudgetError before the region is built."""
     from .geometry import staircase_region
 
-    if len(I.gens) > MAX_TRIANGLES:
-        raise WorkBudgetError(f"{len(I.gens)} generators to draw, over {MAX_TRIANGLES}")
+    _charge_triangles(len(I.gens))
     region = staircase_region(I.padded(3) if I.nvars < 3 else I, m, t)
     if region.dim != 2:
         raise ValueError("staircase rendering needs a two-dimensional region")

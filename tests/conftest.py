@@ -7,8 +7,9 @@ every monomial of the ideal up to a degree bound, membership by testing
 divisibility by every generator, polygon and graph vertices, cuts, areas
 and convexity in Fractions, the closed-form graph from harmonic Fractions,
 reduction vectors by stepping the reduction, inner approximations by
-hulling every point of every member padded to three variables, and SVG
-scenes by mapping every point in Fractions.
+hulling every point of every member padded to three variables, SVG scenes
+by mapping every point in Fractions, closed-form shapes by walking the
+chain in Fractions, and limit estimates by comparing Fraction values.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from limshape import MonomialIdeal, convex_hull, format_rational, staircase_region
+from limshape.families import LimitEstimate
 from limshape.svgfig import SvgScene, _dec
 
 # every property test draws the same examples on every run
@@ -128,6 +130,97 @@ def fraction_signed_area(vertices) -> Fraction:
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
         twice += x0 * y1 - x1 * y0
     return twice / 2
+
+
+def fraction_chain_walk(vertices, t) -> tuple:
+    """The chain's vertices with x + y <= t, then the point where it meets
+    x + y = t, and whether it met it, all in Fractions.  Every slope is -1 or
+    steeper, so x + y never decreases along the chain and one pass finds
+    both; a chain ending off the y-axis goes on up a vertical ray, which
+    always meets the line."""
+    t = Fraction(t)
+    walk = []
+    for x, y in vertices:
+        x, y = Fraction(x), Fraction(y)
+        if x + y > t:
+            if walk:
+                x0, y0 = walk[-1]
+                lam = (t - x0 - y0) / (x + y - x0 - y0)
+                walk.append((x0 + lam * (x - x0), y0 + lam * (y - y0)))
+            return walk, bool(walk)
+        walk.append((x, y))
+    x0 = walk[-1][0]
+    if x0 != 0:
+        walk.append((x0, t - x0))
+    return walk, x0 != 0
+
+
+def fraction_exact_pair(vertices, t) -> tuple:
+    """(delta vertices, delta area, gamma vertices, gamma area) of a closed
+    form at t from the Fraction walk: delta is the part of the triangle
+    x, y >= 0, x + y <= t on or above the chain, gamma the part below it."""
+    t = Fraction(t)
+    walk, crossed = fraction_chain_walk(vertices, t)
+    delta = fraction_polygon_make(
+        walk and [walk[0], (t, 0)] + [(0, t)] * (not crossed) + walk[:0:-1])
+    if not walk:  # the chain starts beyond the line
+        walk, crossed = [(t, 0)], True
+    gamma = fraction_polygon_make([(0, 0)] + walk + [(0, t)] * crossed)
+    return (delta, abs(fraction_signed_area(delta)), gamma, abs(fraction_signed_area(gamma)))
+
+
+def fraction_estimate(values, tolerance, period) -> LimitEstimate:
+    """The limit estimate of the (m, value) pairs, comparing Fractions: inf,
+    tail-liminf and tail-limsup over m > max_m // 2, the drift and gap
+    flags, and the last tail value of each residue mod the period."""
+    tolerance = Fraction(tolerance)
+    max_m = values[-1][0]
+    tail = [v for m, v in values if m > max_m // 2]
+    liminf, limsup = min(tail), max(tail)
+    increasing = all(x < y for x, y in zip(tail, tail[1:]))
+    diverging = increasing and (tail[-1] - tail[0]) > tolerance
+    oscillating = (not diverging) and (limsup - liminf) > tolerance
+    residues = None
+    if period:
+        by_res = {}
+        for m, v in values:
+            if m > max_m // 2:
+                by_res[m % period] = v
+        residues = tuple(sorted(by_res.items()))
+    return LimitEstimate(
+        values=tuple(values),
+        inf_value=min(v for _, v in values),
+        liminf=liminf,
+        limsup=limsup,
+        oscillating=oscillating,
+        diverging=diverging,
+        tolerance=tolerance,
+        residue_values=residues,
+    )
+
+
+def random_chain(rng: random.Random, n: int, den: int = 12) -> tuple:
+    """n >= 2 breakpoints (x, y) from the x-axis to the y-axis, every
+    coordinate a Fraction of denominator at most `den`, with slopes -1 or
+    steeper that strictly steepen."""
+    xs = {Fraction(0)}
+    while len(xs) < n:
+        d = rng.randint(1, den)
+        xs.add(Fraction(rng.randint(1, 6 * d), d))
+    xs = sorted(xs, reverse=True)
+    pts = [(xs[0], Fraction(0))]
+    steep = Fraction(1)  # the last segment's -slope; the next may not be shallower
+    for x in xs[1:]:
+        x0, y0 = pts[-1]
+        low = y0 + steep * (x0 - x)  # y on the last segment's line
+        d = rng.randint(1, den)
+        k = ceil(low * d)
+        if len(pts) > 1 and k == low * d:
+            k += 1  # after the first segment the slope strictly steepens
+        y = Fraction(k + rng.randint(0, 2 * d), d)
+        steep = (y - y0) / (x0 - x)
+        pts.append((x, y))
+    return tuple(pts)
 
 
 def is_convex(vertices) -> bool:

@@ -472,6 +472,14 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
     # a staircase figure is charged one triangle per generator before its region
     ["render", "--kind", "staircase", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", "3",
      "--m", "100000"],
+    # a closed-form member is charged its ceil(m * x-intercept) + 1 generators before it is built
+    ["render", "--kind", "staircase", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", "3",
+     "--m", "900000"],
+    # a walk over the members up to max_m is charged before the first member or lcm(1..max_m)
+    ["shape", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--t", "3", "--max-m", "5000"],
+    ["shape", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--t", "3", "--max-m", "20000"],
+    ["waldschmidt", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--max-m", "100000"],
+    ["areg", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--max-m", "100000"],
 ])
 def test_work_over_budget_exits_2(capsys, argv):
     start = time.perf_counter()
@@ -479,6 +487,16 @@ def test_work_over_budget_exits_2(capsys, argv):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("computation error: ")
+
+
+def test_render_staircase_charges_a_closed_form_member_before_building_it(capsys, monkeypatch):
+    # the chain (3,0);(0,4) has ceil(3m) + 1 generators at m: 15001 at m = 5000
+    built = []
+    monkeypatch.setattr(GradedFamily, "ideal", lambda self, m: built.append(m))
+    code, out, err = run_cli(capsys, "render", "--kind", "staircase", "--family", "chain",
+                             "--breakpoints", "3,0;0,4", "--t", "3", "--m", "5000")
+    assert (code, out, built) == (2, "", [])
+    assert err == "computation error: 15001 generators to draw, over 10000\n"
 
 
 def test_top_level_help_is_one_sentence(capsys):

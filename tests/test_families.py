@@ -27,14 +27,17 @@ from limshape import (
     waldschmidt_estimate,
 )
 from limshape.families import (
+    DEFAULT_TOLERANCE,
     GRADED_PRODUCT_FLOOR,
     MAX_DOUBLING_M,
     MAX_GRADED_PAIRS,
+    MAX_WALK_M,
     GradednessViolation,
+    _estimate_from_values,
 )
 from limshape.ideals import minimal_exponents
 
-from conftest import divisible_by_a_generator, family_specs
+from conftest import divisible_by_a_generator, family_specs, fraction_estimate, random_chain
 
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
 
@@ -137,8 +140,8 @@ def test_chain_family_validation():
 
 
 def test_exact_shape_refuses_chains_the_walk_cannot_read():
-    ExactShape(halfplanes=((2, 1, 4),), vertices=((2, 0), (0, 4)))
-    ExactShape(halfplanes=((1, 0, 3),), vertices=((3, 0),))
+    ExactShape(((2, 0), (0, 4)))
+    ExactShape(((3, 0),))
     bad = [
         ((4, 0), (0, 2)),  # slope -1/2: the line x + y = 3 meets the chain twice
         ((4, 1), (0, 7)),
@@ -148,7 +151,44 @@ def test_exact_shape_refuses_chains_the_walk_cannot_read():
     ]
     for vertices, match in zip(bad, ("slope", "x-axis", "x-axis", "x-axis", "steepen")):
         with pytest.raises(ValueError, match=match):
-            ExactShape(halfplanes=((1, 2, 4),), vertices=vertices)
+            ExactShape(vertices)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("vertices, message", [
+    (((4, 1), (0, 7)), "chain must start on the x-axis, x strictly decreasing: ((4, 1), (0, 7))"),
+    ((), "chain must start on the x-axis, x strictly decreasing: ()"),
+    (((F(7, 2), 0), (F(7, 2), 3)),
+     "chain must start on the x-axis, x strictly decreasing: ((Fraction(7, 2), 0), (Fraction(7, 2), 3))"),
+    (((4, 0), (0, 2)), "first slope -1/2 exceeds -1: chain must start at -1 or steeper"),
+    (((F(9, 2), 0), (F(3, 2), F(5, 2))), "first slope -5/6 exceeds -1: chain must start at -1 or steeper"),
+    (((4, 0), (3, 1), (2, 2), (0, 7)), "slopes must strictly steepen: segment 1 has slope -1, previous -1"),
+    (((5, 0), (F(7, 2), F(3, 2)), (2, 4), (0, 7)),
+     "slopes must strictly steepen: segment 2 has slope -3/2, previous -5/3"),
+])
+def test_exact_shape_error_messages_are_pinned(vertices, message):
+    # decided on the integer image; the slopes are Fractions only in the message
+    with pytest.raises(ValueError) as exc:
+        ExactShape(vertices)
+    assert str(exc.value) == message
+
+
+def test_exact_shape_halfplanes_read_off_the_image(rng):
+    # the line through each two consecutive vertices, then the vertical ray
+    # of a chain ending off the y-axis: A, B >= 0 and A*x + B*y = C on both ends
+    chains = [random_chain(rng, n) for n in range(2, 6) for _ in range(10)]
+    for chain in chains + [c[:-1] for c in chains]:
+        shape = ExactShape(chain)
+        x, y = chain[-1]
+        lines = list(zip(chain, chain[1:])) + [((x, y), (x, y + 1))] * (x != 0)
+        assert len(shape.halfplanes) == len(lines)
+        for (A, B, C), ends in zip(shape.halfplanes, lines):
+            assert A >= 0 and B >= 0 and all(A * x + B * y == C for x, y in ends)
+    assert make_ceiling_family(F(22, 7)).exact_shape.halfplanes == ((1, 0, F(22, 7)),)
+    (A, B, C), = make_halfplane_family(2, 3).exact_shape.halfplanes
+    assert (C / A, C / B) == (2, 3)
 
 
 def test_chain_membership_matches_inequalities():
@@ -438,6 +478,82 @@ def two_variable_families(draw):
 def test_verify_graded_matches_products_in_two_variables(drawn):
     family, max_m = drawn
     assert verify_graded(family, max_m) == graded_by_products(family, max_m)
+
+
+@settings(max_examples=60)
+@given(family_specs(kinds=("halfplane", "chain")))
+def test_seeded_staircase_equals_the_computed_one(spec):
+    # the rule sets each member's corners; every column is a generator
+    family = family_from_json(spec)
+    for m in range(1, 13):
+        I = family.ideal(m)
+        assert "_staircase" in I.__dict__
+        assert I._staircase == MonomialIdeal(2, I.gens)._staircase, (spec, m)
+        assert len(I.gens) == family.exact_shape.columns(m) == ceil(m * family.exact_shape.vertices[0][0]) + 1
+
+
+DRIFT = [(m, 2 * m + max(m - 10, 0)) for m in range(1, 21)]
+
+
+def _estimate_cases(rng):
+    """(m, n) sequences of v_m = n/m, m = 1 .. max_m, with a tolerance and a
+    period: ties, period residues, a gap or a drift exactly equal to the
+    tolerance, and random ones with negative values."""
+    tol = DEFAULT_TOLERANCE
+    cases = [
+        ([(m, 2 * m) for m in range(1, 13)], tol, None),  # every value ties
+        ([(m, 3 * m + (m % 2)) for m in range(1, 13)], tol, 2),  # ties within each residue
+        ([(m, 3 * m - (m % 3 == 0)) for m in range(1, 16)], Fraction(1, 3), 3),
+        # tail values 1 and 21/20 at m = 20: the gap equals the tolerance
+        ([(m, m + (m == 20)) for m in range(1, 21)], tol, None),
+        ([(m, m + (m == 20)) for m in range(1, 21)], Fraction(1, 21), 4),
+        # the increasing tail 2 + (m - 10)/m over m = 11 .. 20 drifts by 9/22
+        (DRIFT, Fraction(9, 22), None),
+        (DRIFT, Fraction(9, 23), 2),
+        ([(1, 5)], tol, 2),  # one value
+        ([(m, 7) for m in range(1, 9)], 0, None),  # strictly decreasing, tolerance 0
+    ]
+    for _ in range(150):
+        max_m = rng.randint(1, 16)
+        cases.append(([(m, rng.randint(-3, 4 * m)) for m in range(1, max_m + 1)],
+                      rng.choice([tol, Fraction(0), Fraction(1, 3), Fraction(rng.randint(0, 9), 7)]),
+                      rng.choice([None, 2, 3, 5])))
+    return cases
+
+
+def test_estimates_match_fraction_oracle(rng):
+    for pairs, tolerance, period in _estimate_cases(rng):
+        got = _estimate_from_values(pairs, tolerance, period)
+        want = fraction_estimate([(m, Fraction(n, m)) for m, n in pairs], tolerance, period)
+        assert got == want, (pairs, tolerance, period)
+        assert all(type(v) is Fraction for _, v in got.values)
+
+
+def test_estimate_flags_at_the_tolerance():
+    # a tail gap equal to the tolerance is neither oscillation nor drift
+    gap = _estimate_from_values([(m, m + (m == 20)) for m in range(1, 21)], DEFAULT_TOLERANCE, None)
+    assert gap.limsup - gap.liminf == DEFAULT_TOLERANCE and not gap.oscillating
+    assert _estimate_from_values([(m, m + (m == 20)) for m in range(1, 21)], Fraction(1, 21), None).oscillating
+    # an increasing tail drifting by exactly the tolerance is not diverging
+    drift = _estimate_from_values(DRIFT, Fraction(9, 22), None)
+    assert drift.limsup - drift.liminf == Fraction(9, 22)
+    assert not drift.diverging and not drift.oscillating
+    assert _estimate_from_values(DRIFT, Fraction(9, 23), None).diverging
+
+
+def test_estimators_refuse_long_walks_before_any_member():
+    built = []
+
+    def rule(m):
+        built.append(m)
+        return MonomialIdeal.from_gens(2, [(m, 0)])
+
+    family = GradedFamily(2, rule, "counted", claims_borel=True)
+    for estimator in (waldschmidt_estimate, areg_estimate, ri_estimate):
+        with pytest.raises(WorkBudgetError, match="max_m"):
+            estimator(family, MAX_WALK_M + 1)
+    assert not built
+    assert waldschmidt_estimate(family, 3).inf_value == 1 and built == [1, 2, 3]
 
 
 @settings(max_examples=80)

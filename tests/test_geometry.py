@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from limshape import (
+    ExactShape,
     GradedFamily,
     MonomialIdeal,
     ShapePolygon,
@@ -41,17 +42,26 @@ from limshape import (
     waldschmidt_estimate,
     waldschmidt_from_shape,
 )
-from limshape.geometry import MAX_LATTICE_COLUMNS, StaircaseRegion, _corner_count, _staircase_area
+from limshape.families import MAX_WALK_M
+from limshape.geometry import (
+    MAX_LATTICE_COLUMNS,
+    StaircaseRegion,
+    _corner_count,
+    _exact_pair,
+    _staircase_area,
+)
 
 from conftest import (
     area_by_inclusion_exclusion,
     brute_hf,
     clip_halfplane,
     family_specs,
+    fraction_exact_pair,
     fraction_polygon_make,
     fraction_signed_area,
     is_convex,
     padded_inner_hull,
+    random_chain,
 )
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
@@ -505,6 +515,53 @@ def test_closed_form_walk_matches_clipping(spec, t_extra):
         below = _below_chain_clipped(shape, t)
         assert gamma.polygon.vertices == below, (spec, t)
         assert gamma.area == abs(fraction_signed_area(below)) == t * t / 2 - delta.area
+
+
+def _exact_shapes(rng):
+    """Chains of 2-5 breakpoints with denominators up to 12, the same chains
+    ending off the y-axis (on a vertical ray), and halfplane and ceiling
+    shapes (the ceiling is a lone vertex and its ray)."""
+    def q():
+        d = rng.randint(1, 12)
+        return Fraction(rng.randint(1, 6 * d), d)
+
+    shapes = []
+    for n in range(2, 6):
+        for _ in range(15):
+            chain = random_chain(rng, n)
+            shapes += [ExactShape(chain), ExactShape(chain[:-1])]
+    for _ in range(15):
+        shapes.append(make_halfplane_family(*sorted((q(), q()))).exact_shape)
+        shapes.append(make_ceiling_family(q()).exact_shape)
+    return shapes
+
+
+def test_exact_pair_on_the_image_matches_the_fraction_walk(rng):
+    for shape in _exact_shapes(rng):
+        sums = [x + y for x, y in shape.vertices]
+        # t at 0, at every vertex sum, between two sums, before the first and
+        # past the last
+        ts = {Fraction(0), *sums, sums[0] / 3, sums[-1] + Fraction(1, 7), sums[-1] + 5}
+        ts |= {(a + b) / 2 for a, b in zip(sums, sums[1:])}
+        for t in sorted(ts):
+            delta, gamma = _exact_pair(shape, t)
+            want = fraction_exact_pair(shape.vertices, t)
+            assert (delta.polygon.vertices, delta.area, gamma.polygon.vertices, gamma.area) == want, (
+                shape.vertices, t)
+            assert delta.staircase_vertices is gamma.staircase_vertices is shape.vertices
+            assert all(type(c) is Fraction for p in delta.polygon.vertices + gamma.polygon.vertices
+                       for c in p)
+
+
+def test_inner_approximation_refuses_long_walks_before_any_member():
+    plain = GradedFamily(2, make_halfplane_family(1, 2).ideal, "plain")
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="max_m"):
+        limiting_shape(plain, 3, MAX_WALK_M + 1)
+    assert time.perf_counter() - start < 1 and not plain._cache
+    assert not limiting_shape(plain, 3, 4).exact
+    # a closed form never reads max_m beyond its check
+    assert limiting_shape(make_halfplane_family(1, 2), 3, 10**9).exact
 
 
 @st.composite
