@@ -529,18 +529,6 @@ def test_estimates_match_fraction_oracle(rng):
         assert all(type(v) is Fraction for _, v in got.values)
 
 
-def test_estimate_flags_at_the_tolerance():
-    # a tail gap equal to the tolerance is neither oscillation nor drift
-    gap = _estimate_from_values([(m, m + (m == 20)) for m in range(1, 21)], DEFAULT_TOLERANCE, None)
-    assert gap.limsup - gap.liminf == DEFAULT_TOLERANCE and not gap.oscillating
-    assert _estimate_from_values([(m, m + (m == 20)) for m in range(1, 21)], Fraction(1, 21), None).oscillating
-    # an increasing tail drifting by exactly the tolerance is not diverging
-    drift = _estimate_from_values(DRIFT, Fraction(9, 22), None)
-    assert drift.limsup - drift.liminf == Fraction(9, 22)
-    assert not drift.diverging and not drift.oscillating
-    assert _estimate_from_values(DRIFT, Fraction(9, 23), None).diverging
-
-
 def test_estimators_refuse_long_walks_before_any_member():
     built = []
 
