@@ -94,6 +94,8 @@ class ExactShape:
 
     def __post_init__(self):
         v = self.vertices
+        if any(type(c) is not int and not isinstance(c, Fraction) for p in v for c in p):
+            raise ValueError(f"vertex coordinates must be ints or Fractions: {v!r}")
         ints, L = _scaled(v)
         if not ints or ints[0][1] or any(not x1 < x0 for (x0, _), (x1, _) in zip(ints, ints[1:])):
             raise ValueError(f"chain must start on the x-axis, x strictly decreasing: {v!r}")

@@ -14,8 +14,9 @@ step simulator with pluggable tie-breaking.
 
 The graph extractor takes the lattice path (k, k + u_{k+1}) of the recorded
 entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
-divisible by every line count the hull breakpoints coincide exactly with the
-closed-form vertex chain, which is the oracle the test-suite enforces.
+divisible by the configuration's modulus the hull breakpoints are exactly the
+closed-form vertex chain, which the test-suite enforces; the extractor takes
+it as a guess, checks it against every entry and searches only where it fails.
 
 Hulls and the closed form run on integers, and each graph carries that
 integer image with its scale.  Cuts at t, the gamma map and every area run on
@@ -25,7 +26,7 @@ Fraction is built only once per output coordinate or area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -108,13 +109,14 @@ def divisibility_modulus(config: LineConfiguration) -> int:
 class ReductionVector:
     """Recorded line weights in pick order, plus one terminal zero.
 
-    `exact` marks multiplicities divisible by the configuration's modulus,
-    where the scaled envelope provably matches the closed-form chain.
+    `exact` marks multiplicities divisible by the modulus of `config`, where
+    the scaled envelope provably matches the closed-form chain.
     """
 
     entries: tuple
     multiplicity: int
     exact: bool
+    config: LineConfiguration | None = field(default=None, compare=False, repr=False)
 
 
 def reduction_vector(
@@ -142,7 +144,7 @@ def reduction_vector(
         # the shared point weighs m - k on the k-th pick, the same on both lines
         entries = map(add, entries, chain(range(m, 0, -1), repeat(0)))
     exact = m % divisibility_modulus(config) == 0
-    return ReductionVector((*entries, 0), m, exact)
+    return ReductionVector((*entries, 0), m, exact, config)
 
 
 @dataclass(frozen=True)
@@ -228,11 +230,18 @@ class PLGraph(_Imaged):
         return Fraction(twice, 2 * L * L)
 
 
-# The first hull of `dhf_envelope` takes every SAMPLE_STRIDE-th point.  A
-# constant, not a parameter: on the planar-sweep pools of seeds 5 and 31
-# (CPython 3.11), strides 12-16 measured fastest of 4-48, and strides of
-# 0.5-2 times sqrt(len(entries)) were slower.
+# Without a guess, or over a guessed edge that fails, `dhf_envelope` hulls every
+# SAMPLE_STRIDE-th point first: on the planar-sweep pools of seeds 5 and 31 (CPython
+# 3.11), 12-16 measured fastest of 4-48, and 0.5-2 times sqrt(len(entries)) slower.
 SAMPLE_STRIDE = 16
+
+
+def _below(entries, k1: int, e1: int, k2: int, e2: int):
+    """Lazily for k1 < k < k2: is (k, e_k) strictly below (k1, e1)-(k2, e2)?"""
+    dk, de = k2 - k1, e2 - e1
+    c = e1 * dk - de * k1  # (k, e_k) is strictly below iff e_k*dk < c + de*k
+    rhs = range(c + de * (k1 + 1), c + de * k2, de) if de else repeat(c)
+    return map(lt, map(mul, entries[k1 + 1:k2], repeat(dk)), rhs)
 
 
 def dhf_envelope(u: ReductionVector) -> PLGraph:
@@ -244,9 +253,12 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     origin closes the graph on the left.
 
     The hull is taken on (k, e_k), a shear of the path with the same hull
-    indices: first of every SAMPLE_STRIDE-th point and the last, then of that
-    hull's vertices and the points strictly below its edges.  That is exact,
-    since a strict hull vertex lies strictly below every chord over it.
+    indices, guessed from the ends and, for an exact vector with its config,
+    the picks k = y*m/L of the closed-form vertices (x, y)/L.  An edge of the
+    guess stays if no entry lies strictly below it; any other is searched by
+    a hull of every SAMPLE_STRIDE-th point over it, then of that hull's
+    vertices and the points strictly below its edges.  That is exact, since a
+    strict hull vertex lies strictly below every chord over it.
     """
     entries, m = u.entries, u.multiplicity
     last = len(entries)  # the path ends at (last, 0), after the last nonzero entry
@@ -256,48 +268,54 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
         return PLGraph.make([(0, 0)])
     if last == len(entries):
         entries = (*entries, 0)
-    sampled = zip(range(0, last, SAMPLE_STRIDE), entries[:last:SAMPLE_STRIDE])
-    sample = _half_chain(chain(sampled, ((last, 0),)))
-    kept = sample[:1]
-    for (k1, e1), (k2, e2) in zip(sample, sample[1:]):
-        dk, de = k2 - k1, e2 - e1
-        # (k, e_k) is strictly below the edge iff e_k*dk < c + de*k
-        c = e1 * dk - de * k1
-        rhs = range(c + de * (k1 + 1), c + de * k2, de) if de else repeat(c)
-        below = map(lt, map(mul, entries[k1 + 1:k2], repeat(dk)), rhs)
-        kept.extend([(k, entries[k]) for k in compress(range(k1 + 1, k2), below)])
-        kept.append((k2, e2))
+    P, L = _closed_image(u.config) if u.exact and u.config is not None else ((), 1)
+    picks = {0, last, *(min(y * m // L, last) for _, y in P)}
+    guess = _half_chain((k, entries[k]) for k in sorted(picks))
+    kept = guess[:1]
+    for (k1, e1), (k2, e2) in zip(guess, guess[1:]):
+        if not any(_below(entries, k1, e1, k2, e2)):
+            kept.append((k2, e2))
+            continue
+        sampled = zip(range(k1, k2, SAMPLE_STRIDE), entries[k1:k2:SAMPLE_STRIDE])
+        sample = _half_chain(chain(sampled, ((k2, e2),)))
+        for (s1, f1), (s2, f2) in zip(sample, sample[1:]):
+            below = compress(range(s1 + 1, s2), _below(entries, s1, f1, s2, f2))
+            kept.extend([(k, entries[k]) for k in below])
+            kept.append((s2, f2))
     return PLGraph._from_image([(0, 0), *((k + e, k) for k, e in reversed(_half_chain(kept)))], m)
 
 
-def dhf_vertices_closed_form(counts) -> PLGraph:
-    """Vertex chain of the limiting first-difference graph for disjoint lines.
+def _closed_image(config: LineConfiguration) -> tuple:
+    """Vertex chain of the limiting first-difference graph, as integer points
+    and their scale.
 
-    With a_{n+1} = 0, H_i = 1/a_1 + ... + 1/a_i and S_i the total scaled pick
-    count needed to level the first i lines down to weight a_{i+1}, so that
-    S_i = S_{i-1} + (a_i - a_{i+1}) H_i, the chain is
+    For disjoint lines, with a_{n+1} = 0, H_i = 1/a_1 + ... + 1/a_i and S_i
+    the total scaled pick count needed to level the first i lines down to
+    weight a_{i+1}, so that S_i = S_{i-1} + (a_i - a_{i+1}) H_i, the chain is
     (0,0), (n,n), then (a_{i+1} + S_i, S_i) for i = n-1 .. 1, then (a_1, 0).
-    H_i and S_i are carried as integers times D = lcm(a_1..a_n).
+    H_i and S_i are carried as integers times D = lcm(a_1..a_n), the scale.
     """
-    config = LineConfiguration.make(counts)
-    a = config.counts + (0,)
-    n = len(config.counts)
-    D = lcm(*config.counts)
-    SD = [0] * (n + 1)
-    HD = 0
-    for i in range(1, n + 1):
+    if config.shared_intersection:
+        a1, a2 = config.counts
+        L = a1 * (a1 + a2)  # a1 = a2 repeats the last point, which is dropped
+        return [(0, 0), (2 * L, 2 * L), ((a1 * a2 + a1 + a2) * a1, L),
+                ((a2 + 1) * L, (a1 - a2) * (a1 + a2)), ((a1 + 1) * L, 0)], L
+    a, D = config.counts + (0,), lcm(*config.counts)
+    SD, HD = [0], 0
+    for i in range(1, len(a)):
         HD += D // a[i - 1]
-        SD[i] = SD[i - 1] + (a[i - 1] - a[i]) * HD
-    return PLGraph._from_image([(0, 0), *((a[i] * D + SD[i], SD[i]) for i in range(n, -1, -1))], D)
+        SD.append(SD[-1] + (a[i - 1] - a[i]) * HD)
+    return [(0, 0), *((a[i] * D + SD[i], SD[i]) for i in reversed(range(len(a))))], D
+
+
+def dhf_vertices_closed_form(counts) -> PLGraph:
+    """Vertex chain of the limiting first-difference graph for disjoint lines."""
+    return PLGraph._from_image(*_closed_image(LineConfiguration.make(counts)))
 
 
 def two_line_vertices(a1: int, a2: int) -> PLGraph:
     """Closed-form graph for two lines sharing one extra intersection point."""
-    config = LineConfiguration.make((a1, a2), shared_intersection=True)
-    a1, a2 = config.counts
-    L = a1 * (a1 + a2)  # the scale; a1 = a2 repeats the last point, which is dropped
-    return PLGraph._from_image([(0, 0), (2 * L, 2 * L), ((a1 * a2 + a1 + a2) * a1, L),
-                                ((a2 + 1) * L, (a1 - a2) * (a1 + a2)), ((a1 + 1) * L, 0)], L)
+    return PLGraph._from_image(*_closed_image(LineConfiguration.make((a1, a2), shared_intersection=True)))
 
 
 def gamma_vertices(graph: PLGraph, t=None) -> ShapePolygon:

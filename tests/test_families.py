@@ -175,6 +175,13 @@ def test_exact_shape_error_messages_are_pinned(vertices, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("vertices", [((2.5, 0),), (("5/2", 0),), ((4, 0), (0, True))])
+def test_exact_shape_refuses_coordinates_that_are_not_int_or_fraction(vertices):
+    with pytest.raises(ValueError) as exc:
+        ExactShape(vertices)
+    assert str(exc.value) == f"vertex coordinates must be ints or Fractions: {vertices!r}"
+
+
 def test_exact_shape_halfplanes_read_off_the_image(rng):
     # the line through each two consecutive vertices, then the vertical ray
     # of a chain ending off the y-axis: A, B >= 0 and A*x + B*y = C on both ends

@@ -421,11 +421,59 @@ def entry_tuples(draw):
     return tuple(entries) + (0,) * draw(st.integers(0, 3))
 
 
+@st.composite
+def small_configurations(draw):
+    """A disjoint configuration of 1-4 lines or a shared pair, counts <= 12."""
+    if draw(st.booleans()):
+        a1 = draw(st.integers(3, 12))
+        return validate_configuration((a1, draw(st.integers(2, a1))), shared_intersection=True)
+    counts = draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))
+    return validate_configuration(sorted(counts, reverse=True))
+
+
 @settings(max_examples=300, derandomize=True)
-@given(entry_tuples(), st.integers(1, 5))
-def test_envelope_equals_unfiltered_hull(entries, m):
+@given(entry_tuples(), st.integers(1, 80), small_configurations())
+def test_envelope_equals_unfiltered_hull(entries, m, config):
     vec = ReductionVector(entries, m, False)
     assert dhf_envelope(vec).vertices == _unfiltered_envelope(vec)
+    # entries that do not match the guessing configuration: the guess is
+    # checked against every entry, so the hull is still the entries' own
+    guessed = ReductionVector(entries, m, True, config)
+    assert dhf_envelope(guessed).vertices == _unfiltered_envelope(vec)
+
+
+GUESS_CONFIGS = [validate_configuration(FOUR_LINES), validate_configuration((5, 3), shared_intersection=True)]
+
+
+@pytest.mark.parametrize("config", GUESS_CONFIGS)
+def test_entry_below_the_closed_form_is_not_hidden_by_the_guess(config):
+    m = divisibility_modulus(config)
+    vec = reduction_vector(config, m)
+    closed = two_line_vertices(*config.counts) if config.shared_intersection \
+        else dhf_vertices_closed_form(config.counts)
+    assert dhf_envelope(vec).vertices == closed.vertices
+    # lower the entry midway between two picks of the closed form to one
+    # below the chord of its guessed edge
+    picks = sorted({int(y * m) for _, y in closed.vertices})
+    k1, k2 = max(zip(picks, picks[1:]), key=lambda edge: edge[1] - edge[0])
+    k = (k1 + k2) // 2
+    e1, e2 = vec.entries[k1], vec.entries[k2]
+    entries = list(vec.entries)
+    entries[k] = (e1 * (k2 - k) + e2 * (k - k1)) // (k2 - k1) - 1
+    lowered = ReductionVector(tuple(entries), m, True, config)
+    envelope = dhf_envelope(lowered).vertices
+    assert envelope == _unfiltered_envelope(lowered)
+    assert envelope != closed.vertices
+
+
+@pytest.mark.parametrize("config", GUESS_CONFIGS)
+def test_reduction_vector_config_is_outside_equality_and_repr(config):
+    m = divisibility_modulus(config)
+    vec = reduction_vector(config, m)
+    assert vec.config is config
+    plain = ReductionVector(vec.entries, m, vec.exact)
+    assert vec == plain and hash(vec) == hash(plain)
+    assert "config" not in repr(vec) and repr(vec) == repr(plain)
 
 
 @st.composite
