@@ -155,15 +155,15 @@ def _cmd_check_graded(args) -> dict:
 
 
 def _cmd_hf(args) -> dict:
+    if args.degree is None and args.t is None:  # checked before any member is built
+        raise CliError("hf: provide --degree or --t")
+    t = None if args.degree is not None else _rat(args.t)
     ideal = _ideal_from_args(args)
     out: dict = {"ideal": ideal.to_json()}
-    if args.degree is None and args.t is None:
-        raise CliError("hf: provide --degree or --t")
     if args.degree is not None:
         out["degree"] = args.degree
         out["value"] = hilbert_function(ideal, args.degree)
     else:
-        t = _rat(args.t)
         out["t"] = format_rational(t)
         out["value"] = hilbert_function_extended(ideal, t)
     if args.hp:
@@ -287,10 +287,13 @@ def _cmd_planar_vertices(args) -> dict:
 
 def _cmd_render(args) -> str:
     if args.kind == "staircase":
-        ideal = _ideal_from_args(args, _charge_triangles)
-        if args.m is None or args.t is None:
+        if args.t is None:  # checked before any member is built
             raise CliError("render staircase needs --m and --t")
-        return render_staircase(ideal, args.m, _rat(args.t))
+        t = _rat(args.t)
+        ideal = _ideal_from_args(args, _charge_triangles)
+        if args.m is None:
+            raise CliError("render staircase needs --m and --t")
+        return render_staircase(ideal, args.m, t)
     if args.kind == "graph":
         return render_graph(_planar_graph(args))
     if args.kind == "gamma":

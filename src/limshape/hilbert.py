@@ -10,9 +10,12 @@ Bruns-Herzog, section 4.1):
 
 the Hilbert polynomial is the same sum with each binomial read as a
 polynomial in d, and the two agree exactly from degree max(N) - n + 1 on.
-No degree cap is involved.  Only when LIMSHAPE_MAX_DEGREE is set do
-`hilbert_polynomial` and `regularity_index` fall back to a difference
-stabilization search whose answers are relative to that cap.
+A two-variable N is read straight off the staircase corners in one sorted
+pass; with more variables `_numerator` slices on x_0 down to that corner
+form, n - 1 calls deep.  No degree cap is involved.  Only when
+LIMSHAPE_MAX_DEGREE is set do `hilbert_polynomial` and `regularity_index`
+fall back to a difference stabilization search whose answers are relative
+to that cap.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import accumulate, groupby
 from math import comb, factorial
 from operator import itemgetter
 
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _check_int
 
 __all__ = [
     "IntegerPolynomial",
@@ -46,19 +49,37 @@ class NotStabilizedError(RuntimeError):
 def _numerator(gens, nvars: int) -> dict:
     """Numerator {degree: coeff} of HS(S/I), zero coefficients dropped.
 
-    Slicing on x_0: S/I is the direct sum over k >= 0 of x_0^k * S'/I_k, where
-    I_k is generated by the tails g[1:] of the generators with g[0] <= k.
-    I_k changes only at the distinct first exponents a_0 < ... < a_r, so
+    Two variables: one sorted pass keeps a generator only where its
+    y-exponent strictly drops, which leaves the staircase corners
+    (a_0, b_0), ..., (a_r, b_r) with a rising and b falling, and
+    N = 1 - sum_i t^(a_i + b_i) + sum_(i<r) t^(a_(i+1) + b_i).
+
+    More variables, slicing on x_0: S/I is the direct sum over k >= 0 of
+    x_0^k * S'/I_k, where I_k is generated by the tails g[1:] of the
+    generators with g[0] <= k.  I_k changes only at the distinct first
+    exponents a_0 < ... < a_r, so
     N = 1 + sum_j t^(a_j) * (N(I_(a_j)) - N(I_(a_(j-1)))) with N(I_(a_(-1))) = 1.
     The tails are not minimalized: the formula needs only generators of I_k,
-    and redundant tails cost less than removing them.  The recursion depth
-    is nvars.
+    and redundant tails cost less than removing them.  The recursion is
+    nvars - 1 calls deep: it bottoms out at the corner form, and the
+    one-variable case serves one-variable ideals only.
     """
     if not gens:
         return {0: 1}
     if nvars == 1:
         e = min(g[0] for g in gens)
         return {} if e == 0 else {0: 1, e: -1}
+    if nvars == 2:
+        out = {0: 1}
+        last = None  # y-exponent of the previous corner
+        for a, b in sorted(gens):
+            if last is not None:
+                if b >= last:
+                    continue
+                out[a + last] = out.get(a + last, 0) + 1
+            out[a + b] = out.get(a + b, 0) - 1
+            last = b
+        return {e: c for e, c in out.items() if c}
     out = {0: 1}
     prev = {0: 1}
     tails: list = []
@@ -76,7 +97,10 @@ def _numerator(gens, nvars: int) -> dict:
 
 
 def hilbert_function(I: MonomialIdeal, d: int) -> int:
-    """dim of (S/I)_d: degree-d monomials not contained in I."""
+    """dim of (S/I)_d: degree-d monomials not contained in I.  `d`, like a
+    `window` below, is read by the rule for exponents: True, 2.5, 3.0 or "3"
+    is refused with a ValueError, never truncated."""
+    d = _check_int(d, "degree")
     if d < 0:
         raise ValueError("degree must be non-negative")
     n = I.nvars
@@ -173,7 +197,7 @@ def degree_cap(I: MonomialIdeal) -> int:
 
 
 def _window(I: MonomialIdeal, window: int | None) -> int:
-    w = I.nvars + 1 if window is None else window
+    w = I.nvars + 1 if window is None else _check_int(window, "window")
     if w < I.nvars + 1:
         raise ValueError(f"window must be at least {I.nvars + 1}")
     return w

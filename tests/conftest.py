@@ -1,7 +1,8 @@
 """Shared oracles for the test-suite.
 
 Each oracle recomputes a quantity by a method independent of the production
-code path: Hilbert functions by brute monomial enumeration, staircase areas
+code path: Hilbert functions by brute monomial enumeration, Hilbert-series
+numerators by slicing on the first variable down to one, staircase areas
 by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
 every monomial of the ideal up to a degree bound, membership by testing
 divisibility by every generator, polygon and graph vertices, cuts, areas
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import pytest
 from math import ceil
@@ -50,6 +52,38 @@ def brute_hf(I: MonomialIdeal, d: int) -> int:
         if not any(all(g[i] <= mono[i] for i in range(I.nvars)) for g in I.gens):
             count += 1
     return count
+
+
+def slicing_numerator(gens, nvars: int) -> dict:
+    """Numerator {degree: coeff} of HS(S/I), zero coefficients dropped.
+
+    Slicing on x_0: S/I is the direct sum over k >= 0 of x_0^k * S'/I_k, where
+    I_k is generated by the tails g[1:] of the generators with g[0] <= k.
+    I_k changes only at the distinct first exponents a_0 < ... < a_r, so
+    N = 1 + sum_j t^(a_j) * (N(I_(a_j)) - N(I_(a_(j-1)))) with N(I_(a_(-1))) = 1.
+    The tails are not minimalized: the formula needs only generators of I_k,
+    and redundant tails cost less than removing them.  The recursion depth
+    is nvars.
+    """
+    if not gens:
+        return {0: 1}
+    if nvars == 1:
+        e = min(g[0] for g in gens)
+        return {} if e == 0 else {0: 1, e: -1}
+    out = {0: 1}
+    prev = {0: 1}
+    tails: list = []
+    for a, group in groupby(sorted(gens), key=itemgetter(0)):
+        tails.extend(g[1:] for g in group)
+        cur = slicing_numerator(tails, nvars - 1)
+        for e, c in cur.items():
+            out[a + e] = out.get(a + e, 0) + c
+        for e, c in prev.items():
+            out[a + e] = out.get(a + e, 0) - c
+        if not cur:  # a unit slice stays the unit ideal at every later a_j
+            break
+        prev = cur
+    return {e: c for e, c in out.items() if c}
 
 
 def divisible_by_a_generator(I: MonomialIdeal, mono) -> bool:

@@ -499,6 +499,23 @@ def test_render_staircase_charges_a_closed_form_member_before_building_it(capsys
     assert err == "computation error: 15001 generators to draw, over 10000\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hf", "--family", "power", "--ideal", '{"vars":3,"gens":[[2,0,0],[1,1,1],[0,2,0],[0,0,3]]}',
+      "--m", "60"], "hf: provide --degree or --t"),
+    (["hf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--m", "200000"],
+     "hf: provide --degree or --t"),
+    (["hf", "--family", "doubling", "--m", "3", "--t", "x"], "rational"),
+    (["render", "--kind", "staircase", "--family", "power", "--ideal",
+      '{"vars":2,"gens":[[3,0],[1,1],[0,5]]}', "--m", "300"], "render staircase needs --m and --t"),
+])
+def test_missing_flags_are_refused_before_any_member_is_built(capsys, monkeypatch, argv, message):
+    built = []
+    monkeypatch.setattr(GradedFamily, "ideal", lambda self, m: built.append(m))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, built) == (1, "", [])
+    assert err.startswith("error: ") and message in err
+
+
 def test_top_level_help_is_one_sentence(capsys):
     # the module docstring's implementation notes are not part of the help
     with pytest.raises(SystemExit) as exc:

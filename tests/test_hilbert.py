@@ -15,9 +15,9 @@ from limshape import (
     make_halfplane_family,
     regularity_index,
 )
-from limshape.hilbert import degree_cap
+from limshape.hilbert import _numerator, degree_cap
 
-from conftest import brute_hf, random_ideal
+from conftest import brute_hf, random_ideal, slicing_numerator
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 WIDE = MonomialIdeal.from_gens(
@@ -43,7 +43,8 @@ def test_hilbert_function_matches_brute_enumeration(rng):
 
 def test_hilbert_function_sweep_path_matches_brute():
     # halfplane ideals at larger m have many generators and many distinct
-    # x-exponents, so the numerator recursion takes many slices
+    # x-exponents: many staircase corners in 2 variables, and many slices of
+    # the numerator recursion once padded to 3
     I = make_halfplane_family(2, 3).ideal(8)
     assert len(I.gens) > 12
     for d in range(0, 30, 3):
@@ -61,6 +62,54 @@ def test_hilbert_function_at_huge_degree():
     assert hilbert_function(MonomialIdeal.from_gens(3, [(2, 0, 0), (1, 1, 0)]), d) == d + 2
     principal = MonomialIdeal.from_gens(3, [(2, 3, 0)])
     assert hilbert_function(principal, d) == comb(d + 2, 2) - comb(d - 3, 2)
+
+
+@st.composite
+def generator_lists(draw):
+    """Raw generator lists as `_numerator` may receive them: redundant,
+    duplicated, in any order, possibly empty or holding the unit vector."""
+    nvars = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(0, 5)] * nvars)
+    gens = draw(st.lists(exponent, max_size=8))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=3)) if gens else []
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), (0,) * nvars)
+    return nvars, draw(st.permutations(gens))
+
+
+@settings(max_examples=400)
+@given(generator_lists())
+def test_numerator_equals_slicing_oracle(case):
+    nvars, gens = case
+    assert _numerator(gens, nvars) == slicing_numerator(gens, nvars)
+
+
+@pytest.mark.parametrize("nvars, gens, numerator", [
+    (2, [(3, 0), (1, 1), (0, 5)], {0: 1, 2: -1, 3: -1, 4: 1, 5: -1, 6: 1}),
+    # a redundant and a duplicate generator change nothing
+    (2, [(0, 5), (3, 0), (1, 1), (2, 4), (1, 1)], {0: 1, 2: -1, 3: -1, 4: 1, 5: -1, 6: 1}),
+    (2, [(2, 3), (0, 0)], {}),
+    (2, [], {0: 1}),
+    (1, [(3,), (5,)], {0: 1, 3: -1}),
+    (3, [(1, 0, 0), (0, 1, 0)], {0: 1, 1: -2, 2: 1}),
+])
+def test_numerator_pinned(nvars, gens, numerator):
+    assert _numerator(gens, nvars) == slicing_numerator(gens, nvars) == numerator
+
+
+@pytest.mark.parametrize("function, value", [
+    (hilbert_function, True),
+    (hilbert_function, 2.5),
+    (hilbert_function, 3.0),
+    (hilbert_function, "3"),
+    (hilbert_function, None),
+    (hilbert_polynomial, "3"),
+    (hilbert_polynomial, 3.0),
+    (regularity_index, True),
+])
+def test_degree_and_window_must_be_integers(function, value):
+    with pytest.raises(ValueError, match="(degree|window) must be an integer"):
+        function(DOUBLING_1, value)
 
 
 @st.composite
