@@ -155,9 +155,14 @@ def _cmd_check_graded(args) -> dict:
 
 
 def _cmd_hf(args) -> dict:
-    if args.degree is None and args.t is None:  # checked before any member is built
+    # the flags are checked before any member is built
+    if args.degree is None and args.t is None:
         raise CliError("hf: provide --degree or --t")
+    if args.degree is not None and args.degree < 0:
+        raise CliError("degree must be non-negative")
     t = None if args.degree is not None else _rat(args.t)
+    if t is not None and t < 0:
+        raise CliError("extended Hilbert function needs t >= 0")
     ideal = _ideal_from_args(args)
     out: dict = {"ideal": ideal.to_json()}
     if args.degree is not None:

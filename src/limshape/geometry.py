@@ -7,6 +7,18 @@ complement region is the simplex { beta >= 0, sum(beta) <= m*t } minus that
 union.  Lattice points of the complement count the quotient's monomial basis,
 which is the bridge identity the test-suite leans on.
 
+Every count and volume of a region goes through that identity.  On one
+integer scale L (1 for a count, which floors the bound and each slack; else
+the lcm of their denominators) a region of bound B in R^k lifts each corner
+(prefix, slack) to the generator (B - slack, *prefix) in k + 1 variables,
+both times L: beta lies in the box exactly when x_0^(B - |beta|) x^beta is
+divisible by it.  With N = sum_e c_e t^e the Hilbert-series numerator of the
+lifted generators (`hilbert._numerator`), the complement holds
+sum_(e <= B) c_e C(B - e + k, k) lattice points and has measure
+sum_(e <= B) c_e (B - e)^k / (k! L^k); the staircase is the simplex minus
+it.  The slack coordinate comes first, so a region whose boxes share one
+slack is read as a single two-variable corner form.
+
 Shape computations for whole families work in the exponent plane, where the
 region drawn is the limit of the scaled generator staircases (the picture the
 two-variable family figures show).  A member in one or two variables is read
@@ -22,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, floor, lcm
+from math import comb, factorial, floor, lcm
 
 from .families import _check_max_m, _check_walk
+from .hilbert import _numerator, hilbert_function
 from .ideals import MonomialIdeal, WorkBudgetError
 from .rationals import _ZERO, _scaled, format_rational
 
@@ -73,10 +86,11 @@ class StaircaseRegion:
     sorted.  Only nonempty boxes are stored (slack >= sum(prefix)).  The
     corner set is an antichain under (prefix smaller, slack larger)
     domination because the ideal's generators are minimal: a dominating
-    corner would come from a generator dividing the other's.  A corner whose
-    box leaves the simplex (a prefix not of length dim, a negative prefix
-    entry, or a slack above the bound) is refused, so no count or volume of
-    the complement is negative.
+    corner would come from a generator dividing the other's.  A prefix entry
+    that is not an int (a Fraction, a float, a bool) is refused, and so is a
+    corner whose box leaves the simplex (a prefix not of length dim, a
+    negative prefix entry, or a slack above the bound), so no count or
+    volume of the complement is negative.
     """
 
     dim: int
@@ -85,6 +99,8 @@ class StaircaseRegion:
 
     def __post_init__(self):
         for prefix, slack in self.corners:
+            if any(type(v) is not int for v in prefix):
+                raise ValueError(f"corner {(prefix, slack)} has a prefix entry that is not an int")
             if slack > self.bound or len(prefix) != self.dim or min(prefix, default=0) < 0:
                 raise ValueError(f"corner {(prefix, slack)} leaves the simplex of bound {self.bound}")
 
@@ -98,8 +114,8 @@ class ComplementRegion:
 
 def _boxes(gens, bound, scale=1) -> list:
     """(g[:-1], bound - scale * g[-1]) for every generator g whose box is
-    nonempty (slack >= scale * |prefix|): one rule for staircase regions,
-    lattice counts (bound floor(m*t)) and the integer hull (scale D/m)."""
+    nonempty (slack >= scale * |prefix|): one rule for staircase regions
+    (bound m*num(t), scale den(t)) and the integer hull (scale D/m)."""
     out = []
     for g in gens:
         slack = bound - scale * g[-1]
@@ -109,53 +125,22 @@ def _boxes(gens, bound, scale=1) -> list:
 
 
 def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
-    """Scaled staircase of I: generator boxes clipped by per-generator slack."""
+    """Scaled staircase of I: generator boxes clipped by per-generator slack.
+    Each slack m*t - last is decided on the integers m*num(t) - den(t)*last,
+    and only a kept corner's slack becomes a Fraction."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    bound = m * t
+    den = t.denominator
     # already an antichain: a dominating corner's generator would divide the other's
-    return StaircaseRegion(I.nvars - 1, bound, tuple(sorted(_boxes(I.gens, bound))))
+    corners = sorted(_boxes(I.gens, m * t.numerator, den))
+    return StaircaseRegion(I.nvars - 1, m * t, tuple((p, Fraction(s, den)) for p, s in corners))
 
 
 def gamma_region(I: MonomialIdeal, m: int, t) -> ComplementRegion:
     return ComplementRegion(staircase_region(I, m, t))
-
-
-def _merge_intervals(intervals: list) -> list:
-    out = []
-    for lo, hi in sorted(intervals):
-        if hi < lo:
-            continue
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _staircase_lattice(corners, dim: int, dfloor: int) -> int:
-    """Lattice points of a union of corner boxes with integer slacks; the
-    corners need not form an antichain."""
-    if dfloor < 0 or not corners:
-        return 0
-    if dim == 0:
-        return 1
-    if dim == 1:
-        ivs = [(p[0], s) for p, s in corners]
-        return sum(hi - lo + 1 for lo, hi in _merge_intervals(ivs) if lo <= dfloor)
-    s = corners[0][1]
-    if dim == 2 and s <= dfloor and all(c[1] == s for c in corners):
-        # single hypotenuse (every padded plane ideal): the prefixes' staircase
-        return _corner_count(*MonomialIdeal(2, tuple(p for p, _ in corners))._staircase, s)
-    # generic: slice along the first coordinate
-    total = 0
-    for a in range(dfloor + 1):
-        sub = [(p[1:], s - a) for p, s in corners if p[0] <= a and s - a >= sum(p[1:])]
-        total += _staircase_lattice(sub, dim - 1, dfloor - a)
-    return total
 
 
 def _corner_count(xs, ys, d: int) -> int:
@@ -170,15 +155,52 @@ def _corner_count(xs, ys, d: int) -> int:
     return total
 
 
-def _count_boxes(corners, dim: int, d: int) -> int:
-    """_staircase_lattice within the budget of (d + 1)^(dim - 1) columns."""
+def _check_columns(d: int, dim: int) -> None:
+    """Refuse a count at bound d whose column bound (d + 1)^(dim - 1) is over
+    MAX_LATTICE_COLUMNS."""
     columns = (d + 1) ** max(dim - 1, 0)
     if columns > MAX_LATTICE_COLUMNS:
         raise WorkBudgetError(
             f"lattice count at bound {d} in dimension {dim} walks "
             f"{columns} columns, over {MAX_LATTICE_COLUMNS}"
         )
-    return _staircase_lattice(corners, dim, d)
+
+
+def _complement(stair: StaircaseRegion, count: bool, outside: bool):
+    """Lattice count (an int) or measure (a Fraction) of `stair`, or with
+    `outside` of its complement in the simplex: the lift and the two sums of
+    the module docstring, with the simplex C(B + k, k) or B^k / (k! L^k)."""
+    k = stair.dim
+    if count:
+        B = floor(stair.bound)
+        gens = [(B - floor(s), *p) for p, s in stair.corners]
+    else:
+        bound = Fraction(stair.bound)
+        slacks = [Fraction(s) for _, s in stair.corners]
+        L = lcm(bound.denominator, *(s.denominator for s in slacks))
+        B = bound.numerator * (L // bound.denominator)
+        gens = [(B - s.numerator * (L // s.denominator), *(v * L for v in p))
+                for (p, _), s in zip(stair.corners, slacks)]
+    if B < 0:
+        return 0 if count else _ZERO
+    N = _numerator(gens, k + 1)
+    if count:
+        rest = sum(c * comb(B - e + k, k) for e, c in N.items() if e <= B)
+        return rest if outside else comb(B + k, k) - rest
+    rest = sum(c * (B - e) ** k for e, c in N.items() if e <= B)
+    return Fraction(rest if outside else B**k - rest, factorial(k) * L**k)
+
+
+def _parts(region) -> tuple:
+    """(staircase, whether `region` is its complement): a simplex is the
+    complement of the empty staircase of its bound."""
+    if isinstance(region, SimplexRegion):
+        return StaircaseRegion(region.dim, region.bound, ()), True
+    if isinstance(region, ComplementRegion):
+        return region.staircase, True
+    if isinstance(region, StaircaseRegion):
+        return region, False
+    raise TypeError(f"not a region: {region!r}")
 
 
 def lattice_count(region) -> int:
@@ -187,102 +209,52 @@ def lattice_count(region) -> int:
     Boundary convention: the simplex and the staircase boxes are closed, so
     the complement's count equals the Hilbert function of the quotient at the
     floor of the bound.  A lattice point sees a slack only through its floor,
-    floor(m*t) - last for a generator's box, so each slack is floored once
-    and the count runs on integers.  In dimension 2 with one slack for every
-    box (every padded plane ideal) the count takes one arithmetic series per
-    corner; otherwise it walks up to (floor(bound) + 1)^(dim - 1) columns.
-    Either way a count whose column bound (floor(bound) + 1)^(dim - 1) is
-    above MAX_LATTICE_COLUMNS is refused with WorkBudgetError.
+    so the bound d and every slack are floored once and each corner
+    (prefix, slack) lifts to the generator (d - slack, *prefix); the
+    complement counts sum_(e <= d) c_e C(d - e + dim, dim) over that ideal's
+    Hilbert-series numerator sum_e c_e t^e, and the staircase is the simplex
+    minus it.  A staircase or complement count whose column bound
+    (d + 1)^(dim - 1) is above MAX_LATTICE_COLUMNS is refused with
+    WorkBudgetError.
     """
-    if isinstance(region, SimplexRegion):
-        if region.bound < 0:
-            return 0
-        d = floor(region.bound)
-        return comb(d + region.dim, region.dim)
-    if isinstance(region, StaircaseRegion):
-        if region.bound < 0:
-            return 0
-        corners = [(p, floor(s)) for p, s in region.corners]
-        return _count_boxes(corners, region.dim, floor(region.bound))
-    if isinstance(region, ComplementRegion):
-        stair = region.staircase
-        simplex = SimplexRegion(stair.dim, stair.bound)
-        return lattice_count(simplex) - lattice_count(stair)
-    raise TypeError(f"not a region: {region!r}")
+    stair, outside = _parts(region)
+    if stair.bound >= 0 and not isinstance(region, SimplexRegion):
+        _check_columns(floor(stair.bound), stair.dim)
+    return _complement(stair, True, outside)
 
 
 def gamma_lattice_count(I: MonomialIdeal, m: int, t) -> int:
-    """lattice_count(gamma_region(I, m, t)) on integers: the simplex binomial
-    at d = floor(m*t) minus the staircase count on the slacks d - last."""
+    """lattice_count(gamma_region(I, m, t)) without building the region: at
+    d = floor(m*t) a generator's corner (g[:-1], d - g[-1]) lifts back to g
+    with its last exponent first, so the count is hilbert_function(I, d).
+    The column bound (d + 1)^(nvars - 2) is charged as by `lattice_count`."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    d, dim = floor(m * t), I.nvars - 1
-    return comb(d + dim, dim) - _count_boxes(_boxes(I.gens, d), dim, d)
-
-
-def _staircase_area(corners: tuple) -> Fraction:
-    """Exact area of a union of corner triangles {x>=p0, y>=p1, x+y<=s}
-    with integer prefixes.
-
-    Sweeps vertical strips cut at every combinatorial change; within a strip
-    the column measure is linear in x, so the midpoint value integrates it
-    exactly.  The sweep runs in integers on the scale L = 2 * lcm(slack
-    denominators), where every cut is even and every midpoint an integer.
-    """
-    if not corners:
-        return Fraction(0)
-    L = 2 * lcm(*(s.denominator for _, s in corners))
-    boxes = [(p0 * L, p1 * L, s.numerator * (L // s.denominator)) for (p0, p1), s in corners]
-    lo = min(p0 for p0, _, _ in boxes)
-    hi = max(s - p1 for _, p1, s in boxes)
-    cuts = {p0 for p0, _, _ in boxes}
-    cuts.update(s - q1 for _, _, s in boxes for _, q1, _ in boxes)
-    xs = sorted(x for x in cuts if lo <= x <= hi)
-    total = 0
-    for x0, x1 in zip(xs, xs[1:]):
-        xm = (x0 + x1) // 2
-        ivs = [(p1, s - xm) for p0, p1, s in boxes if p0 <= xm and s - xm >= p1]
-        total += (x1 - x0) * sum(b - a for a, b in _merge_intervals(ivs))
-    return Fraction(total, L * L)
+    d = floor(m * t)
+    _check_columns(d, I.nvars - 1)
+    return hilbert_function(I, d)
 
 
 def region_volume(region) -> Fraction:
-    """Exact measure; dimensions 0 (counting measure), 1 and 2 only."""
-    if isinstance(region, SimplexRegion):
-        if region.bound < 0:
-            return Fraction(0)
-        b = Fraction(region.bound)
-        if region.dim == 0:
-            return Fraction(1)
-        if region.dim == 1:
-            return b
-        if region.dim == 2:
-            return b * b / 2
+    """Exact measure; dimensions 0 (counting measure), 1 and 2 only.
+
+    On the scale L, the lcm of the denominators of the bound and the slacks,
+    the bound is B and each corner (prefix, slack) lifts to the generator
+    (B - slack, *prefix), both times L; the complement measures
+    sum_(e <= B) c_e (B - e)^dim / (dim! L^dim) over that ideal's
+    Hilbert-series numerator sum_e c_e t^e, and the staircase is the simplex
+    minus it.  A simplex of negative bound measures 0 in any dimension.
+    """
+    stair, outside = _parts(region)
+    if stair.dim > 2 and not (isinstance(region, SimplexRegion) and region.bound < 0):
         raise UnsupportedDimensionError(
-            f"exact volume limited to dimension <= 2, got {region.dim}; "
+            f"exact volume limited to dimension <= 2, got {stair.dim}; "
             "use lattice counts for higher dimensions"
         )
-    if isinstance(region, StaircaseRegion):
-        if region.dim == 0:
-            return Fraction(1 if region.corners else 0)
-        if region.dim == 1:
-            ivs = [(Fraction(p[0]), Fraction(s)) for p, s in region.corners]
-            return sum((b - a for a, b in _merge_intervals(ivs)), Fraction(0))
-        if region.dim == 2:
-            return _staircase_area(region.corners)
-        raise UnsupportedDimensionError(
-            f"exact volume limited to dimension <= 2, got {region.dim}; "
-            "use lattice counts for higher dimensions"
-        )
-    if isinstance(region, ComplementRegion):
-        stair = region.staircase
-        return region_volume(SimplexRegion(stair.dim, stair.bound)) - region_volume(
-            stair
-        )
-    raise TypeError(f"not a region: {region!r}")
+    return _complement(stair, False, outside)
 
 
 class _Imaged:
@@ -590,7 +562,9 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     """The complement area of the limiting shape at t and, with `diagnostics`,
     the samples for m = 1..M = max_m.  Their sum(floor(m*t) + 1) <= t*M*(M+1)/2
     + M columns are charged at once, on integers, before any member or shape
-    is built."""
+    is built.  Each sample is the member's Hilbert function at floor(m*t):
+    a two-variable member's is read off its cached staircase corners, a
+    three-variable member's is `hilbert_function`."""
     if type(t) is not Fraction:
         t = Fraction(t)
     p, q = t.numerator, t.denominator
@@ -607,8 +581,7 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     if diagnostics:
         for m in range(1, max_m + 1):
             I, d = _plane_ideal(family, m), m * p // q  # floor(m*t)
-            inside = (_corner_count(*I._staircase, d) if I.nvars == 2
-                      else _staircase_lattice(_boxes(I.gens, d), 2, d))
-            count = comb(d + 2, 2) - inside
+            count = (comb(d + 2, 2) - _corner_count(*I._staircase, d) if I.nvars == 2
+                     else hilbert_function(I, d))
             samples.append((m, count, Fraction(count, m * m)))
     return AhfResult(t, gamma.area, gamma.exact, tuple(samples))

@@ -1,16 +1,19 @@
 """Shared oracles for the test-suite.
 
-Each oracle recomputes a quantity by a method independent of the production
-code path: Hilbert functions by brute monomial enumeration, Hilbert-series
-numerators by slicing on the first variable down to one, staircase areas
-by inclusion-exclusion over corner triangles, Borel-fixedness by scanning
-every monomial of the ideal up to a degree bound, membership by testing
+Each oracle recomputes a quantity by a method independent of the
+production code path: Hilbert functions by brute monomial enumeration,
+Hilbert-series numerators by slicing on the first variable down to one,
+staircase areas by inclusion-exclusion over corner triangles and by
+sweeping vertical strips, staircase lattice counts by slicing into
+columns and merging intervals, Borel-fixedness by scanning every
+monomial of the ideal up to a degree bound, membership by testing
 divisibility by every generator, polygon and graph vertices, cuts, areas
-and convexity in Fractions, the closed-form graph from harmonic Fractions,
-reduction vectors by stepping the reduction, inner approximations by
-hulling every point of every member padded to three variables, SVG scenes
-by mapping every point in Fractions, closed-form shapes by walking the
-chain in Fractions, and limit estimates by comparing Fraction values.
+and convexity in Fractions, the closed-form graph from harmonic
+Fractions, reduction vectors by stepping the reduction, inner
+approximations by hulling every point of every member padded to three
+variables, SVG scenes by mapping every point in Fractions, closed-form
+shapes by walking the chain in Fractions, and limit estimates by
+comparing Fraction values.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import lcm
 from operator import itemgetter
 
 import pytest
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 
 from limshape import MonomialIdeal, convex_hull, format_rational, staircase_region
 from limshape.families import LimitEstimate
+from limshape.geometry import _corner_count
 from limshape.svgfig import SvgScene, _dec
 
 # every property test draws the same examples on every run
@@ -131,6 +136,68 @@ def area_by_inclusion_exclusion(corners) -> Fraction:
             s = min(Fraction(s) for _, s in subset)
             total += sign * tri_area(p0, p1, s)
     return total
+
+
+def merge_intervals(intervals: list) -> list:
+    """The union of closed intervals (lo, hi) as disjoint sorted ones; an
+    interval with hi < lo is empty."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if hi < lo:
+            continue
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def slicing_lattice_count(corners, dim: int, dfloor: int) -> int:
+    """Lattice points of a union of corner boxes with integer slacks; the
+    corners need not form an antichain."""
+    if dfloor < 0 or not corners:
+        return 0
+    if dim == 0:
+        return 1
+    if dim == 1:
+        ivs = [(p[0], s) for p, s in corners]
+        return sum(hi - lo + 1 for lo, hi in merge_intervals(ivs) if lo <= dfloor)
+    s = corners[0][1]
+    if dim == 2 and s <= dfloor and all(c[1] == s for c in corners):
+        # single hypotenuse (every padded plane ideal): the prefixes' staircase
+        return _corner_count(*MonomialIdeal(2, tuple(p for p, _ in corners))._staircase, s)
+    # generic: slice along the first coordinate
+    total = 0
+    for a in range(dfloor + 1):
+        sub = [(p[1:], s - a) for p, s in corners if p[0] <= a and s - a >= sum(p[1:])]
+        total += slicing_lattice_count(sub, dim - 1, dfloor - a)
+    return total
+
+
+def sweep_area(corners: tuple) -> Fraction:
+    """Exact area of a union of corner triangles {x>=p0, y>=p1, x+y<=s}
+    with integer prefixes.
+
+    Sweeps vertical strips cut at every combinatorial change; within a strip
+    the column measure is linear in x, so the midpoint value integrates it
+    exactly.  The sweep runs in integers on the scale L = 2 * lcm(slack
+    denominators), where every cut is even and every midpoint an integer.
+    """
+    if not corners:
+        return Fraction(0)
+    L = 2 * lcm(*(s.denominator for _, s in corners))
+    boxes = [(p0 * L, p1 * L, s.numerator * (L // s.denominator)) for (p0, p1), s in corners]
+    lo = min(p0 for p0, _, _ in boxes)
+    hi = max(s - p1 for _, p1, s in boxes)
+    cuts = {p0 for p0, _, _ in boxes}
+    cuts.update(s - q1 for _, _, s in boxes for _, q1, _ in boxes)
+    xs = sorted(x for x in cuts if lo <= x <= hi)
+    total = 0
+    for x0, x1 in zip(xs, xs[1:]):
+        xm = (x0 + x1) // 2
+        ivs = [(p1, s - xm) for p0, p1, s in boxes if p0 <= xm and s - xm >= p1]
+        total += (x1 - x0) * sum(b - a for a, b in merge_intervals(ivs))
+    return Fraction(total, L * L)
 
 
 def fraction_polygon_make(points) -> tuple:

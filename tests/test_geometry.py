@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from itertools import permutations, product
+from math import comb, factorial, floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -48,7 +49,6 @@ from limshape.geometry import (
     StaircaseRegion,
     _corner_count,
     _exact_pair,
-    _staircase_area,
 )
 
 from conftest import (
@@ -60,8 +60,11 @@ from conftest import (
     fraction_polygon_make,
     fraction_signed_area,
     is_convex,
+    merge_intervals,
     padded_inner_hull,
     random_chain,
+    slicing_lattice_count,
+    sweep_area,
 )
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
@@ -137,7 +140,7 @@ def test_lattice_count_over_budget_is_refused():
         gamma_lattice_count(plane, 1, MAX_LATTICE_COLUMNS)
     with pytest.raises(WorkBudgetError):
         ahf(make_halfplane_family(1, 2), 10**12, max_m=2)
-    # one dimension merges intervals and walks no columns
+    # one dimension is charged no columns
     line = MonomialIdeal.from_gens(2, [(1, 0)])
     assert lattice_count(staircase_region(line, 1, 10**12)) == 10**12
     assert gamma_lattice_count(line, 1, 10**12) == 1
@@ -181,7 +184,8 @@ def test_staircase_area_matches_inclusion_exclusion(rng):
             # slack denominators up to 7; a zero numerator is a zero-area box
             s = sum(p) + Fraction(rng.choice([0, rng.randint(0, 17)]), rng.randint(1, 7))
             corners.append((p, s))
-        assert _staircase_area(tuple(corners)) == area_by_inclusion_exclusion(corners)
+        region = StaircaseRegion(2, max(s for _, s in corners), tuple(corners))
+        assert region_volume(region) == area_by_inclusion_exclusion(corners)
 
 
 def test_lattice_count_bridge_all_families():
@@ -583,6 +587,64 @@ def test_ahf_samples_are_lattice_counts_and_hilbert_values(family, t):
         member = family.ideal(m).padded(3)
         assert count == lattice_count(gamma_region(member, m, t))
         assert count == hilbert_function_extended(member, m * t), (member, m, t)
+
+
+@settings(max_examples=40)
+@given(power_families_3(), st.fractions(0, 5, max_denominator=5))
+def test_ahf_three_variable_samples_equal_brute_hf(family, t):
+    for m, count, _ in ahf(family, t, max_m=3).samples:
+        assert count == brute_hf(family.ideal(m), floor(m * t)), (family.ideal(m), m, t)
+
+
+@st.composite
+def staircase_regions(draw):
+    """Regions of dimension 0-2 with int prefixes, int or Fraction slacks
+    between |prefix| and the bound, zero and negative bounds, and possibly
+    no corners."""
+    dim = draw(st.integers(0, 2))
+    bound = draw(st.integers(-2, 12) | st.fractions(-2, 12, max_denominator=6))
+    corners = []
+    for prefix in draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), max_size=6)):
+        lo = sum(prefix)
+        if lo <= bound:
+            corners.append((prefix, draw(st.integers(lo, floor(bound))
+                                         | st.fractions(lo, bound, max_denominator=7))))
+    return StaircaseRegion(dim, bound, tuple(sorted(corners)))
+
+
+@settings(max_examples=400)
+@given(staircase_regions())
+def test_region_counts_and_volumes_match_the_oracles(region):
+    dim, bound, corners = region.dim, region.bound, region.corners
+    d = floor(bound)
+    inside = slicing_lattice_count([(p, floor(s)) for p, s in corners], dim, d)
+    assert lattice_count(region) == inside
+    assert lattice_count(ComplementRegion(region)) == (comb(d + dim, dim) if d >= 0 else 0) - inside
+    if dim == 2:
+        area = sweep_area(corners)
+        assert area == area_by_inclusion_exclusion(corners)
+    elif dim == 1:
+        area = sum((b - a for a, b in merge_intervals([(Fraction(p[0]), Fraction(s))
+                                                       for p, s in corners])), Fraction(0))
+    else:
+        area = Fraction(1 if corners else 0)
+    assert region_volume(region) == area
+    simplex = Fraction(bound) ** dim / factorial(dim) if bound >= 0 else 0
+    assert region_volume(ComplementRegion(region)) == simplex - area
+
+
+@pytest.mark.parametrize("dim, prefix", [
+    (1, (Fraction(1, 2),)),  # counted 7/2 points, its complement 1/2
+    (1, (Fraction(1),)),
+    (1, (1.0,)),
+    (1, (True,)),  # read as 1
+    (2, (Fraction(1, 2), 0)),  # counted 7 points where there are 6
+    (2, (0, 2.5)),
+    (2, (0, False)),
+])
+def test_staircase_region_refuses_a_prefix_entry_that_is_not_an_int(dim, prefix):
+    with pytest.raises(ValueError, match="not an int"):
+        StaircaseRegion(dim, Fraction(3), ((prefix, Fraction(3)),))
 
 
 def _points_in_boxes(dim, bound, corners):
