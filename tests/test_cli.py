@@ -505,12 +505,12 @@ def test_render_staircase_charges_a_closed_form_member_before_building_it(capsys
     (["hf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--m", "200000"],
      "hf: provide --degree or --t"),
     (["hf", "--family", "doubling", "--m", "3", "--t", "x"], "rational"),
+    (["render", "--kind", "staircase", "--family", "power", "--ideal",
+      '{"vars":2,"gens":[[3,0],[1,1],[0,5]]}', "--m", "300"], "render staircase needs --m and --t"),
     (["hf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--m", "200000", "--degree", "-1"],
      "degree must be non-negative"),
     (["hf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--m", "200000", "--t=-1/2"],
      "extended Hilbert function needs t >= 0"),
-    (["render", "--kind", "staircase", "--family", "power", "--ideal",
-      '{"vars":2,"gens":[[3,0],[1,1],[0,5]]}', "--m", "300"], "render staircase needs --m and --t"),
 ])
 def test_missing_flags_are_refused_before_any_member_is_built(capsys, monkeypatch, argv, message):
     built = []
