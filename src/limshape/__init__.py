@@ -48,7 +48,6 @@ from .geometry import (
 )
 from .hilbert import (
     IntegerPolynomial,
-    NotStabilizedError,
     hilbert_function,
     hilbert_function_extended,
     hilbert_polynomial,

@@ -2,10 +2,8 @@
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed JSON,
 parameter violations), 2 computation error (unsupported dimension, a family
-rule breaking its declaration, no stabilization within the degree cap, or a
-WorkBudgetError: work refused above a fixed budget).
-Hilbert data are exact; setting LIMSHAPE_MAX_DEGREE makes the Hilbert
-polynomial and regularity index relative to that degree cap.
+rule breaking its declaration, or a WorkBudgetError: work refused above a
+fixed budget).
 
 main(argv) may be called repeatedly in one process: the parser is built once
 and no state is kept between calls.  Each call parses once: when argv[0] names
@@ -33,7 +31,6 @@ from .families import (
     waldschmidt_estimate,
 )
 from .hilbert import (
-    NotStabilizedError,
     hilbert_function,
     hilbert_function_extended,
     hilbert_polynomial,
@@ -402,8 +399,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotStabilizedError, geometry.UnsupportedDimensionError, FamilyRuleError,
-            planar.WorkBudgetError) as exc:
+    except (geometry.UnsupportedDimensionError, FamilyRuleError, planar.WorkBudgetError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -37,7 +37,7 @@ from functools import cached_property
 from math import comb, factorial, floor, lcm
 
 from .families import _check_max_m, _check_walk
-from .hilbert import _numerator, hilbert_function
+from .hilbert import _series, hilbert_function
 from .ideals import MonomialIdeal, WorkBudgetError
 from .rationals import _ZERO, _scaled, format_rational
 
@@ -183,7 +183,7 @@ def _complement(stair: StaircaseRegion, count: bool, outside: bool):
                 for (p, _), s in zip(stair.corners, slacks)]
     if B < 0:
         return 0 if count else _ZERO
-    N = _numerator(gens, k + 1)
+    N = _series(gens, k + 1)
     if count:
         rest = sum(c * comb(B - e + k, k) for e, c in N.items() if e <= B)
         return rest if outside else comb(B + k, k) - rest
@@ -226,16 +226,13 @@ def lattice_count(region) -> int:
 def gamma_lattice_count(I: MonomialIdeal, m: int, t) -> int:
     """lattice_count(gamma_region(I, m, t)) without building the region: at
     d = floor(m*t) a generator's corner (g[:-1], d - g[-1]) lifts back to g
-    with its last exponent first, so the count is hilbert_function(I, d).
-    The column bound (d + 1)^(nvars - 2) is charged as by `lattice_count`."""
+    with its last exponent first, so the count is hilbert_function(I, d)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     t = Fraction(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    d = floor(m * t)
-    _check_columns(d, I.nvars - 1)
-    return hilbert_function(I, d)
+    return hilbert_function(I, floor(m * t))
 
 
 def region_volume(region) -> Fraction:
@@ -560,11 +557,13 @@ class AhfResult:
 
 def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
     """The complement area of the limiting shape at t and, with `diagnostics`,
-    the samples for m = 1..M = max_m.  Their sum(floor(m*t) + 1) <= t*M*(M+1)/2
-    + M columns are charged at once, on integers, before any member or shape
-    is built.  Each sample is the member's Hilbert function at floor(m*t):
-    a two-variable member's is read off its cached staircase corners, a
-    three-variable member's is `hilbert_function`."""
+    the samples for m = 1..M = max_m.  Before any member or shape is built,
+    the walk is charged by `_check_walk`, and at once, on integers, the
+    sum(floor(m*t) + 1) <= t*M*(M+1)/2 + M sample columns plus, for a
+    two-variable closed form, the sum of its members' generators
+    `columns(m)`.  Each sample is the member's Hilbert function at
+    floor(m*t): a two-variable member's is read off its cached staircase
+    corners, a three-variable member's is `hilbert_function`."""
     if type(t) is not Fraction:
         t = Fraction(t)
     p, q = t.numerator, t.denominator
@@ -572,7 +571,12 @@ def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
         raise ValueError("t must be >= 0")
     max_m = _check_max_m(max_m)
     M = max_m if diagnostics else 0
+    if diagnostics:
+        _check_walk(family, max_m)
     columns = p * M * (M + 1) // (2 * q) + M
+    shape = family.exact_shape
+    if shape is not None and family.nvars == 2:
+        columns += sum(shape.columns(m) for m in range(1, M + 1))
     if columns > MAX_LATTICE_COLUMNS:
         raise WorkBudgetError(f"ahf samples up to m={max_m} at t={t} walk up to "
                               f"{columns} columns, over {MAX_LATTICE_COLUMNS}")

@@ -12,26 +12,22 @@ the Hilbert polynomial is the same sum with each binomial read as a
 polynomial in d, and the two agree exactly from degree max(N) - n + 1 on.
 A two-variable N is read straight off the staircase corners in one sorted
 pass; with more variables `_numerator` slices on x_0 down to that corner
-form, n - 1 calls deep.  No degree cap is involved.  Only when
-LIMSHAPE_MAX_DEGREE is set do `hilbert_polynomial` and `regularity_index`
-fall back to a difference stabilization search whose answers are relative
-to that cap.
+form, n - 1 calls deep, so an ideal in more than MAX_NVARS variables is
+refused with WorkBudgetError.  No degree cap is involved.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby
 from math import comb, factorial
 from operator import itemgetter
 
-from .ideals import MonomialIdeal, _check_int
+from .ideals import MonomialIdeal, WorkBudgetError, _check_int
 
 __all__ = [
     "IntegerPolynomial",
-    "NotStabilizedError",
     "hilbert_function",
     "hilbert_function_extended",
     "hilbert_polynomial",
@@ -39,11 +35,7 @@ __all__ = [
     "degree_cap",
 ]
 
-ENV_DEGREE_CAP = "LIMSHAPE_MAX_DEGREE"
-
-
-class NotStabilizedError(RuntimeError):
-    """Hilbert function did not agree with a polynomial within the degree cap."""
+MAX_NVARS = 500  # `_numerator` recurses nvars - 1 calls deep, well below the recursion limit
 
 
 def _numerator(gens, nvars: int) -> dict:
@@ -96,16 +88,24 @@ def _numerator(gens, nvars: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _series(gens, nvars: int) -> dict:
+    """`_numerator`, with more than MAX_NVARS variables refused with
+    WorkBudgetError before the recursion starts."""
+    if nvars > MAX_NVARS:
+        raise WorkBudgetError(f"Hilbert series in {nvars} variables, over {MAX_NVARS}")
+    return _numerator(gens, nvars)
+
+
 def hilbert_function(I: MonomialIdeal, d: int) -> int:
-    """dim of (S/I)_d: degree-d monomials not contained in I.  `d`, like a
-    `window` below, is read by the rule for exponents: True, 2.5, 3.0 or "3"
-    is refused with a ValueError, never truncated."""
+    """dim of (S/I)_d: degree-d monomials not contained in I.  `d` is read by
+    the rule for exponents: True, 2.5, 3.0 or "3" is refused with a
+    ValueError, never truncated."""
     d = _check_int(d, "degree")
     if d < 0:
         raise ValueError("degree must be non-negative")
     n = I.nvars
     # generators of degree > d cannot change the degree-d piece
-    N = _numerator([g for g in I.gens if sum(g) <= d], n)
+    N = _series([g for g in I.gens if sum(g) <= d], n)
     return sum(c * comb(d - e + n - 1, n - 1) for e, c in N.items() if e <= d)
 
 
@@ -129,25 +129,6 @@ class IntegerPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
-
-    @classmethod
-    def interpolate(cls, points) -> "IntegerPolynomial":
-        """Unique polynomial of degree < len(points) through (x, y) pairs."""
-        coeffs = [Fraction(0)] * len(points)
-        for xi, yi in points:
-            xi, yi = Fraction(xi), Fraction(yi)
-            basis = [Fraction(1)]  # product of (t - xj) over j != i
-            den = Fraction(1)
-            for xj, _ in points:
-                xj = Fraction(xj)
-                if xj == xi:
-                    continue
-                basis = _poly_mul_linear(basis, -xj)
-                den *= xi - xj
-            scale = yi / den
-            for k, c in enumerate(basis):
-                coeffs[k] += scale * c
-        return cls.from_coeffs(coeffs)
 
     @property
     def degree(self) -> int:
@@ -187,74 +168,19 @@ def _poly_mul_linear(coeffs: list, const: Fraction) -> list:
 
 
 def degree_cap(I: MonomialIdeal) -> int:
-    """Degree bound of the cap-relative search: the LIMSHAPE_MAX_DEGREE value
-    when set, else max(50, 4 * max generator degree, 4 * nvars + 8)."""
-    env = os.environ.get(ENV_DEGREE_CAP)
-    if env is not None:
-        return int(env)
+    """max(50, 4 * max generator degree, 4 * nvars + 8): the degree table of
+    the retired cap-relative search, kept only for the benchmark tracer's
+    `hilbert.hp.table_degrees` counter until that counter is dropped."""
     top = 0 if I.is_zero else I.max_generator_degree()
     return max(50, 4 * top, 4 * I.nvars + 8)
 
 
-def _window(I: MonomialIdeal, window: int | None) -> int:
-    w = I.nvars + 1 if window is None else _check_int(window, "window")
-    if w < I.nvars + 1:
-        raise ValueError(f"window must be at least {I.nvars + 1}")
-    return w
-
-
-def _fit_within_cap(I: MonomialIdeal, w: int) -> tuple:
-    """(polynomial, HF(0..cap)) by n-th difference stabilization over the
-    table up to the LIMSHAPE_MAX_DEGREE cap.
-
-    The unique degree-<=n interpolant through a stabilized window is verified
-    against every table value, so the answer is relative to the cap.
-    """
-    n = I.nvars - 1
-    cap = degree_cap(I)
-    if cap < 2 * w + n + 1:
-        raise NotStabilizedError(
-            f"degree cap {cap} too small for window {w} in {I.nvars} variables"
-        )
-    hf = [0] * (cap + 1)
-    for e, c in _numerator(I.gens, I.nvars).items():
-        if e <= cap:
-            hf[e] += c
-    for _ in range(I.nvars):  # one division by (1 - t) per variable
-        hf = list(accumulate(hf))
-    diffs = hf[:]
-    for _ in range(n):
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-    for start in range(0, cap - 2 * w):
-        if any(diffs[i] != diffs[start] for i in range(start, start + w + 1)):
-            continue
-        poly = IntegerPolynomial.interpolate(
-            [(start + k, hf[start + k]) for k in range(n + 1)]
-        )
-        # verify against the whole table; top-down so a candidate fitted to a
-        # finite plateau is rejected in one evaluation
-        if all(poly(i) == hf[i] for i in range(cap, start - 1, -1)):
-            return poly, hf
-    raise NotStabilizedError(
-        f"Hilbert function not polynomial within degree cap {cap}"
-    )
-
-
-def hilbert_polynomial(I: MonomialIdeal, window: int | None = None) -> IntegerPolynomial:
+def hilbert_polynomial(I: MonomialIdeal) -> IntegerPolynomial:
     """Eventual polynomial of HF_I: sum_e c_e * C(t - e + n - 1, n - 1) over
-    the Hilbert-series numerator, exact for every ideal.
-
-    `window` must be at least nvars + 1.  It matters only when
-    LIMSHAPE_MAX_DEGREE is set: the polynomial is then the one found by
-    stabilization of the n-th differences over a window of that length,
-    relative to the cap.
-    """
-    w = _window(I, window)
-    if ENV_DEGREE_CAP in os.environ:
-        return _fit_within_cap(I, w)[0]
+    the Hilbert-series numerator, exact for every ideal."""
     n = I.nvars
     acc = [0] * n
-    for e, c in _numerator(I.gens, n).items():
+    for e, c in _series(I.gens, n).items():
         basis = [1]  # (t - e + 1) (t - e + 2) ... (t - e + n - 1)
         for k in range(1, n):
             basis = _poly_mul_linear(basis, k - e)
@@ -264,18 +190,12 @@ def hilbert_polynomial(I: MonomialIdeal, window: int | None = None) -> IntegerPo
     return IntegerPolynomial.from_coeffs(Fraction(a, den) for a in acc)
 
 
-def regularity_index(I: MonomialIdeal, window: int | None = None) -> int:
+def regularity_index(I: MonomialIdeal) -> int:
     """Least degree from which HF agrees with the Hilbert polynomial.
 
     Exactly max(0, max(N) - n + 1) for the Hilbert-series numerator N: at
     degree max(N) - n the top term of N alone disagrees, by +-c_top, and
-    above it every term agrees.  With LIMSHAPE_MAX_DEGREE set, it is the
-    least degree from which HF agrees up to the cap with the cap-relative
-    polynomial.
+    above it every term agrees.
     """
-    w = _window(I, window)
-    if ENV_DEGREE_CAP in os.environ:
-        poly, hf = _fit_within_cap(I, w)
-        return next((d + 1 for d in range(len(hf) - 1, -1, -1) if hf[d] != poly(d)), 0)
-    N = _numerator(I.gens, I.nvars)
+    N = _series(I.gens, I.nvars)
     return max(0, max(N) - I.nvars + 1) if N else 0

@@ -225,13 +225,30 @@ def test_exit_code_validation_error(capsys):
     assert code == 1 and out == "" and "1.5" in err
 
 
-def test_exit_code_computation_error(monkeypatch, capsys):
+def test_exit_code_computation_error(capsys):
+    code, _, err = run_cli(capsys, "family-eval", "--family", "doubling", "--m", "10001")
+    assert code == 2 and "computation error" in err
+
+
+def test_hilbert_data_ignore_the_retired_degree_cap_variable(monkeypatch, capsys):
+    # the plateau HF = 2 lasts to degree 16, past the cap of 6 the variable names
     monkeypatch.setenv("LIMSHAPE_MAX_DEGREE", "6")
-    code, _, err = run_cli(
+    code, out, _ = run_cli(
         capsys, "hf", "--ideal", '{"vars":2,"gens":[[2,0],[1,16]]}',
         "--degree", "3", "--hp",
     )
-    assert code == 2 and "computation error" in err
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["hilbert_polynomial"], payload["regularity_index"]) == ("1", 17)
+
+
+def test_hf_in_too_many_variables_exits_2(capsys):
+    ideal = json.dumps({"vars": 1200, "gens": [[1] * 1200]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hf", "--ideal", ideal, "--degree", "1300")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "computation error: Hilbert series in 1200 variables, over 500\n"
 
 
 def test_exit_code_family_rule_violation(monkeypatch, capsys):
@@ -480,6 +497,9 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
     ["shape", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--t", "3", "--max-m", "20000"],
     ["waldschmidt", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--max-m", "100000"],
     ["areg", "--family", "oscillating", "--a", "2", "--b", "3", "--d", "2", "--max-m", "100000"],
+    # the walk, and a closed form's sum of columns(m) generators, are charged before any member
+    ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", "0", "--max-m", "8000"],
+    ["ahf", "--family", "halfplane", "--q1", "400", "--q2", "400", "--t", "0", "--max-m", "100"],
 ])
 def test_work_over_budget_exits_2(capsys, argv):
     start = time.perf_counter()

@@ -136,10 +136,14 @@ def test_lattice_count_over_budget_is_refused():
     plane = MonomialIdeal.from_gens(3, [(1, 0, 0)])
     with pytest.raises(WorkBudgetError):
         lattice_count(staircase_region(plane, 1, MAX_LATTICE_COLUMNS))
-    with pytest.raises(WorkBudgetError):
-        gamma_lattice_count(plane, 1, MAX_LATTICE_COLUMNS)
+    # gamma_lattice_count is a Hilbert function and walks no columns
+    assert gamma_lattice_count(plane, 1, MAX_LATTICE_COLUMNS) == hilbert_function(
+        plane, MAX_LATTICE_COLUMNS) == MAX_LATTICE_COLUMNS + 1
     with pytest.raises(WorkBudgetError):
         ahf(make_halfplane_family(1, 2), 10**12, max_m=2)
+    # a region lifts to dim + 1 variables, refused above the Hilbert series' limit
+    with pytest.raises(WorkBudgetError, match="1201 variables"):
+        lattice_count(StaircaseRegion(1200, 0, (((0,) * 1200, 0),)))
     # one dimension is charged no columns
     line = MonomialIdeal.from_gens(2, [(1, 0)])
     assert lattice_count(staircase_region(line, 1, 10**12)) == 10**12
@@ -865,9 +869,14 @@ def test_ahf_charges_every_sample_before_any_shape():
         ahf(plain, Fraction(5, 2), max_m=5000)
     assert time.perf_counter() - start < 1
     assert not plain._shapes and not plain._cache  # no member built, no hull started
-    # at t = 0 each sample is one column
-    with pytest.raises(WorkBudgetError):
+    # at t = 0 each sample is one column, but the walk is refused first
+    with pytest.raises(WorkBudgetError, match="walking the members"):
         ahf(make_halfplane_family(1, 2), 0, max_m=MAX_LATTICE_COLUMNS + 1)
+    # a closed form's members are charged their generators, 400m + 1 each here
+    wide = make_halfplane_family(400, 400)
+    with pytest.raises(WorkBudgetError, match="columns"):
+        ahf(wide, 0, max_m=100)
+    assert not wide._cache and not wide._shapes
     # without samples nothing is charged
     exact = ahf(make_halfplane_family(1, 2), Fraction(5, 2), max_m=5000, diagnostics=False)
     assert exact.exact and exact.samples == ()
