@@ -35,6 +35,7 @@ from .geometry import (
     StaircaseRegion,
     UnsupportedDimensionError,
     ahf,
+    areg,
     areg_from_shape,
     convex_hull,
     gamma_lattice_count,
@@ -43,7 +44,9 @@ from .geometry import (
     lattice_count,
     limiting_shape,
     region_volume,
+    shape_json,
     staircase_region,
+    waldschmidt,
     waldschmidt_from_shape,
 )
 from .hilbert import (

@@ -1,5 +1,10 @@
 """Command-line front end: JSON results on stdout, SVG via the render command.
 
+The CLI keeps only flags and dispatch: `shape`, `waldschmidt` and `areg` print
+`geometry.shape_json`, `waldschmidt` and `areg`; `ahf`, `check-graded` and the
+planar commands print the `to_json` of `AhfResult`, `GradednessReport` (both
+after the family's label) and `PLGraph`.
+
 Exit codes: 0 success, 1 validation error (bad flags, malformed JSON,
 parameter violations), 2 computation error (unsupported dimension, a family
 rule breaking its declaration, or a WorkBudgetError: work refused above a
@@ -17,25 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import geometry, planar
-from .families import (
-    FamilyRuleError,
-    GradedFamily,
-    _check_max_m,
-    areg_estimate,
-    family_from_json,
-    verify_graded,
-    waldschmidt_estimate,
-)
-from .hilbert import (
-    hilbert_function,
-    hilbert_function_extended,
-    hilbert_polynomial,
-    regularity_index,
-)
+from .families import FamilyRuleError, GradedFamily, family_from_json, verify_graded
+from .hilbert import hilbert_function, hilbert_function_extended, hilbert_polynomial, regularity_index
 from .ideals import MonomialIdeal
 from .rationals import format_rational, parse_rational
 from .svgfig import _charge_triangles, render_graph, render_polygon, render_staircase
@@ -50,17 +41,6 @@ class CliError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map usage to 1
         raise CliError(message)
-
-
-def _rat(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _point_json(p) -> list:
-    return [format_rational(v) for v in p]
 
 
 def _load_json_arg(text: str, what: str) -> dict:
@@ -139,16 +119,7 @@ def _cmd_family_eval(args) -> dict:
 
 def _cmd_check_graded(args) -> dict:
     family = _family_from_args(args)
-    report = verify_graded(family, args.max_m)
-    return {
-        "label": family.label,
-        "max_m": report.max_m,
-        "checked_pairs": report.checked_pairs,
-        "ok": report.ok,
-        "violations": [
-            {"p": v.p, "q": v.q, "witness": list(v.witness)} for v in report.violations
-        ],
-    }
+    return {"label": family.label, **verify_graded(family, args.max_m).to_json()}
 
 
 def _cmd_hf(args) -> dict:
@@ -157,7 +128,7 @@ def _cmd_hf(args) -> dict:
         raise CliError("hf: provide --degree or --t")
     if args.degree is not None and args.degree < 0:
         raise CliError("degree must be non-negative")
-    t = None if args.degree is not None else _rat(args.t)
+    t = None if args.degree is not None else parse_rational(args.t)
     if t is not None and t < 0:
         raise CliError("extended Hilbert function needs t >= 0")
     ideal = _ideal_from_args(args)
@@ -169,97 +140,38 @@ def _cmd_hf(args) -> dict:
         out["t"] = format_rational(t)
         out["value"] = hilbert_function_extended(ideal, t)
     if args.hp:
-        poly = hilbert_polynomial(ideal)
-        out["hilbert_polynomial"] = str(poly)
+        out["hilbert_polynomial"] = str(hilbert_polynomial(ideal))
         out["regularity_index"] = regularity_index(ideal)
     return out
 
 
 def _cmd_shape(args) -> dict:
-    family = _family_from_args(args)
-    t = _rat(args.t)
-    delta = geometry.limiting_shape(family, t, args.max_m)
-    gamma = geometry.gamma_limit(family, t, args.max_m)
-    out = {
-        "label": family.label,
-        "t": format_rational(t),
-        "exact": delta.exact,
-        "delta_vertices": delta.polygon.to_json() if delta.polygon else [],
-        "gamma_vertices": gamma.polygon.to_json() if gamma.polygon else [],
-        "gamma_area": format_rational(gamma.area),
-    }
-    if delta.exact:
-        out["staircase_vertices"] = [
-            _point_json(p) for p in delta.staircase_vertices
-        ]
-        out["waldschmidt"] = format_rational(geometry.waldschmidt_from_shape(delta))
-        out["areg"] = format_rational(geometry.areg_from_shape(delta))
-    return out
+    return geometry.shape_json(_family_from_args(args), parse_rational(args.t), args.max_m)
 
 
 def _cmd_waldschmidt(args) -> dict:
-    family = _family_from_args(args)
-    _check_max_m(args.max_m)  # refused for closed forms too, which never read it
-    if family.exact_shape is not None:
-        value = family.exact_shape.vertices[0][0]  # the chain starts on the x-axis
-        return {"label": family.label, "method": "shape", "value": format_rational(value)}
-    est = waldschmidt_estimate(family, args.max_m)
-    return {
-        "label": family.label,
-        "method": "estimate",
-        "value": format_rational(est.inf_value),
-        "max_m": args.max_m,
-        "values": [[m, format_rational(v)] for m, v in est.values],
-    }
+    return geometry.waldschmidt(_family_from_args(args), args.max_m)
 
 
 def _cmd_areg(args) -> dict:
-    family = _family_from_args(args)
-    _check_max_m(args.max_m)  # refused for closed forms too, which never read it
-    if family.exact_shape is not None:
-        value = max(x + y for x, y in family.exact_shape.vertices)
-        return {"label": family.label, "method": "shape", "value": format_rational(value)}
-    est = areg_estimate(family, args.max_m)
-    out = {
-        "label": family.label,
-        "method": "estimate",
-        "max_m": args.max_m,
-        "liminf": format_rational(est.liminf),
-        "limsup": format_rational(est.limsup),
-        "oscillating": est.oscillating,
-        "diverging": est.diverging,
-        "tolerance": format_rational(est.tolerance),
-    }
-    if est.residue_values:
-        out["residue_values"] = [
-            [r, format_rational(v)] for r, v in est.residue_values
-        ]
-    return out
+    return geometry.areg(_family_from_args(args), args.max_m)
 
 
 def _cmd_ahf(args) -> dict:
     family = _family_from_args(args)
-    result = geometry.ahf(family, _rat(args.t), args.max_m)
-    return {
-        "label": family.label,
-        "t": format_rational(result.t),
-        "value": format_rational(result.value),
-        "exact": result.exact,
-        "samples": [
-            [m, count, format_rational(ratio)] for m, count, ratio in result.samples
-        ],
-    }
+    return {"label": family.label, **geometry.ahf(family, parse_rational(args.t), args.max_m).to_json()}
 
 
-def _planar_graph(args) -> planar.PLGraph:
-    if not getattr(args, "counts", None):
+def _planar_config(args) -> planar.LineConfiguration:
+    if not args.counts:
         raise CliError("--counts is required")
-    counts = _counts(args.counts)
-    if args.shared:
-        if len(counts) != 2:
-            raise CliError("shared-intersection configurations have exactly two counts")
-        return planar.two_line_vertices(counts[0], counts[1])
-    return planar.dhf_vertices_closed_form(counts)
+    return planar.validate_configuration(_counts(args.counts), args.shared)
+
+
+def _planar_graph(config) -> planar.PLGraph:
+    if config.shared_intersection:
+        return planar.two_line_vertices(*config.counts)
+    return planar.dhf_vertices_closed_form(config.counts)
 
 
 def _cmd_planar_reduce(args) -> dict:
@@ -267,46 +179,42 @@ def _cmd_planar_reduce(args) -> dict:
     if args.m is None:
         raise CliError("--m is required")
     vec = planar.reduction_vector(config, args.m, approximate=args.approximate)
-    graph = planar.dhf_envelope(vec)
     return {
         "counts": list(config.counts),
         "shared_intersection": config.shared_intersection,
         "m": vec.multiplicity,
         "exact": vec.exact,
         "entries": list(vec.entries),
-        "envelope": [_point_json(p) for p in graph.vertices],
+        "envelope": planar.dhf_envelope(vec).to_json(),
     }
 
 
 def _cmd_planar_vertices(args) -> dict:
-    graph = _planar_graph(args)
-    return {
-        "counts": list(_counts(args.counts)),
-        "shared_intersection": bool(args.shared),
-        "vertices": [_point_json(p) for p in graph.vertices],
-    }
+    config = _planar_config(args)
+    return {"counts": list(config.counts), "shared_intersection": config.shared_intersection,
+            "vertices": _planar_graph(config).to_json()}
 
 
 def _cmd_render(args) -> str:
     if args.kind == "staircase":
         if args.t is None:  # checked before any member is built
             raise CliError("render staircase needs --m and --t")
-        t = _rat(args.t)
+        t = parse_rational(args.t)
         ideal = _ideal_from_args(args, _charge_triangles)
         if args.m is None:
             raise CliError("render staircase needs --m and --t")
         return render_staircase(ideal, args.m, t)
     if args.kind == "graph":
-        return render_graph(_planar_graph(args))
+        return render_graph(_planar_graph(_planar_config(args)))
     if args.kind == "gamma":
-        graph = _planar_graph(args)
-        t = _rat(args.t) if args.t is not None else None
+        graph = _planar_graph(_planar_config(args))
+        t = parse_rational(args.t) if args.t is not None else None
         return render_polygon(planar.gamma_vertices(graph, t), hatched=True)
     if args.kind == "shape":
         family = _family_from_args(args)
         if args.t is None:
             raise CliError("render shape needs --t")
-        result = geometry.limiting_shape(family, _rat(args.t), args.max_m)
+        result = geometry.limiting_shape(family, parse_rational(args.t), args.max_m)
         if result.polygon is None:
             raise CliError("family has no polygonal shape to render")
         return render_polygon(result.polygon, hatched=False)

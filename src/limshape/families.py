@@ -407,6 +407,10 @@ class GradednessReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def to_json(self) -> dict:
+        return {"max_m": self.max_m, "checked_pairs": self.checked_pairs, "ok": self.ok,
+                "violations": [{"p": v.p, "q": v.q, "witness": list(v.witness)} for v in self.violations]}
+
 
 def _check_max_m(max_m, least: int = 1) -> int:
     """`max_m` through `_check_int`, refused below `least` for every family,

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, floor, lcm
 
-from .families import _check_max_m, _check_walk
+from .families import _check_max_m, _check_walk, areg_estimate, waldschmidt_estimate
 from .hilbert import _series, hilbert_function
 from .ideals import MonomialIdeal, WorkBudgetError
 from .rationals import _ZERO, _scaled, format_rational
@@ -59,6 +59,9 @@ __all__ = [
     "gamma_limit",
     "waldschmidt_from_shape",
     "areg_from_shape",
+    "shape_json",
+    "waldschmidt",
+    "areg",
     "ahf",
 ]
 
@@ -284,6 +287,9 @@ class _Imaged:
     def _image(self) -> tuple:
         return _scaled(self.vertices)
 
+    def to_json(self) -> list:
+        return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
+
 
 @dataclass(frozen=True)
 class ShapePolygon(_Imaged):
@@ -327,9 +333,6 @@ class ShapePolygon(_Imaged):
 
     def area(self) -> Fraction:
         return abs(self.signed_area())
-
-    def to_json(self) -> list:
-        return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
 
 
 def _cross(a, b, c):
@@ -541,6 +544,62 @@ def areg_from_shape(result: ShapeResult) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+def shape_json(family, t, max_m: int) -> dict:
+    """The `shape` payload: the limiting shape and its complement at t, and
+    for a closed form its chain and the two invariants read off the shape."""
+    delta, gamma = limiting_shape(family, t, max_m), gamma_limit(family, t, max_m)
+    out = {
+        "label": family.label,
+        "t": format_rational(delta.t),
+        "exact": delta.exact,
+        "delta_vertices": delta.polygon.to_json() if delta.polygon else [],
+        "gamma_vertices": gamma.polygon.to_json() if gamma.polygon else [],
+        "gamma_area": format_rational(gamma.area),
+    }
+    if delta.exact:
+        out["staircase_vertices"] = [list(map(format_rational, p)) for p in delta.staircase_vertices]
+        out["waldschmidt"] = format_rational(waldschmidt_from_shape(delta))
+        out["areg"] = format_rational(areg_from_shape(delta))
+    return out
+
+
+def _closed_form_shape(family, max_m: int) -> ShapeResult | None:
+    """A closed form's exact shape at a t past its chain, which checks max_m
+    though it never reads it; None for any other family."""
+    shape = family.exact_shape
+    return None if shape is None else limiting_shape(family, sum(shape.vertices[-1]) + 1, max_m)
+
+
+def waldschmidt(family, max_m: int) -> dict:
+    """The `waldschmidt` payload: a closed form's constant read off its exact
+    shape (`method` "shape"), else the infimum of `waldschmidt_estimate` over
+    the members up to max_m, with its values (`method` "estimate")."""
+    delta = _closed_form_shape(family, max_m)
+    if delta is not None:
+        return {"label": family.label, "method": "shape",
+                "value": format_rational(waldschmidt_from_shape(delta))}
+    est = waldschmidt_estimate(family, max_m)
+    return {"label": family.label, "method": "estimate", "value": format_rational(est.inf_value),
+            "max_m": max_m, "values": [[m, format_rational(v)] for m, v in est.values]}
+
+
+def areg(family, max_m: int) -> dict:
+    """The `areg` payload: a closed form's asymptotic regularity read off its
+    exact shape (`method` "shape"), else the tail of `areg_estimate` over the
+    members up to max_m, per residue for a periodic family (`method` "estimate")."""
+    delta = _closed_form_shape(family, max_m)
+    if delta is not None:
+        return {"label": family.label, "method": "shape", "value": format_rational(areg_from_shape(delta))}
+    est = areg_estimate(family, max_m)
+    out = {"label": family.label, "method": "estimate", "max_m": max_m,
+           "liminf": format_rational(est.liminf), "limsup": format_rational(est.limsup),
+           "oscillating": est.oscillating, "diverging": est.diverging,
+           "tolerance": format_rational(est.tolerance)}
+    if est.residue_values:
+        out["residue_values"] = [[r, format_rational(v)] for r, v in est.residue_values]
+    return out
+
+
 @dataclass(frozen=True)
 class AhfResult:
     """Value of the asymptotic Hilbert function with convergence diagnostics.
@@ -553,6 +612,10 @@ class AhfResult:
     value: Fraction
     exact: bool
     samples: tuple
+
+    def to_json(self) -> dict:
+        return {"t": format_rational(self.t), "value": format_rational(self.value), "exact": self.exact,
+                "samples": [[m, count, format_rational(ratio)] for m, count, ratio in self.samples]}
 
 
 def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:

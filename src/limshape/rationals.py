@@ -2,11 +2,13 @@
 
 Rationals travel as "num/den" strings (plain integers allowed); internally
 everything is a `fractions.Fraction`, which already stores lowest terms with
-a positive denominator.
+a positive denominator.  An exponent ("1e3" is 1000) above MAX_EXPONENT in
+magnitude is refused before `Fraction` builds its power of ten.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -14,6 +16,9 @@ __all__ = ["Rational", "parse_rational", "format_rational"]
 
 Rational = Fraction
 _ZERO = Fraction(0)
+# Python's limit for printing an int: no larger power of ten could be printed
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
 def parse_rational(text) -> Fraction:
@@ -22,7 +27,10 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     try:
-        return Fraction(str(text).strip())
+        exponent = _EXPONENT.search(s := str(text).strip())
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(f"exponent above {MAX_EXPONENT} in magnitude")
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 

@@ -16,10 +16,14 @@ import limshape.families
 from limshape import (
     GradedFamily,
     MonomialIdeal,
+    ahf,
     areg_from_shape,
+    dhf_vertices_closed_form,
     family_from_json,
     format_rational,
     limiting_shape,
+    two_line_vertices,
+    verify_graded,
     waldschmidt_from_shape,
 )
 from limshape.cli import main
@@ -562,6 +566,51 @@ def test_power_chain_over_budget_exits_2(capsys, argv):
     assert time.perf_counter() - start < 10
     assert code == 2 and out == ""
     assert err.startswith("computation error: ") and "generator pairs" in err
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["planar-vertices", "--counts", "10,8,5,3"], lambda: dhf_vertices_closed_form((10, 8, 5, 3))),
+    (["planar-vertices", "--counts", "5,3", "--shared"], lambda: two_line_vertices(5, 3)),
+])
+def test_planar_vertices_print_the_graphs_own_json(capsys, argv, graph):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["vertices"] == graph().to_json()
+
+
+def test_ahf_and_check_graded_print_the_library_payload_after_the_label(capsys):
+    spec = {"kind": "oscillating", "params": {"a": 1, "b": 2, "d": 2}}
+    family = family_from_json(spec)
+    code, out, _ = run_cli(capsys, "ahf", "--family", "oscillating", "--a", "1", "--b", "2",
+                           "--d", "2", "--t", "5/2", "--max-m", "6")
+    assert code == 0 and json.loads(out) == {"label": family.label,
+                                             **ahf(family, Fraction(5, 2), 6).to_json()}
+    code, out, _ = run_cli(capsys, "check-graded", "--family", "oscillating", "--a", "1", "--b", "2",
+                           "--d", "2", "--max-m", "5")
+    assert code == 0 and json.loads(out) == {"label": family.label, **verify_graded(family, 5).to_json()}
+
+
+def test_shared_planar_flags_are_checked_by_the_library_once(capsys):
+    # the configuration's own message, exit 1, for the graph and its figures alike
+    for argv in (["planar-vertices", "--counts", "5,4,3", "--shared"],
+                 ["render", "--kind", "graph", "--counts", "5", "--shared"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: shared-intersection variant needs exactly two lines\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hf", "--ideal", '{"vars":2,"gens":[[1,1]]}', "--t", "1e100000000"],
+    ["hf", "--ideal", '{"vars":2,"gens":[[1,1]]}', "--t", "1e-10000000"],
+    ["hf", "--ideal", '{"vars":2,"gens":[[1,1]]}', "--t", "1e10000000"],
+    ["shape", "--family", "halfplane", "--q1", "1e100000000", "--q2", "2", "--t", "3"],
+])
+def test_exponent_notation_is_refused_at_once(capsys, argv):
+    # Fraction would build 10^exponent first: 8-10 s at 10^7, unbounded at 10^8
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exponent above 4300 in magnitude" in err
 
 
 def _dec_by_fraction(q) -> str:

@@ -19,6 +19,7 @@ from limshape import (
     WorkBudgetError,
     ComplementRegion,
     ahf,
+    areg,
     areg_estimate,
     areg_from_shape,
     convex_hull,
@@ -38,8 +39,10 @@ from limshape import (
     make_power_family,
     region_volume,
     ri_estimate,
+    shape_json,
     staircase_region,
     verify_graded,
+    waldschmidt,
     waldschmidt_estimate,
     waldschmidt_from_shape,
 )
@@ -324,6 +327,45 @@ def test_shape_refused_above_three_variables():
     fam = make_power_family(wide)
     with pytest.raises(UnsupportedDimensionError):
         limiting_shape(fam, 4)
+
+
+# the closed forms and their invariants: (waldschmidt, areg)
+_CLOSED_FORMS = [
+    (lambda: make_halfplane_family(2, 3), ("2", "3")),
+    (lambda: make_chain_family(CHAIN_POINTS), ("4", "7")),
+    (lambda: make_ceiling_family(Fraction(5, 3)), ("5/3", "5/3")),
+]
+
+
+@pytest.mark.parametrize("build, values", _CLOSED_FORMS)
+def test_waldschmidt_and_areg_read_closed_forms_off_the_shape(build, values):
+    family = build()
+    for builder, value in zip((waldschmidt, areg), values):
+        assert builder(family, 20) == {"label": family.label, "method": "shape", "value": value}
+    # the shape payload reads the same invariants, at any t
+    for t in (1, Fraction(7, 2), 12):
+        payload = shape_json(build(), t, 16)
+        assert payload["exact"] and (payload["waldschmidt"], payload["areg"]) == values
+        assert payload["waldschmidt"] == waldschmidt(family, 20)["value"]
+        assert payload["areg"] == areg(family, 20)["value"]
+
+
+def test_waldschmidt_and_areg_estimate_families_without_a_closed_form():
+    family = make_oscillating_family(1, 2, 2)
+    est = waldschmidt_estimate(family, 8)
+    assert waldschmidt(family, 8) == {
+        "label": family.label, "method": "estimate", "value": str(est.inf_value), "max_m": 8,
+        "values": [[m, str(v)] for m, v in est.values],
+    }
+    est = areg_estimate(family, 8)
+    payload = areg(family, 8)
+    assert payload["method"] == "estimate" and payload["max_m"] == 8 and payload["oscillating"]
+    assert (payload["liminf"], payload["limsup"]) == (str(est.liminf), str(est.limsup))
+    assert payload["residue_values"] == [[r, str(v)] for r, v in est.residue_values]
+    assert list(payload) == ["label", "method", "max_m", "liminf", "limsup", "oscillating",
+                             "diverging", "tolerance", "residue_values"]
+    # a family without a period prints no residues
+    assert "residue_values" not in areg(make_doubling_family(), 8)
 
 
 def test_ahf_chain_exact():
@@ -770,8 +812,9 @@ def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
 def test_max_m_below_1_is_refused_for_every_family(build, max_ms):
     # closed forms and inner approximations alike, before the memo is read
     family = build()
-    shape_calls = (limiting_shape, gamma_limit, ahf, partial(ahf, diagnostics=False))
-    estimators = (waldschmidt_estimate, areg_estimate, ri_estimate)
+    shape_calls = (limiting_shape, gamma_limit, ahf, partial(ahf, diagnostics=False), shape_json)
+    # the payload builders refuse it for closed forms too, which never read it
+    estimators = (waldschmidt_estimate, areg_estimate, ri_estimate, waldschmidt, areg)
     for max_m in (0, -5):
         for call in shape_calls:
             with pytest.raises(ValueError, match="max_m must be >= 1"):
