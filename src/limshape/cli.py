@@ -175,7 +175,7 @@ def _planar_graph(config) -> planar.PLGraph:
 
 
 def _cmd_planar_reduce(args) -> dict:
-    config = planar.validate_configuration(_counts(args.counts), args.shared)
+    config = _planar_config(args)
     if args.m is None:
         raise CliError("--m is required")
     vec = planar.reduction_vector(config, args.m, approximate=args.approximate)

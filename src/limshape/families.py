@@ -531,40 +531,38 @@ def _check_walk(family: GradedFamily, max_m: int) -> None:
             f"{family.label}: walking the members up to max_m={max_m} is over {MAX_WALK_M}")
 
 
-def waldschmidt_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
-    """Sequence alpha(I_m)/m.  Subadditivity makes the limit equal the inf
-    over all m, so `inf_value` over a prefix is an exact upper bound."""
-    max_m = _check_max_m(max_m)
+def _walk_estimate(family: GradedFamily, max_m: int, value) -> LimitEstimate:
+    """The estimate of v_m = value(m)/m over m = 1 .. max_m, a checked
+    max_m, with the walk charged before the first member."""
     _check_walk(family, max_m)
-    values = []
-    for m in range(1, max_m + 1):
-        ideal = family.ideal(m)
-        if ideal.is_zero:
-            raise ValueError(f"{family.label}: rule({m}) is the zero ideal")
-        values.append((m, ideal.alpha()))
+    values = [(m, value(m)) for m in range(1, max_m + 1)]
     return _estimate_from_values(values, DEFAULT_TOLERANCE, family.period)
 
 
-def areg_estimate(
-    family: GradedFamily, max_m: int, tolerance=DEFAULT_TOLERANCE
-) -> LimitEstimate:
+def waldschmidt_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
+    """Sequence alpha(I_m)/m.  Subadditivity makes the limit equal the inf
+    over all m, so `inf_value` over a prefix is an exact upper bound."""
+
+    def alpha(m):
+        ideal = family.ideal(m)
+        if ideal.is_zero:
+            raise ValueError(f"{family.label}: rule({m}) is the zero ideal")
+        return ideal.alpha()
+
+    return _walk_estimate(family, _check_max_m(max_m), alpha)
+
+
+def areg_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
     """Sequence reg(I_m)/m for Borel-fixed families (max generator degree)."""
     max_m = _check_max_m(max_m)
     if not family.claims_borel:
         raise ValueError("asymptotic regularity estimate needs a Borel-fixed family")
-    _check_walk(family, max_m)
-    values = [(m, family.ideal(m).max_generator_degree()) for m in range(1, max_m + 1)]
-    return _estimate_from_values(values, tolerance, family.period)
+    return _walk_estimate(family, max_m, lambda m: family.ideal(m).max_generator_degree())
 
 
-def ri_estimate(
-    family: GradedFamily, max_m: int, tolerance=DEFAULT_TOLERANCE
-) -> LimitEstimate:
+def ri_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
     """Sequence ri(I_m)/m via the Hilbert-polynomial regularity index."""
-    max_m = _check_max_m(max_m)
-    _check_walk(family, max_m)
-    values = [(m, regularity_index(family.ideal(m))) for m in range(1, max_m + 1)]
-    return _estimate_from_values(values, tolerance, family.period)
+    return _walk_estimate(family, _check_max_m(max_m), lambda m: regularity_index(family.ideal(m)))
 
 
 def _build_power(params: dict) -> GradedFamily:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, floor, lcm
 
-from .families import _check_max_m, _check_walk, areg_estimate, waldschmidt_estimate
+from .families import MAX_STAIRCASE_COLUMNS, _check_max_m, _check_walk, areg_estimate, waldschmidt_estimate
 from .hilbert import _series, hilbert_function
 from .ideals import MonomialIdeal, WorkBudgetError
 from .rationals import _ZERO, _scaled, format_rational
@@ -64,9 +64,6 @@ __all__ = [
     "areg",
     "ahf",
 ]
-
-
-MAX_LATTICE_COLUMNS = 10**6
 
 
 class UnsupportedDimensionError(RuntimeError):
@@ -158,17 +155,6 @@ def _corner_count(xs, ys, d: int) -> int:
     return total
 
 
-def _check_columns(d: int, dim: int) -> None:
-    """Refuse a count at bound d whose column bound (d + 1)^(dim - 1) is over
-    MAX_LATTICE_COLUMNS."""
-    columns = (d + 1) ** max(dim - 1, 0)
-    if columns > MAX_LATTICE_COLUMNS:
-        raise WorkBudgetError(
-            f"lattice count at bound {d} in dimension {dim} walks "
-            f"{columns} columns, over {MAX_LATTICE_COLUMNS}"
-        )
-
-
 def _complement(stair: StaircaseRegion, count: bool, outside: bool):
     """Lattice count (an int) or measure (a Fraction) of `stair`, or with
     `outside` of its complement in the simplex: the lift and the two sums of
@@ -216,13 +202,9 @@ def lattice_count(region) -> int:
     (prefix, slack) lifts to the generator (d - slack, *prefix); the
     complement counts sum_(e <= d) c_e C(d - e + dim, dim) over that ideal's
     Hilbert-series numerator sum_e c_e t^e, and the staircase is the simplex
-    minus it.  A staircase or complement count whose column bound
-    (d + 1)^(dim - 1) is above MAX_LATTICE_COLUMNS is refused with
-    WorkBudgetError.
+    minus it.
     """
     stair, outside = _parts(region)
-    if stair.bound >= 0 and not isinstance(region, SimplexRegion):
-        _check_columns(floor(stair.bound), stair.dim)
     return _complement(stair, True, outside)
 
 
@@ -618,37 +600,32 @@ class AhfResult:
                 "samples": [[m, count, format_rational(ratio)] for m, count, ratio in self.samples]}
 
 
-def ahf(family, t, max_m: int = 16, diagnostics: bool = True) -> AhfResult:
-    """The complement area of the limiting shape at t and, with `diagnostics`,
-    the samples for m = 1..M = max_m.  Before any member or shape is built,
-    the walk is charged by `_check_walk`, and at once, on integers, the
-    sum(floor(m*t) + 1) <= t*M*(M+1)/2 + M sample columns plus, for a
-    two-variable closed form, the sum of its members' generators
-    `columns(m)`.  Each sample is the member's Hilbert function at
-    floor(m*t): a two-variable member's is read off its cached staircase
-    corners, a three-variable member's is `hilbert_function`."""
+def ahf(family, t, max_m: int = 16) -> AhfResult:
+    """The complement area of the limiting shape at t and the samples for
+    m = 1..max_m.  Before any member or shape is built, the walk is charged
+    by `_check_walk` and, for a two-variable closed form, the sum of its
+    members' generators `columns(m)` against MAX_STAIRCASE_COLUMNS.  Each
+    sample is the member's Hilbert function at floor(m*t): a two-variable
+    member's is read off its cached staircase corners, a three-variable
+    member's is `hilbert_function`, which charges its own numerator."""
     if type(t) is not Fraction:
         t = Fraction(t)
     p, q = t.numerator, t.denominator
     if p < 0:
         raise ValueError("t must be >= 0")
     max_m = _check_max_m(max_m)
-    M = max_m if diagnostics else 0
-    if diagnostics:
-        _check_walk(family, max_m)
-    columns = p * M * (M + 1) // (2 * q) + M
+    _check_walk(family, max_m)
     shape = family.exact_shape
     if shape is not None and family.nvars == 2:
-        columns += sum(shape.columns(m) for m in range(1, M + 1))
-    if columns > MAX_LATTICE_COLUMNS:
-        raise WorkBudgetError(f"ahf samples up to m={max_m} at t={t} walk up to "
-                              f"{columns} columns, over {MAX_LATTICE_COLUMNS}")
+        columns = sum(shape.columns(m) for m in range(1, max_m + 1))
+        if columns > MAX_STAIRCASE_COLUMNS:
+            raise WorkBudgetError(f"ahf samples up to m={max_m} build members of "
+                                  f"{columns} columns, over {MAX_STAIRCASE_COLUMNS}")
     gamma = gamma_limit(family, t, max_m)
     samples = []
-    if diagnostics:
-        for m in range(1, max_m + 1):
-            I, d = _plane_ideal(family, m), m * p // q  # floor(m*t)
-            count = (comb(d + 2, 2) - _corner_count(*I._staircase, d) if I.nvars == 2
-                     else hilbert_function(I, d))
-            samples.append((m, count, Fraction(count, m * m)))
+    for m in range(1, max_m + 1):
+        I, d = _plane_ideal(family, m), m * p // q  # floor(m*t)
+        count = (comb(d + 2, 2) - _corner_count(*I._staircase, d) if I.nvars == 2
+                 else hilbert_function(I, d))
+        samples.append((m, count, Fraction(count, m * m)))
     return AhfResult(t, gamma.area, gamma.exact, tuple(samples))

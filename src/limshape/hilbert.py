@@ -13,7 +13,8 @@ polynomial in d, and the two agree exactly from degree max(N) - n + 1 on.
 A two-variable N is read straight off the staircase corners in one sorted
 pass; with more variables `_numerator` slices on x_0 down to that corner
 form, n - 1 calls deep, so an ideal in more than MAX_NVARS variables is
-refused with WorkBudgetError.  No degree cap is involved.
+refused with WorkBudgetError, and so is a series whose slices take more than
+MAX_SLICE_GENS generators in all, mid-series.  No degree cap is involved.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ __all__ = [
 ]
 
 MAX_NVARS = 500  # `_numerator` recurses nvars - 1 calls deep, well below the recursion limit
+MAX_SLICE_GENS = 10**5  # generators handed to slices, summed over one series
 
 
-def _numerator(gens, nvars: int) -> dict:
+def _numerator(gens, nvars: int, budget=None) -> dict:
     """Numerator {degree: coeff} of HS(S/I), zero coefficients dropped.
 
     Two variables: one sorted pass keeps a generator only where its
@@ -54,7 +56,10 @@ def _numerator(gens, nvars: int) -> dict:
     The tails are not minimalized: the formula needs only generators of I_k,
     and redundant tails cost less than removing them.  The recursion is
     nvars - 1 calls deep: it bottoms out at the corner form, and the
-    one-variable case serves one-variable ideals only.
+    one-variable case serves one-variable ideals only.  Its worst case is
+    exponential in nvars, so each slice's tails are taken from `budget`, one
+    running total for the whole series, before the slice is read; past
+    MAX_SLICE_GENS the series is refused with WorkBudgetError.
     """
     if not gens:
         return {0: 1}
@@ -72,12 +77,17 @@ def _numerator(gens, nvars: int) -> dict:
             out[a + b] = out.get(a + b, 0) - 1
             last = b
         return {e: c for e, c in out.items() if c}
+    if budget is None:
+        budget = [MAX_SLICE_GENS]
     out = {0: 1}
     prev = {0: 1}
     tails: list = []
     for a, group in groupby(sorted(gens), key=itemgetter(0)):
         tails.extend(g[1:] for g in group)
-        cur = _numerator(tails, nvars - 1)
+        budget[0] -= len(tails)
+        if budget[0] < 0:
+            raise WorkBudgetError(f"Hilbert series slices over {MAX_SLICE_GENS} generators")
+        cur = _numerator(tails, nvars - 1, budget)
         for e, c in cur.items():
             out[a + e] = out.get(a + e, 0) + c
         for e, c in prev.items():

@@ -558,6 +558,16 @@ def random_ideal(rng: random.Random, nvars: int, maxdeg: int = 5, ngens: int = 4
     return MonomialIdeal.from_gens(nvars, gens)
 
 
+def cyclic_gens(n: int) -> list:
+    """x_i^2 x_(i+1) x_(i+3) and x_i x_(i+5) x_(i+7), indices mod n: 2n
+    generators whose Hilbert-series slicing grows exponentially in n."""
+    gens = []
+    for i in range(n):
+        for powers in ({i: 2, (i + 1) % n: 1, (i + 3) % n: 1}, {i: 1, (i + 5) % n: 1, (i + 7) % n: 1}):
+            gens.append(tuple(powers.get(j, 0) for j in range(n)))
+    return gens
+
+
 def borel_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Smallest strongly stable ideal containing I."""
     gens = set(I.gens)

@@ -29,7 +29,7 @@ from limshape import (
 from limshape.cli import main
 from limshape.svgfig import SvgScene, _dec
 
-from conftest import FractionSvgScene
+from conftest import FractionSvgScene, cyclic_gens
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # stdout (or the --output file) of every README CLI example, captured before
@@ -477,8 +477,10 @@ def test_planar_reduce_over_work_budget_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", str(10**12), "--max-m", "2"],
-    # every sample's columns are charged together, before the shape
+    # the Hilbert series' slices are charged as they are cut, so a series
+    # exponential in its 20 variables is refused mid-series
+    ["hf", "--ideal", json.dumps({"vars": 20, "gens": cyclic_gens(20)}), "--degree", "60"],
+    # the walk over the members is charged before the shape
     ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--t", "5/2", "--max-m", "5000"],
     ["family-eval", "--family", "doubling", "--m", "20000"],
     ["check-graded", "--family", "halfplane", "--q1", "1", "--q2", "2", "--max-m", "400"],

@@ -1,7 +1,6 @@
 import re
 import time
 from fractions import Fraction
-from functools import partial
 from itertools import permutations, product
 from math import comb, factorial, floor
 
@@ -48,7 +47,6 @@ from limshape import (
 )
 from limshape.families import MAX_WALK_M
 from limshape.geometry import (
-    MAX_LATTICE_COLUMNS,
     StaircaseRegion,
     _corner_count,
     _exact_pair,
@@ -135,15 +133,17 @@ def test_padded_plane_lattice_count_matches_brute_hf(gens, d):
 
 
 def test_lattice_count_over_budget_is_refused():
-    # a staircase count walks (floor(bound) + 1)^(dim - 1) columns
+    # counts read the Hilbert-series numerator and walk no columns: the
+    # staircase beta >= (1, 0) below 10^6 answers exactly
     plane = MonomialIdeal.from_gens(3, [(1, 0, 0)])
-    with pytest.raises(WorkBudgetError):
-        lattice_count(staircase_region(plane, 1, MAX_LATTICE_COLUMNS))
-    # gamma_lattice_count is a Hilbert function and walks no columns
-    assert gamma_lattice_count(plane, 1, MAX_LATTICE_COLUMNS) == hilbert_function(
-        plane, MAX_LATTICE_COLUMNS) == MAX_LATTICE_COLUMNS + 1
-    with pytest.raises(WorkBudgetError):
-        ahf(make_halfplane_family(1, 2), 10**12, max_m=2)
+    assert lattice_count(staircase_region(plane, 1, 10**6)) == comb(10**6 + 1, 2)
+    assert gamma_lattice_count(plane, 1, 10**6) == hilbert_function(plane, 10**6) == 10**6 + 1
+    # two members and two corner counts, however large t is
+    family = make_halfplane_family(1, 2)
+    result = ahf(family, 10**12, max_m=2)
+    assert result.value == 1 and result.exact
+    assert [count for _, count, _ in result.samples] == [
+        gamma_lattice_count(family.ideal(m).padded(3), m, 10**12) for m in (1, 2)]
     # a region lifts to dim + 1 variables, refused above the Hilbert series' limit
     with pytest.raises(WorkBudgetError, match="1201 variables"):
         lattice_count(StaircaseRegion(1200, 0, (((0,) * 1200, 0),)))
@@ -812,7 +812,7 @@ def test_int_and_fraction_t_share_a_memo_entry(build, max_ms):
 def test_max_m_below_1_is_refused_for_every_family(build, max_ms):
     # closed forms and inner approximations alike, before the memo is read
     family = build()
-    shape_calls = (limiting_shape, gamma_limit, ahf, partial(ahf, diagnostics=False), shape_json)
+    shape_calls = (limiting_shape, gamma_limit, ahf, shape_json)
     # the payload builders refuse it for closed forms too, which never read it
     estimators = (waldschmidt_estimate, areg_estimate, ri_estimate, waldschmidt, areg)
     for max_m in (0, -5):
@@ -905,24 +905,21 @@ def test_inner_hull_of_plane_families_matches_padded_oracle(case):
 
 
 def test_ahf_charges_every_sample_before_any_shape():
-    # sum(floor(m*t) + 1) over m = 1..5000 at t = 5/2 is about 3.1 * 10^7 columns
+    # the walk over m = 1..5000 is charged before any member or hull
     plain = GradedFamily(2, make_halfplane_family(1, 2).ideal, "plain")
     start = time.perf_counter()
     with pytest.raises(WorkBudgetError):
         ahf(plain, Fraction(5, 2), max_m=5000)
     assert time.perf_counter() - start < 1
     assert not plain._shapes and not plain._cache  # no member built, no hull started
-    # at t = 0 each sample is one column, but the walk is refused first
+    # a closed form's walk is refused before its members' columns are summed
     with pytest.raises(WorkBudgetError, match="walking the members"):
-        ahf(make_halfplane_family(1, 2), 0, max_m=MAX_LATTICE_COLUMNS + 1)
+        ahf(make_halfplane_family(1, 2), 0, max_m=10**6 + 1)
     # a closed form's members are charged their generators, 400m + 1 each here
     wide = make_halfplane_family(400, 400)
     with pytest.raises(WorkBudgetError, match="columns"):
         ahf(wide, 0, max_m=100)
     assert not wide._cache and not wide._shapes
-    # without samples nothing is charged
-    exact = ahf(make_halfplane_family(1, 2), Fraction(5, 2), max_m=5000, diagnostics=False)
-    assert exact.exact and exact.samples == ()
     # t is checked first
     with pytest.raises(ValueError):
         ahf(plain, -1, max_m=5000)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import partial
 from math import comb
@@ -16,9 +17,9 @@ from limshape import (
     make_halfplane_family,
     regularity_index,
 )
-from limshape.hilbert import MAX_NVARS, _numerator
+from limshape.hilbert import MAX_NVARS, MAX_SLICE_GENS, _numerator
 
-from conftest import brute_hf, random_ideal, slicing_numerator
+from conftest import brute_hf, cyclic_gens, random_ideal, slicing_numerator
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 WIDE = MonomialIdeal.from_gens(
@@ -196,6 +197,24 @@ def test_too_many_variables_are_refused_before_the_recursion():
     edge = MonomialIdeal.from_gens(MAX_NVARS, [(1,) * MAX_NVARS])
     assert regularity_index(edge) == 1
     assert hilbert_function(edge, MAX_NVARS) == comb(2 * MAX_NVARS - 1, MAX_NVARS - 1) - 1
+
+
+def test_exponential_slicing_is_refused_mid_series():
+    # at 20 variables the slicing recursion did not finish HF at degree 60
+    # in 40 s; its slices are charged against one budget for the series
+    I = MonomialIdeal.from_gens(20, cyclic_gens(20))
+    for call in (partial(hilbert_function, I, 60), partial(hilbert_polynomial, I),
+                 partial(regularity_index, I)):
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetError, match=f"over {MAX_SLICE_GENS} generators"):
+            call()
+        assert time.perf_counter() - start < 1
+    # the degree-2 generators alone slice cheaply: C(21, 2) monomials
+    assert hilbert_function(I, 2) == comb(21, 2)
+    # 12 variables take 96,730 slice generators, so a budget shared across
+    # calls would refuse the second call
+    small = MonomialIdeal.from_gens(12, cyclic_gens(12))
+    assert _numerator(small.gens, 12) == _numerator(small.gens, 12) == slicing_numerator(small.gens, 12)
 
 
 def test_integer_polynomial_str_and_eval():
