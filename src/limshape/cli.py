@@ -3,7 +3,8 @@
 The CLI keeps only flags and dispatch: `shape`, `waldschmidt` and `areg` print
 `geometry.shape_json`, `waldschmidt` and `areg`; `ahf`, `check-graded` and the
 planar commands print the `to_json` of `AhfResult`, `GradednessReport` (both
-after the family's label) and `PLGraph`.
+after the family's label) and `PLGraph`.  `_json` writes each payload in one
+pass, exactly as `json.dumps(..., indent=2)` would.
 
 Exit codes: 0 success, 1 validation error (bad flags, malformed JSON,
 parameter violations), 2 computation error (unsupported dimension, a family
@@ -98,8 +99,40 @@ def _counts(text: str) -> tuple:
         raise CliError(f"counts: expected comma-separated integers, got {text!r}") from None
 
 
+_escape = json.encoder.encode_basestring_ascii  # the escaper json.dumps itself uses
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, in one pass; `pad` is the newline and
+    indentation of obj's closing bracket.  A list of only strs or only ints is
+    one join.  A non-str key, a Fraction, a set or any other type raises TypeError."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner, sep = pad + "  ", "," + pad + "  "
+    if isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        if types == {str}:
+            body = sep.join(map(_escape, obj))
+        elif types == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json(item, inner) for item in obj])
+        return "[" + inner + body + pad + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        if any(type(key) is not str for key in obj):
+            raise TypeError(f"payload keys must be strs: {list(obj)!r}")
+        body = sep.join([_escape(key) + ": " + _json(value, inner) for key, value in obj.items()])
+        return "{" + inner + body + pad + "}" if obj else "{}"
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, (int, float)):
+        return int.__repr__(obj) if isinstance(obj, int) else json.dumps(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(args, payload) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
+    """Write SVG text as it is, and any other payload by `_json` plus a newline."""
+    text = payload if isinstance(payload, str) else _json(payload) + "\n"
     if getattr(args, "output", None):
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

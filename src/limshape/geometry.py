@@ -545,33 +545,28 @@ def shape_json(family, t, max_m: int) -> dict:
     return out
 
 
-def _closed_form_shape(family, max_m: int) -> ShapeResult | None:
-    """A closed form's exact shape at a t past its chain, which checks max_m
-    though it never reads it; None for any other family."""
-    shape = family.exact_shape
-    return None if shape is None else limiting_shape(family, sum(shape.vertices[-1]) + 1, max_m)
-
-
 def waldschmidt(family, max_m: int) -> dict:
-    """The `waldschmidt` payload: a closed form's constant read off its exact
-    shape (`method` "shape"), else the infimum of `waldschmidt_estimate` over
-    the members up to max_m, with its values (`method` "estimate")."""
-    delta = _closed_form_shape(family, max_m)
-    if delta is not None:
-        return {"label": family.label, "method": "shape",
-                "value": format_rational(waldschmidt_from_shape(delta))}
+    """The `waldschmidt` payload: a closed form's constant, its chain's
+    x-intercept (`method` "shape"), else the infimum of `waldschmidt_estimate`
+    over the members up to max_m, with its values (`method` "estimate")."""
+    shape = family.exact_shape
+    if shape is not None:
+        _check_max_m(max_m)
+        return {"label": family.label, "method": "shape", "value": format_rational(shape.vertices[0][0])}
     est = waldschmidt_estimate(family, max_m)
     return {"label": family.label, "method": "estimate", "value": format_rational(est.inf_value),
             "max_m": max_m, "values": [[m, format_rational(v)] for m, v in est.values]}
 
 
 def areg(family, max_m: int) -> dict:
-    """The `areg` payload: a closed form's asymptotic regularity read off its
-    exact shape (`method` "shape"), else the tail of `areg_estimate` over the
-    members up to max_m, per residue for a periodic family (`method` "estimate")."""
-    delta = _closed_form_shape(family, max_m)
-    if delta is not None:
-        return {"label": family.label, "method": "shape", "value": format_rational(areg_from_shape(delta))}
+    """The `areg` payload: a closed form's asymptotic regularity, its chain's
+    last coordinate sum, as x + y never decreases along it (`method` "shape"),
+    else the tail of `areg_estimate` over the members up to max_m, per residue
+    for a periodic family (`method` "estimate")."""
+    shape = family.exact_shape
+    if shape is not None:
+        _check_max_m(max_m)
+        return {"label": family.label, "method": "shape", "value": format_rational(sum(shape.vertices[-1]))}
     est = areg_estimate(family, max_m)
     out = {"label": family.label, "method": "estimate", "max_m": max_m,
            "liminf": format_rational(est.liminf), "limsup": format_rational(est.limsup),

@@ -77,12 +77,15 @@ def _numerator(gens, nvars: int, budget=None) -> dict:
             out[a + b] = out.get(a + b, 0) - 1
             last = b
         return {e: c for e, c in out.items() if c}
+    gens = sorted(gens)
+    if not any(gens[0]):  # the zero vector sorts first: I is the unit ideal
+        return {}
     if budget is None:
         budget = [MAX_SLICE_GENS]
     out = {0: 1}
     prev = {0: 1}
     tails: list = []
-    for a, group in groupby(sorted(gens), key=itemgetter(0)):
+    for a, group in groupby(gens, key=itemgetter(0)):
         tails.extend(g[1:] for g in group)
         budget[0] -= len(tails)
         if budget[0] < 0:

@@ -668,3 +668,49 @@ def test_svg_scene_equals_fraction_oracle(items, frame):
             else:
                 scene.add_point(data, label=flag)
     assert scenes[0].to_svg() == scenes[1].to_svg()
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+_json_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f') | st.characters(), max_size=8)
+_json_ints = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+_json_payloads = st.recursive(
+    st.none() | st.booleans() | _json_ints | _json_text,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.lists(_json_ints, max_size=5),  # the one-join int list
+        st.lists(_json_text, max_size=5),  # the one-join str list
+        st.dictionaries(_json_text, kids, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(_json_payloads)
+def test_json_writer_equals_json_dumps(payload):
+    assert limshape.cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {1: "a"},
+    {"a": {(1, 2): 3}},
+    Fraction(1, 2),
+    [1, 2, Fraction(3)],
+    {"value": {1, 2}},
+    frozenset(),
+    b"bytes",
+    ["a", object()],
+])
+def test_json_writer_refuses_types_no_payload_holds(payload):
+    with pytest.raises(TypeError):
+        limshape.cli._json(payload)
+
+
+def test_large_planar_reduce_prints_exactly_json_dumps(capsys):
+    args = argparse.Namespace(counts="5,3,2", shared=False, m=34020, approximate=False)
+    payload = limshape.cli._cmd_planar_reduce(args)
+    assert len(payload["entries"]) >= 10**5
+    code, out, err = run_cli(capsys, "planar-reduce", "--counts", "5,3,2", "--m", "34020")
+    assert code == 0 and err == ""
+    assert out == json.dumps(payload, indent=2) + "\n"

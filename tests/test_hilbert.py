@@ -94,6 +94,8 @@ def test_numerator_equals_slicing_oracle(case):
     (2, [], {0: 1}),
     (1, [(3,), (5,)], {0: 1, 3: -1}),
     (3, [(1, 0, 0), (0, 1, 0)], {0: 1, 1: -2, 2: 1}),
+    # the zero vector sorts first: the unit ideal, not sliced
+    (3, [(1, 2, 3), (0, 0, 0)], {}),
 ])
 def test_numerator_pinned(nvars, gens, numerator):
     assert _numerator(gens, nvars) == slicing_numerator(gens, nvars) == numerator
@@ -215,6 +217,18 @@ def test_exponential_slicing_is_refused_mid_series():
     # calls would refuse the second call
     small = MonomialIdeal.from_gens(12, cyclic_gens(12))
     assert _numerator(small.gens, 12) == _numerator(small.gens, 12) == slicing_numerator(small.gens, 12)
+
+
+def test_unit_slices_are_not_sliced():
+    # in the maximal ideal every slice from x_0^1 on holds the zero tail: the
+    # unit ideal, whose numerator is 0 without slicing it further
+    n = 150
+    I = MonomialIdeal.from_gens(n, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+    start = time.perf_counter()
+    assert regularity_index(I) == 1
+    assert str(hilbert_polynomial(I)) == "0"
+    assert (hilbert_function(I, 0), hilbert_function(I, 1)) == (1, 0)
+    assert time.perf_counter() - start < 1
 
 
 def test_integer_polynomial_str_and_eval():
