@@ -13,9 +13,13 @@ fixed budget).
 
 main(argv) may be called repeatedly in one process: the parser is built once
 and no state is kept between calls.  Each call parses once: when argv[0] names
-a subcommand, that subcommand's own parser reads the rest; anything else (no
-command, an unknown one, top-level -h) goes through the full parser, the one
-source of top-level usage, help and errors.
+a subcommand and the rest is plain (exact `--flag value` and `--switch`
+tokens, each flag once, no value starting with "-", every type, choice and
+required flag satisfied), `_read` builds the namespace from a table read off
+that subcommand's own actions; any other rest goes to that subcommand's
+parser, so help, usage and every error stay argparse's own.  Anything else
+(no command, an unknown one, top-level -h) goes through the full parser, the
+one source of top-level usage, help and errors.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ def _cmd_ahf(args) -> dict:
 
 
 def _planar_config(args) -> planar.LineConfiguration:
-    if not args.counts:
+    if args.counts is None:
         raise CliError("--counts is required")
     return planar.validate_configuration(_counts(args.counts), args.shared)
 
@@ -321,8 +325,60 @@ def _build_parser() -> _Parser:
 
     for sub in subs.choices.values():  # the last flag of every subcommand
         sub.add_argument("--output")
+        sub.table = _table(sub)
     parser.commands = subs.choices
     return parser
+
+
+def _table(sub) -> tuple:
+    """What `_read` needs of one subparser, read off its own actions: each
+    option string's (dest, is a switch, type, choices), the defaults and the
+    required dests.  Help is left out, so `-h` falls back to argparse."""
+    flags, defaults, required = {}, {}, set()
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        for option in action.option_strings:
+            flags[option] = (action.dest, action.nargs == 0, action.type, action.choices)
+        defaults[action.dest] = action.default
+        if action.required:
+            required.add(action.dest)
+    return flags, defaults, frozenset(required)
+
+
+def _read(sub, argv):
+    """`sub.parse_args(argv[1:], Namespace(command=argv[0]))` for a plain argv:
+    exact `--flag value` and `--switch` tokens, each dest at most once, no value
+    starting with "-", every type and choice accepted and every required flag
+    given.  None for anything else, which argparse then reads (and refuses, or
+    helps with) in its own words."""
+    flags, defaults, required = sub.table
+    args = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        spec = flags.get(token)
+        if spec is None or spec[0] in seen:
+            return None
+        dest, switch, kind, choices = spec
+        seen.add(dest)
+        if switch:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    if not required <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], **args)
 
 
 def main(argv=None) -> int:
@@ -333,7 +389,9 @@ def main(argv=None) -> int:
         if sub is None:
             args = parser.parse_args(argv)
         else:  # what the full parser would do, without its own pass
-            args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+            args = _read(sub, argv)
+            if args is None:
+                args = sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         # looked up per call, not stored on the cached parser, so patches apply
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
         _emit(args, handler(args))

@@ -171,15 +171,6 @@ class IntegerPolynomial:
         return "".join(parts) if parts else "0"
 
 
-def _poly_mul_linear(coeffs: list, const: Fraction) -> list:
-    """Multiply a coefficient list by (t + const)."""
-    out = [0] * (len(coeffs) + 1)
-    for k, c in enumerate(coeffs):
-        out[k] += c * const
-        out[k + 1] += c
-    return out
-
-
 def degree_cap(I: MonomialIdeal) -> int:
     """max(50, 4 * max generator degree, 4 * nvars + 8): the degree table of
     the retired cap-relative search, kept only for the benchmark tracer's
@@ -190,17 +181,25 @@ def degree_cap(I: MonomialIdeal) -> int:
 
 def hilbert_polynomial(I: MonomialIdeal) -> IntegerPolynomial:
     """Eventual polynomial of HF_I: sum_e c_e * C(t - e + n - 1, n - 1) over
-    the Hilbert-series numerator, exact for every ideal."""
+    the Hilbert-series numerator, exact for every ideal.
+
+    By moments, in O(|N| * n + n^2) steps: with (u + 1) ... (u + n - 1) =
+    sum_k b_k u^k and M_j = sum_e c_e * (-e)^j, the coefficient of t^i is
+    sum_j C(i + j, j) * M_j * b_(i+j), over (n - 1)!.
+    """
     n = I.nvars
-    acc = [0] * n
+    moments = [0] * n
     for e, c in _series(I.gens, n).items():
-        basis = [1]  # (t - e + 1) (t - e + 2) ... (t - e + n - 1)
-        for k in range(1, n):
-            basis = _poly_mul_linear(basis, k - e)
-        for i, b in enumerate(basis):
-            acc[i] += c * b
+        for j in range(n):
+            moments[j] += c
+            c *= -e
+    b = [1]
+    for k in range(1, n):  # times (u + k)
+        b = [k * x + y for x, y in zip(b + [0], [0] + b)]
     den = factorial(n - 1)
-    return IntegerPolynomial.from_coeffs(Fraction(a, den) for a in acc)
+    return IntegerPolynomial.from_coeffs(
+        Fraction(sum(comb(i + j, j) * moments[j] * b[i + j] for j in range(n - i)), den) for i in range(n)
+    )
 
 
 def regularity_index(I: MonomialIdeal) -> int:

@@ -3,9 +3,10 @@
 Each oracle recomputes a quantity by a method independent of the
 production code path: Hilbert functions by brute monomial enumeration,
 Hilbert-series numerators by slicing on the first variable down to one,
-staircase areas by inclusion-exclusion over corner triangles and by
-sweeping vertical strips, staircase lattice counts by slicing into
-columns and merging intervals, Borel-fixedness by scanning every
+Hilbert polynomials by expanding one product of linear factors per
+numerator term, staircase areas by inclusion-exclusion over corner
+triangles and by sweeping vertical strips, staircase lattice counts by
+slicing into columns and merging intervals, Borel-fixedness by scanning every
 monomial of the ideal up to a degree bound, membership by testing
 divisibility by every generator, polygon and graph vertices, cuts, areas
 and convexity in Fractions, the closed-form graph from harmonic
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, groupby
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 
 import pytest
@@ -30,7 +31,7 @@ from math import ceil
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from limshape import MonomialIdeal, convex_hull, format_rational, staircase_region
+from limshape import IntegerPolynomial, MonomialIdeal, convex_hull, format_rational, staircase_region
 from limshape.families import LimitEstimate
 from limshape.geometry import _corner_count
 from limshape.svgfig import SvgScene, _dec
@@ -89,6 +90,19 @@ def slicing_numerator(gens, nvars: int) -> dict:
             break
         prev = cur
     return {e: c for e, c in out.items() if c}
+
+
+def expanded_hilbert_polynomial(numerator: dict, nvars: int) -> IntegerPolynomial:
+    """sum_e c_e * C(t - e + n - 1, n - 1), expanding one product
+    (t - e + 1) (t - e + 2) ... (t - e + n - 1) per numerator term."""
+    acc = [0] * nvars
+    for e, c in numerator.items():
+        basis = [1]
+        for k in range(1, nvars):  # times (t + k - e)
+            basis = [x * (k - e) + y for x, y in zip(basis + [0], [0] + basis)]
+        for i, b in enumerate(basis):
+            acc[i] += c * b
+    return IntegerPolynomial.from_coeffs(Fraction(a, factorial(nvars - 1)) for a in acc)
 
 
 def divisible_by_a_generator(I: MonomialIdeal, mono) -> bool:

@@ -417,7 +417,8 @@ def test_parser_built_once_and_every_subcommand_has_a_handler(capsys):
     assert handlers == {name for name in vars(limshape.cli) if name.startswith("_cmd_")}
 
 
-# refused before any handler runs, or help: argparse's own errors and exits
+# refused before any handler runs, or help: argparse's own errors and exits;
+# `_read` declines each of them, so argparse alone answers
 DISPATCH_REFUSED = [
     [],
     ["nonsense"],
@@ -427,29 +428,39 @@ DISPATCH_REFUSED = [
     ["render", "--kind", "bogus"],
     ["shape", "-h"],
     ["-h"],
+    *([command, "-h"] for command in limshape.cli._build_parser().commands),
+    ["waldschmidt", "--family", "halfplane", "--q1=2", "--q2", "3"],
+    ["check-graded", "--family", "doubling", "--max", "5"],  # an abbreviation of --max-m
+    ["family-eval", "--family", "doubling", "--m", "2", "--m", "3"],
+    ["shape", "--family", "ceiling", "--q", "-3", "--t", "3"],
+    ["planar-vertices", "--counts", "5", "--"],
+    ["planar-vertices", "--", "--counts", "5"],
+    ["ahf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--max-m", "4"],
+    ["family-eval", "--family", "doubling", "--m", "x"],
+    ["render", "--kind", "bogus", "--counts", "5"],
 ]
 
 
-@pytest.mark.parametrize("argv", [
-    *(pytest.param(shlex.split(g["example"])[1:], id=f"readme-{i}") for i, g in enumerate(README_GOLDEN)),
-    *(pytest.param(a, id=f"leak-{i}") for i, a in enumerate(LEAK_SEQUENCE)),
-    *(pytest.param(a, id=f"refused-{i}") for i, a in enumerate(DISPATCH_REFUSED)),
+@pytest.mark.parametrize("argv, read", [
+    *(pytest.param(shlex.split(g["example"])[1:], True, id=f"readme-{i}") for i, g in enumerate(README_GOLDEN)),
+    *(pytest.param(a, True, id=f"leak-{i}") for i, a in enumerate(LEAK_SEQUENCE)),
+    *(pytest.param(a, False, id=f"refused-{i}") for i, a in enumerate(DISPATCH_REFUSED)),
 ])
-def test_dispatch_equals_the_full_parser(monkeypatch, tmp_path, capsys, argv):
-    # main parses a known subcommand with that subcommand's parser alone; with
-    # an empty subcommand map every argv goes through _build_parser().parse_args
+def test_dispatch_equals_the_full_parser(monkeypatch, tmp_path, capsys, argv, read):
+    # main reads a plain argv of a known subcommand through `_read`, and
+    # hands any other argv of one to that subcommand's parser alone; with an
+    # empty subcommand map every argv goes through _build_parser().parse_args
     argv = list(argv)
     target = None
     if "--output" in argv:
         i = argv.index("--output") + 1
         target = argv[i] = str(tmp_path / argv[i])
     parser = limshape.cli._build_parser()
-    full_parses = []
+    full_parses, sub_parses = [], []
     parse_args = limshape.cli._Parser.parse_args
 
     def counted(self, *a, **kw):
-        if self is parser:
-            full_parses.append(self)
+        (full_parses if self is parser else sub_parses).append(self)
         return parse_args(self, *a, **kw)
 
     def call():
@@ -465,9 +476,70 @@ def test_dispatch_equals_the_full_parser(monkeypatch, tmp_path, capsys, argv):
     known = bool(argv) and argv[0] in parser.commands
     dispatched = call()
     assert len(full_parses) == (not known)
+    # the README and LEAK_SEQUENCE calls are all read without argparse: a
+    # table that declined every argv would fail here
+    assert len(sub_parses) == (known and not read)
     monkeypatch.setattr(parser, "commands", {})
     assert call() == dispatched
     assert len(full_parses) == 1 + (not known)
+
+
+def test_every_flag_is_a_store_or_a_switch():
+    # `_read` knows plain stores and store_true switches only: a flag of any
+    # other kind, a positional, a str default that argparse would pass
+    # through `type`, parser-level defaults or an exclusive group fail here
+    # instead of letting the reader drift from argparse
+    for command, sub in limshape.cli._build_parser().commands.items():
+        assert (sub._defaults, sub._mutually_exclusive_groups) == ({}, []), command
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.option_strings, (command, action.dest)
+            if type(action) is argparse._StoreTrueAction:
+                assert (action.const, action.default, action.type) == (True, False, None)
+            else:
+                assert type(action) is argparse._StoreAction, (command, action)
+                assert action.nargs is None and action.const is None, (command, action.dest)
+                assert action.type is None or not isinstance(action.default, str), (command, action.dest)
+
+
+_SUBPARSERS = limshape.cli._build_parser().commands
+_ODD_OPTIONS = ["-h", "--help", "--max", "--q1=2", "--", "-", "--hp=1", "--kind=shape",
+                *sorted({option for sub in _SUBPARSERS.values() for option in sub.table[0]})]
+_argv_values = st.sampled_from(
+    ["1", "0", "-3", " 7", "007", "1_0", "x", "", "5/2", "bogus", "halfplane", "--m", "-h", "--",
+     '{"vars":2,"gens":[[1,0]]}']
+) | st.text(max_size=3)
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with distinct flags of its own, its required ones
+    mostly among them, and values mostly of each flag's type and choices;
+    then, half the time, one odd token put anywhere after the subcommand."""
+    command = draw(st.sampled_from(sorted(_SUBPARSERS)))
+    flags, _, required = _SUBPARSERS[command].table
+    options = [o for o in sorted(flags) if flags[o][0] in required and draw(st.integers(0, 9))]
+    options += draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4))
+    argv = [command]
+    for option in dict.fromkeys(options):
+        dest, switch, kind, choices = flags[option]
+        argv.append(option)
+        if not switch:
+            good = ["12", "0"] if kind is int else sorted(choices) if choices else ["5/2", "halfplane"]
+            argv.append(draw(st.sampled_from(good)) if draw(st.integers(0, 9)) else draw(_argv_values))
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_ODD_OPTIONS) | _argv_values))
+    return argv
+
+
+@settings(max_examples=400)
+@given(_argvs())
+def test_reader_equals_argparse_or_declines(argv):
+    sub = limshape.cli._build_parser().commands[argv[0]]
+    read = limshape.cli._read(sub, argv)
+    if read is not None:  # argparse must accept the same argv, with the same values
+        assert vars(read) == vars(sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
 
 
 def test_planar_reduce_over_work_budget_exits_2(capsys):
@@ -537,6 +609,9 @@ def test_render_staircase_charges_a_closed_form_member_before_building_it(capsys
      "degree must be non-negative"),
     (["hf", "--family", "halfplane", "--q1", "1", "--q2", "2", "--m", "200000", "--t=-1/2"],
      "extended Hilbert function needs t >= 0"),
+    # an empty --counts was given: its value is refused, not reported missing
+    *(([*argv, "--counts", ""], "error: counts: expected comma-separated integers, got ''\n")
+      for argv in (["planar-vertices"], ["planar-reduce", "--m", "6"], ["render", "--kind", "graph"])),
 ])
 def test_missing_flags_are_refused_before_any_member_is_built(capsys, monkeypatch, argv, message):
     built = []

@@ -19,7 +19,7 @@ from limshape import (
 )
 from limshape.hilbert import MAX_NVARS, MAX_SLICE_GENS, _numerator
 
-from conftest import brute_hf, cyclic_gens, random_ideal, slicing_numerator
+from conftest import brute_hf, cyclic_gens, expanded_hilbert_polynomial, random_ideal, slicing_numerator
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 WIDE = MonomialIdeal.from_gens(
@@ -240,3 +240,31 @@ def test_integer_polynomial_str_and_eval():
     assert quad(Fraction(1, 2)) == Fraction(1, 4)
     half = IntegerPolynomial.from_coeffs([Fraction(0), Fraction(-3, 2)])
     assert str(half) == "-3/2*t"
+
+
+@settings(max_examples=300)
+@given(small_ideals())
+def test_hilbert_polynomial_equals_the_expanded_sum(I):
+    expanded = expanded_hilbert_polynomial(_numerator(I.gens, I.nvars), I.nvars)
+    assert hilbert_polynomial(I) == expanded
+
+
+def _unit_vectors(n: int, skip: int = 0) -> list:
+    return [tuple(int(i == j) for j in range(n)) for i in range(skip, n)]
+
+
+_MANY_VARIABLE_IDEALS = {
+    "maximal": _unit_vectors,  # HP 0, with every moment up to n - 1 cancelling
+    "all-but-x0": partial(_unit_vectors, skip=1),  # (x_1, ..., x_(n-1)): HP 1
+    "one-generator": lambda n: [(2,) + (1,) * (n > 1) + (0,) * (n - 2)],  # degree n - 2
+    "zero": lambda n: [],  # C(t + n - 1, n - 1)
+}
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for name in _MANY_VARIABLE_IDEALS for n in (1, 2, 3, 40, 150)),
+    ("maximal", 300),  # the oracle alone takes seconds here
+])
+def test_hilbert_polynomial_in_many_variables_equals_the_expanded_sum(name, n):
+    I = MonomialIdeal.from_gens(n, _MANY_VARIABLE_IDEALS[name](n))
+    assert hilbert_polynomial(I) == expanded_hilbert_polynomial(_numerator(I.gens, n), n)
