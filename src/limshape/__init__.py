@@ -31,7 +31,6 @@ from .geometry import (
     ComplementRegion,
     ShapePolygon,
     ShapeResult,
-    SimplexRegion,
     StaircaseRegion,
     UnsupportedDimensionError,
     ahf,

@@ -43,7 +43,6 @@ from .rationals import _ZERO, _scaled, format_rational
 
 __all__ = [
     "UnsupportedDimensionError",
-    "SimplexRegion",
     "StaircaseRegion",
     "ComplementRegion",
     "staircase_region",
@@ -68,14 +67,6 @@ __all__ = [
 
 class UnsupportedDimensionError(RuntimeError):
     """Raised when an exact computation is requested outside dimensions <= 2."""
-
-
-@dataclass(frozen=True)
-class SimplexRegion:
-    """{ beta in R^dim, beta >= 0, sum(beta) <= bound }."""
-
-    dim: int
-    bound: Fraction
 
 
 @dataclass(frozen=True)
@@ -181,10 +172,7 @@ def _complement(stair: StaircaseRegion, count: bool, outside: bool):
 
 
 def _parts(region) -> tuple:
-    """(staircase, whether `region` is its complement): a simplex is the
-    complement of the empty staircase of its bound."""
-    if isinstance(region, SimplexRegion):
-        return StaircaseRegion(region.dim, region.bound, ()), True
+    """(staircase, whether `region` is its complement)."""
     if isinstance(region, ComplementRegion):
         return region.staircase, True
     if isinstance(region, StaircaseRegion):
@@ -228,10 +216,10 @@ def region_volume(region) -> Fraction:
     (B - slack, *prefix), both times L; the complement measures
     sum_(e <= B) c_e (B - e)^dim / (dim! L^dim) over that ideal's
     Hilbert-series numerator sum_e c_e t^e, and the staircase is the simplex
-    minus it.  A simplex of negative bound measures 0 in any dimension.
+    minus it.
     """
     stair, outside = _parts(region)
-    if stair.dim > 2 and not (isinstance(region, SimplexRegion) and region.bound < 0):
+    if stair.dim > 2:
         raise UnsupportedDimensionError(
             f"exact volume limited to dimension <= 2, got {stair.dim}; "
             "use lattice counts for higher dimensions"

@@ -22,8 +22,12 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
 def parse_rational(text) -> Fraction:
+    """`text` as a Fraction: a Fraction or an int as it is, else its string
+    through `Fraction`.  A bool (a JSON true) is refused, not read as 1."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise ValueError(f"cannot parse rational {text!r}: a bool is not a number")
     if isinstance(text, int):
         return Fraction(text)
     try:

@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from limshape import IntegerPolynomial, MonomialIdeal, convex_hull, format_rational, staircase_region
 from limshape.families import LimitEstimate
 from limshape.geometry import _corner_count
-from limshape.svgfig import SvgScene, _dec
 
 # every property test draws the same examples on every run
 settings.register_profile("limshape", derandomize=True, deadline=None)
@@ -462,99 +461,74 @@ def padded_inner_hull(family, t, max_m: int) -> list:
     return convex_hull(points)
 
 
-class FractionSvgScene(SvgScene):
-    """`SvgScene` emitting each coordinate from its Fraction image
-    margin + scale*x, margin + scale*(y_max - y), one point at a time."""
+def fraction_decimal(q) -> str:
+    """The SVG decimal of a rational through a Fraction product: |q| * 10^12
+    rounded half away from zero, zeros trimmed."""
+    q = Fraction(q)
+    sign = "-" if q < 0 else ""
+    scaled = abs(q) * 10**12
+    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    whole, frac = divmod(units, 10**12)
+    return sign + (f"{whole}.{frac:012d}".rstrip("0").rstrip(".") or "0")
 
-    def __init__(self, scale: int = 48, margin: int = 40):
-        super().__init__(scale, margin)
-        self._xmax = Fraction(1)
-        self._ymax = Fraction(1)
 
-    def _track(self, points) -> None:
-        for x, y in points:
-            self._xmax = max(self._xmax, Fraction(x))
-            self._ymax = max(self._ymax, Fraction(y))
+def fraction_svg(items) -> str:
+    """`svgfig._svg` of the same items, each coordinate the Fraction
+    40 + 48*x or 40 + 48*(y_max - y) of one point at a time, written by
+    `fraction_decimal`; the axes are read off the same map."""
+    dec = fraction_decimal
+    points = [p for kind, data, _ in items for p in ([data] if kind == "point" else data)]
+    xmax = max([Fraction(1)] + [Fraction(x) for x, _ in points])
+    ymax = max([Fraction(1)] + [Fraction(y) for _, y in points])
 
-    def _map(self, p) -> tuple:
-        x = self.margin + self.scale * Fraction(p[0])
-        y = self.margin + self.scale * (self._ymax - Fraction(p[1]))
-        return x, y
+    def image(p) -> tuple:
+        return 40 + 48 * Fraction(p[0]), 40 + 48 * (ymax - Fraction(p[1]))
 
-    def _fmt_points(self, pts) -> str:
-        return " ".join(f"{_dec(x)},{_dec(y)}" for x, y in (self._map(p) for p in pts))
+    def line(a, b) -> str:
+        return (f'<line x1="{dec(a[0])}" y1="{dec(a[1])}" x2="{dec(b[0])}" y2="{dec(b[1])}" '
+                'stroke="black" stroke-width="1"/>')
 
-    def to_svg(self) -> str:
-        width = _dec(2 * self.margin + self.scale * self._xmax)
-        height = _dec(2 * self.margin + self.scale * self._ymax)
-        parts = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">',
-            "<defs>",
-            '<pattern id="hatch" patternUnits="userSpaceOnUse" width="7" height="7">',
-            '<path d="M0,7 L7,0" stroke="black" stroke-width="0.6"/>',
-            "</pattern>",
-            "</defs>",
-        ]
-        parts.extend(self._axes())
-        for item in self._items:
-            if item[0] == "polyline":
-                _, pts, dashed, width_ = item
-                dash = ' stroke-dasharray="6,4"' if dashed else ""
-                parts.append(
-                    f'<polyline points="{self._fmt_points(pts)}" fill="none" '
-                    f'stroke="black" stroke-width="{width_}"{dash}/>'
-                )
-            elif item[0] == "polygon":
-                _, pts, hatched = item
-                fill = "url(#hatch)" if hatched else "none"
-                parts.append(
-                    f'<polygon points="{self._fmt_points(pts)}" fill="{fill}" '
-                    'stroke="black" stroke-width="1"/>'
-                )
-            elif item[0] == "point":
-                _, p, label = item
-                x, y = self._map(p)
-                parts.append(f'<circle cx="{_dec(x)}" cy="{_dec(y)}" r="3" fill="black"/>')
-                if label:
-                    parts.append(
-                        f'<text x="{_dec(x + 5)}" y="{_dec(y - 5)}" '
-                        f'font-size="11">{label}</text>'
-                    )
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
-
-    def _axes(self) -> list:
-        out = []
-        origin = self._map((0, 0))
-        xend = self._map((self._xmax, 0))
-        yend = self._map((0, self._ymax))
-        for end in (xend, yend):
-            out.append(
-                f'<line x1="{_dec(origin[0])}" y1="{_dec(origin[1])}" '
-                f'x2="{_dec(end[0])}" y2="{_dec(end[1])}" stroke="black" stroke-width="1"/>'
-            )
-        step = max(1, ceil(max(self._xmax, self._ymax) / 10))
-        k = step
-        while k <= self._xmax:
-            x, y = self._map((k, 0))
-            out.append(
-                f'<line x1="{_dec(x)}" y1="{_dec(y - 3)}" x2="{_dec(x)}" '
-                f'y2="{_dec(y + 3)}" stroke="black" stroke-width="1"/>'
-            )
-            out.append(f'<text x="{_dec(x - 3)}" y="{_dec(y + 16)}" font-size="11">{k}</text>')
-            k += step
-        k = step
-        while k <= self._ymax:
-            x, y = self._map((0, k))
-            out.append(
-                f'<line x1="{_dec(x - 3)}" y1="{_dec(y)}" x2="{_dec(x + 3)}" '
-                f'y2="{_dec(y)}" stroke="black" stroke-width="1"/>'
-            )
-            out.append(f'<text x="{_dec(x - 20)}" y="{_dec(y + 4)}" font-size="11">{k}</text>')
-            k += step
-        return out
+    width, height = dec(80 + 48 * xmax), dec(80 + 48 * ymax)
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="0 0 {width} {height}" width="{width}" height="{height}">',
+        "<defs>",
+        '<pattern id="hatch" patternUnits="userSpaceOnUse" width="7" height="7">',
+        '<path d="M0,7 L7,0" stroke="black" stroke-width="0.6"/>',
+        "</pattern>",
+        "</defs>",
+    ]
+    origin = image((0, 0))
+    parts += [line(origin, image((xmax, 0))), line(origin, image((0, ymax)))]
+    step = max(1, ceil(max(xmax, ymax) / 10))
+    k = step
+    while k <= xmax:
+        x, y = image((k, 0))
+        parts.append(line((x, y - 3), (x, y + 3)))
+        parts.append(f'<text x="{dec(x - 3)}" y="{dec(y + 16)}" font-size="11">{k}</text>')
+        k += step
+    k = step
+    while k <= ymax:
+        x, y = image((0, k))
+        parts.append(line((x - 3, y), (x + 3, y)))
+        parts.append(f'<text x="{dec(x - 20)}" y="{dec(y + 4)}" font-size="11">{k}</text>')
+        k += step
+    for kind, data, flag in items:
+        text = " ".join(f"{dec(x)},{dec(y)}" for x, y in map(image, data)) if kind != "point" else ""
+        if kind == "polyline":
+            dash = ' stroke-dasharray="6,4"' if flag else ""
+            parts.append(f'<polyline points="{text}" fill="none" stroke="black" stroke-width="1.5"{dash}/>')
+        elif kind == "polygon":
+            fill = "url(#hatch)" if flag else "none"
+            parts.append(f'<polygon points="{text}" fill="{fill}" stroke="black" stroke-width="1"/>')
+        else:
+            x, y = image(data)
+            parts.append(f'<circle cx="{dec(x)}" cy="{dec(y)}" r="3" fill="black"/>')
+            if flag:
+                parts.append(f'<text x="{dec(x + 5)}" y="{dec(y - 5)}" font-size="11">{flag}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def random_ideal(rng: random.Random, nvars: int, maxdeg: int = 5, ngens: int = 4):
@@ -608,9 +582,10 @@ def _rationals(top: int, den: int):
 
 @st.composite
 def family_specs(draw, kinds=("halfplane", "ceiling", "chain", "oscillating")):
-    """JSON specs of the halfplane, ceiling, chain and oscillating families,
-    with parameters inside the ranges `family_from_json` accepts and small
-    enough that ideals up to m = 6 stay cheap."""
+    """JSON specs of the halfplane, ceiling, chain and oscillating families
+    (and, when `kinds` names them, doubling and power families of 2-variable
+    ideals), with parameters inside the ranges `family_from_json` accepts and
+    small enough that ideals up to m = 6 stay cheap."""
     kind = draw(st.sampled_from(list(kinds)))
     if kind == "halfplane":
         q1, q2 = sorted(draw(st.tuples(_rationals(12, 4), _rationals(12, 4))))
@@ -631,6 +606,12 @@ def family_specs(draw, kinds=("halfplane", "ceiling", "chain", "oscillating")):
             s, t = s - width, t + ratio * width
             points.append((s, t))
         params = {"breakpoints": [[format_rational(s), format_rational(t)] for s, t in points]}
+    elif kind == "doubling":
+        params = {"extra_vars": draw(st.integers(0, 1))}
+    elif kind == "power":
+        gens = draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2).filter(any),
+                             min_size=1, max_size=3))
+        params = {"ideal": {"vars": 2, "gens": gens}}
     else:
         a = draw(st.integers(1, 4))
         params = {"a": a, "b": draw(st.integers(a + 1, 8)), "d": draw(st.integers(2, 5))}

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import shlex
 import subprocess
@@ -6,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +30,9 @@ from limshape import (
     waldschmidt_from_shape,
 )
 from limshape.cli import main
-from limshape.svgfig import SvgScene, _dec
+from limshape.svgfig import _dec_nd, _svg
 
-from conftest import FractionSvgScene, cyclic_gens
+from conftest import _rationals, cyclic_gens, family_specs, fraction_decimal, fraction_svg
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # stdout (or the --output file) of every README CLI example, captured before
@@ -174,6 +177,10 @@ MALFORMED_SPECS = [
     {"kind": "oscillating", "params": {"a": 1.9, "b": "3", "d": 2.5}},
     {"kind": "doubling", "params": {"extra_vars": 0.5}},
     {"kind": "power", "params": {"ideal": {"vars": 2.7, "gens": [[1, 0]]}}},
+    # a JSON true is not the rational 1
+    {"kind": "halfplane", "params": {"q1": True, "q2": 2}},
+    {"kind": "ceiling", "params": {"q": True}},
+    {"kind": "chain", "params": {"breakpoints": [[4, 0], [3, True], [1, 4], [0, 7]]}},
 ]
 MALFORMED_FLAGS = [
     ["hf", "--degree", "2", "--ideal", "5"],
@@ -690,20 +697,10 @@ def test_exponent_notation_is_refused_at_once(capsys, argv):
     assert err.startswith("error: ") and "exponent above 4300 in magnitude" in err
 
 
-def _dec_by_fraction(q) -> str:
-    """The SVG decimal through a Fraction product, as it was first written."""
-    q = Fraction(q)
-    sign = "-" if q < 0 else ""
-    scaled = abs(q) * 10**12
-    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    whole, frac = divmod(units, 10**12)
-    return sign + (f"{whole}.{frac:012d}".rstrip("0").rstrip(".") or "0")
-
-
 @settings(max_examples=500)
 @given(st.fractions(max_denominator=10**15) | st.fractions(-1, 1, max_denominator=10**20))
 def test_svg_decimals_match_the_fraction_formula(q):
-    assert _dec(q) == _dec_by_fraction(q)
+    assert _dec_nd(q.numerator, q.denominator) == fraction_decimal(q)
 
 
 @pytest.mark.parametrize("q, text", [
@@ -718,7 +715,7 @@ def test_svg_decimals_match_the_fraction_formula(q):
     (12, "12"),
 ])
 def test_svg_decimals_pinned(q, text):
-    assert _dec(q) == _dec_by_fraction(q) == text
+    assert _dec_nd(q.numerator, q.denominator) == fraction_decimal(q) == text
 
 
 _svg_coords = st.integers(-2, 60) | st.fractions(-2, 60, max_denominator=10**6)
@@ -731,18 +728,73 @@ _svg_items = st.one_of(
 
 
 @settings(max_examples=200)
-@given(st.lists(_svg_items, max_size=6), st.sampled_from([(48, 40), (7, 3), (1, 0)]))
-def test_svg_scene_equals_fraction_oracle(items, frame):
-    scenes = SvgScene(*frame), FractionSvgScene(*frame)
-    for scene in scenes:
-        for kind, data, flag in items:
-            if kind == "polyline":
-                scene.add_polyline(data, dashed=flag)
-            elif kind == "polygon":
-                scene.add_polygon(data, hatched=flag)
-            else:
-                scene.add_point(data, label=flag)
-    assert scenes[0].to_svg() == scenes[1].to_svg()
+@given(st.lists(_svg_items, max_size=6))
+def test_svg_scene_equals_fraction_oracle(items):
+    assert _svg(items) == fraction_svg(items)
+
+
+def _family_flags(spec) -> list:
+    """`--family` flags of a JSON family spec."""
+    flags = ["--family", spec["kind"]]
+    for name, value in spec["params"].items():
+        if name == "breakpoints":
+            value = ";".join(",".join(point) for point in value)
+        elif name == "ideal":
+            value = json.dumps(value)
+        flags += ["--" + name.replace("_", "-"), str(value)]
+    return flags
+
+
+@st.composite
+def _render_argvs(draw):
+    """`render` argvs of every kind: staircases of 1-3-variable ideals, graph
+    and gamma figures of planar configurations, and exact (halfplane,
+    ceiling, chain) and inner (oscillating, doubling, power) shapes."""
+    kind = draw(st.sampled_from(["staircase", "graph", "gamma", "shape"]))
+    argv = ["render", "--kind", kind]
+    if kind == "staircase":
+        nvars = draw(st.integers(1, 3))
+        gens = draw(st.lists(st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars),
+                             min_size=1, max_size=5))
+        return argv + ["--ideal", json.dumps({"vars": nvars, "gens": gens}),
+                       "--m", str(draw(st.integers(1, 3))), "--t", format_rational(draw(_rationals(40, 4)))]
+    if kind in ("graph", "gamma"):
+        counts = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)), reverse=True)
+        argv += ["--counts", ",".join(map(str, counts))]
+        if len(counts) == 2 and counts[0] * counts[1] > sum(counts) and draw(st.booleans()):
+            argv.append("--shared")
+        if kind == "gamma" and draw(st.booleans()):
+            argv += ["--t", format_rational(draw(_rationals(40, 4)))]
+        return argv
+    spec = draw(family_specs(("halfplane", "ceiling", "chain", "oscillating", "doubling", "power")))
+    return argv + _family_flags(spec) + ["--t", format_rational(draw(_rationals(40, 4))),
+                                         "--max-m", str(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=300)
+@given(_render_argvs())
+def test_render_svg_is_well_formed_and_inside_its_view_box(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:  # the one refusal: a gamma cut of a graph that turns back
+        assert (code, err.getvalue()) == (1, "error: graph is not x-monotone\n"), argv
+        return
+    root = ElementTree.fromstring(out.getvalue().encode())
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    width, height = Fraction(root.get("width")), Fraction(root.get("height"))
+    assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
+    xs, ys = [], []
+    for element in root.iter():
+        for pair in element.get("points", "").split():
+            x, y = pair.split(",")
+            xs.append(x)
+            ys.append(y)
+        xs += [element.get(name) for name in ("x", "x1", "x2", "cx") if element.get(name)]
+        ys += [element.get(name) for name in ("y", "y1", "y2", "cy") if element.get(name)]
+    assert xs and ys
+    assert all(0 <= Fraction(x) <= width for x in xs), argv
+    assert all(0 <= Fraction(y) <= height for y in ys), argv
 
 
 # strings with quotes, backslashes, control characters and non-ASCII text

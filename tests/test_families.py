@@ -370,6 +370,13 @@ def test_family_json_errors():
     for cap in (30, 30.5):
         with pytest.raises(ValueError, match="no parameter 'degree_cap'"):
             family_from_json({"kind": "halfplane", "params": {"q1": "2", "q2": "3", "degree_cap": cap}})
+    # a JSON true or false is not a rational
+    for spec in ({"kind": "halfplane", "params": {"q1": True, "q2": 2}},
+                 {"kind": "halfplane", "params": {"q1": 1, "q2": False}},
+                 {"kind": "ceiling", "params": {"q": True}},
+                 {"kind": "chain", "params": {"breakpoints": [[4, 0], [3, True], [1, 4], [0, 7]]}}):
+        with pytest.raises(ValueError, match="cannot parse rational (True|False)"):
+            family_from_json(spec)
 
 
 @pytest.mark.parametrize("params, named", [
