@@ -38,8 +38,8 @@ from math import comb, factorial, floor, lcm
 
 from .families import MAX_STAIRCASE_COLUMNS, _check_max_m, _check_walk, areg_estimate, waldschmidt_estimate
 from .hilbert import _series, hilbert_function
-from .ideals import MonomialIdeal, WorkBudgetError
-from .rationals import _ZERO, _scaled, format_rational
+from .ideals import MonomialIdeal, WorkBudgetError, _check_int
+from .rationals import _ZERO, _nonnegative, _scaled, format_rational, parse_rational
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -66,7 +66,8 @@ __all__ = [
 
 
 class UnsupportedDimensionError(RuntimeError):
-    """Raised when an exact computation is requested outside dimensions <= 2."""
+    """Raised when a shape computation is asked of a member in more than three
+    variables."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,12 @@ class StaircaseRegion:
     sorted.  Only nonempty boxes are stored (slack >= sum(prefix)).  The
     corner set is an antichain under (prefix smaller, slack larger)
     domination because the ideal's generators are minimal: a dominating
-    corner would come from a generator dividing the other's.  A prefix entry
-    that is not an int (a Fraction, a float, a bool) is refused, and so is a
-    corner whose box leaves the simplex (a prefix not of length dim, a
-    negative prefix entry, or a slack above the bound), so no count or
-    volume of the complement is negative.
+    corner would come from a generator dividing the other's.  The bound and
+    each slack are read once by `parse_rational`.  A prefix entry that is not
+    an int (a Fraction, a float, a bool) is refused, and so is a corner whose
+    box leaves the simplex (a prefix not of length dim, a negative prefix
+    entry, or a slack above the bound), so no count or volume of the
+    complement is negative.
     """
 
     dim: int
@@ -89,6 +91,8 @@ class StaircaseRegion:
     corners: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "bound", parse_rational(self.bound))
+        object.__setattr__(self, "corners", tuple((p, parse_rational(s)) for p, s in self.corners))
         for prefix, slack in self.corners:
             if any(type(v) is not int for v in prefix):
                 raise ValueError(f"corner {(prefix, slack)} has a prefix entry that is not an int")
@@ -115,15 +119,20 @@ def _boxes(gens, bound, scale=1) -> list:
     return out
 
 
+def _scale_and_parameter(m, t) -> tuple:
+    """m through `_check_int` and t through `parse_rational`; m < 1 is
+    refused here, t < 0 by `_nonnegative`."""
+    m = _check_int(m, "m")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return m, _nonnegative(parse_rational(t))
+
+
 def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
     """Scaled staircase of I: generator boxes clipped by per-generator slack.
     Each slack m*t - last is decided on the integers m*num(t) - den(t)*last,
     and only a kept corner's slack becomes a Fraction."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    m, t = _scale_and_parameter(m, t)
     den = t.denominator
     # already an antichain: a dominating corner's generator would divide the other's
     corners = sorted(_boxes(I.gens, m * t.numerator, den))
@@ -155,12 +164,10 @@ def _complement(stair: StaircaseRegion, count: bool, outside: bool):
         B = floor(stair.bound)
         gens = [(B - floor(s), *p) for p, s in stair.corners]
     else:
-        bound = Fraction(stair.bound)
-        slacks = [Fraction(s) for _, s in stair.corners]
-        L = lcm(bound.denominator, *(s.denominator for s in slacks))
+        bound = stair.bound
+        L = lcm(bound.denominator, *(s.denominator for _, s in stair.corners))
         B = bound.numerator * (L // bound.denominator)
-        gens = [(B - s.numerator * (L // s.denominator), *(v * L for v in p))
-                for (p, _), s in zip(stair.corners, slacks)]
+        gens = [(B - s.numerator * (L // s.denominator), *(v * L for v in p)) for p, s in stair.corners]
     if B < 0:
         return 0 if count else _ZERO
     N = _series(gens, k + 1)
@@ -200,16 +207,12 @@ def gamma_lattice_count(I: MonomialIdeal, m: int, t) -> int:
     """lattice_count(gamma_region(I, m, t)) without building the region: at
     d = floor(m*t) a generator's corner (g[:-1], d - g[-1]) lifts back to g
     with its last exponent first, so the count is hilbert_function(I, d)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    m, t = _scale_and_parameter(m, t)
     return hilbert_function(I, floor(m * t))
 
 
 def region_volume(region) -> Fraction:
-    """Exact measure; dimensions 0 (counting measure), 1 and 2 only.
+    """Exact measure in every dimension (the counting measure in dimension 0).
 
     On the scale L, the lcm of the denominators of the bound and the slacks,
     the bound is B and each corner (prefix, slack) lifts to the generator
@@ -219,11 +222,6 @@ def region_volume(region) -> Fraction:
     minus it.
     """
     stair, outside = _parts(region)
-    if stair.dim > 2:
-        raise UnsupportedDimensionError(
-            f"exact volume limited to dimension <= 2, got {stair.dim}; "
-            "use lattice counts for higher dimensions"
-        )
     return _complement(stair, False, outside)
 
 
@@ -235,10 +233,9 @@ class _Imaged:
 
     @classmethod
     def make(cls, points):
-        """Through the points as Fractions (Fractions are kept as given),
-        reduced by `_reduce` on the points scaled to integers."""
-        pts = [(x if type(x) is Fraction else Fraction(x),
-                y if type(y) is Fraction else Fraction(y)) for x, y in points]
+        """Through the points read by `parse_rational`, reduced by `_reduce`
+        on the points scaled to integers."""
+        pts = [(parse_rational(x), parse_rational(y)) for x, y in points]
         return cls._from_image(*_scaled(pts), pts)
 
     @classmethod
@@ -337,12 +334,13 @@ def convex_hull(points) -> list:
     """Exact 2-D convex hull (monotone chain), CCW without repeated endpoint.
 
     The sweep runs in the points' own exact type: int and Fraction
-    coordinates are used as given (other numbers are first made Fractions),
-    and only the returned vertices are converted to Fraction.
+    coordinates are used as given (other values are first read by
+    `parse_rational`), and only the returned vertices are converted to
+    Fraction.
     """
     pts = {(x, y) for x, y in points}
     if any(type(v) not in (int, Fraction) for p in pts for v in p):
-        pts = {(Fraction(x), Fraction(y)) for x, y in pts}
+        pts = {(parse_rational(x), parse_rational(y)) for x, y in pts}
     return [(Fraction(x), Fraction(y)) for x, y in _monotone_chain(sorted(pts))]
 
 
@@ -457,10 +455,7 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
 def _shape_pair(family, t, max_m: int) -> tuple:
     """(delta, gamma) at t, computed once and kept in `family._shapes`:
     under t for a closed form, under (t, max_m) for an inner approximation."""
-    if type(t) is not Fraction:
-        t = Fraction(t)
-    if t.numerator < 0:
-        raise ValueError("t must be >= 0")
+    t = _nonnegative(parse_rational(t))
     max_m = _check_max_m(max_m)
     shape = getattr(family, "exact_shape", None)
     key = t if shape is not None else (t, max_m)
@@ -591,11 +586,8 @@ def ahf(family, t, max_m: int = 16) -> AhfResult:
     sample is the member's Hilbert function at floor(m*t): a two-variable
     member's is read off its cached staircase corners, a three-variable
     member's is `hilbert_function`, which charges its own numerator."""
-    if type(t) is not Fraction:
-        t = Fraction(t)
+    t = _nonnegative(parse_rational(t))
     p, q = t.numerator, t.denominator
-    if p < 0:
-        raise ValueError("t must be >= 0")
     max_m = _check_max_m(max_m)
     _check_walk(family, max_m)
     shape = family.exact_shape

@@ -26,6 +26,7 @@ from math import comb, factorial
 from operator import itemgetter
 
 from .ideals import MonomialIdeal, WorkBudgetError, _check_int
+from .rationals import _nonnegative, parse_rational
 
 __all__ = [
     "IntegerPolynomial",
@@ -124,9 +125,7 @@ def hilbert_function(I: MonomialIdeal, d: int) -> int:
 
 def hilbert_function_extended(I: MonomialIdeal, t) -> int:
     """HF at the floor of a rational argument."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("extended Hilbert function needs t >= 0")
+    t = _nonnegative(parse_rational(t))
     return hilbert_function(I, int(t.numerator // t.denominator))
 
 
@@ -138,7 +137,7 @@ class IntegerPolynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntegerPolynomial":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [parse_rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -148,9 +147,9 @@ class IntegerPolynomial:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __call__(self, t) -> Fraction:
-        acc = Fraction(0)
+        t, acc = parse_rational(t), Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * Fraction(t) + c
+            acc = acc * t + c
         return acc
 
     def __str__(self) -> str:

@@ -35,6 +35,7 @@ from operator import add, lt, mul
 
 from .geometry import ShapePolygon, _cross, _half_chain, _Imaged
 from .ideals import WorkBudgetError, _check_int
+from .rationals import parse_rational
 
 __all__ = [
     "LineConfiguration",
@@ -209,21 +210,21 @@ class PLGraph(_Imaged):
         return pts, L * k
 
     def value_at(self, x) -> Fraction:
-        _, k, (_, y) = self._at(Fraction(x))
+        _, k, (_, y) = self._at(parse_rational(x))
         return Fraction(y, self._image[1] * k)
 
     def truncated(self, t) -> "PLGraph":
         """The chain cut at x = t, or itself when t is at or past the last x;
         a cut at a vertex's x ends at that vertex, or for a chain opening with
         a vertical segment at t, at the top of that segment."""
-        cut = self._cut(Fraction(t))
+        cut = self._cut(parse_rational(t))
         return PLGraph._from_image(*cut) if cut else self
 
     def area(self, upto=None) -> Fraction:
         """Exact trapezoid area between the chain and the x-axis, summed on
         the image (of the truncated chain) and divided by 2 * L^2 once."""
         # a truncation of an x-monotone graph is x-monotone, so only self is checked
-        ints, L = (upto is not None and self._cut(Fraction(upto))) or self._image
+        ints, L = (upto is not None and self._cut(parse_rational(upto))) or self._image
         if not self.is_function:
             raise ValueError("area needs an x-monotone graph")
         twice = sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(ints, ints[1:]))
@@ -325,7 +326,7 @@ def gamma_vertices(graph: PLGraph, t=None) -> ShapePolygon:
     truncation closes the region along the simplex edge back to (0, t).  The
     map runs on the graph's image (cut at t), the polygon on the same scale.
     """
-    cut = t is not None and graph._cut(t := Fraction(t))
+    cut = t is not None and graph._cut(t := parse_rational(t))
     ints, L = cut or graph._image
     out = [(y, x - y) for x, y in ints]
     if cut and out[-1] != (closing := (0, t.numerator * (L // t.denominator))):

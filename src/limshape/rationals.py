@@ -1,4 +1,5 @@
-"""Exact rational parsing/printing used by JSON interfaces and the CLI.
+"""Exact rational parsing/printing: `parse_rational` reads every rational a
+caller hands the library, its JSON interfaces or the CLI.
 
 Rationals travel as "num/den" strings (plain integers allowed); internally
 everything is a `fractions.Fraction`, which already stores lowest terms with
@@ -39,11 +40,18 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 
 
+def _nonnegative(t: Fraction) -> Fraction:
+    """The one refusal of a negative parameter t, read by `parse_rational`."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return t
+
+
 def format_rational(q) -> str:
-    # str of an int or a Fraction is already "num" or "num/den"; a bool or
-    # anything else is read as a Fraction first
+    # str of an int or a Fraction is already "num" or "num/den"; anything
+    # else is read by `parse_rational` first
     if type(q) is not int and not isinstance(q, Fraction):
-        q = Fraction(q)
+        q = parse_rational(q)
     return str(q)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .geometry import ShapePolygon
+from .geometry import ShapePolygon, staircase_region
 from .ideals import MonomialIdeal, WorkBudgetError
 from .planar import PLGraph
 from .rationals import _scaled, format_rational
@@ -118,8 +118,6 @@ def render_staircase(I: MonomialIdeal, m: int, t) -> str:
     hatched corner triangles inside the dashed simplex.  Up to one triangle
     per generator: more than MAX_TRIANGLES generators are refused with
     WorkBudgetError before the region is built."""
-    from .geometry import staircase_region
-
     _charge_triangles(len(I.gens))
     region = staircase_region(I.padded(3) if I.nvars < 3 else I, m, t)
     if region.dim != 2:

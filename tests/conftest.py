@@ -4,17 +4,17 @@ Each oracle recomputes a quantity by a method independent of the
 production code path: Hilbert functions by brute monomial enumeration,
 Hilbert-series numerators by slicing on the first variable down to one,
 Hilbert polynomials by expanding one product of linear factors per
-numerator term, staircase areas by inclusion-exclusion over corner
-triangles and by sweeping vertical strips, staircase lattice counts by
-slicing into columns and merging intervals, Borel-fixedness by scanning every
-monomial of the ideal up to a degree bound, membership by testing
-divisibility by every generator, polygon and graph vertices, cuts, areas
-and convexity in Fractions, the closed-form graph from harmonic
-Fractions, reduction vectors by stepping the reduction, inner
-approximations by hulling every point of every member padded to three
+numerator term, staircase volumes in every dimension by inclusion-exclusion
+over corner boxes, staircase areas by sweeping vertical strips, staircase
+lattice counts by slicing into columns and merging intervals,
+Borel-fixedness by scanning every monomial of the ideal up to a degree
+bound, membership by testing divisibility by every generator, polygon and
+graph vertices, cuts, areas and convexity in Fractions, the closed-form
+graph from harmonic Fractions, reduction vectors by stepping the reduction,
+inner approximations by hulling every point of every member padded to three
 variables, SVG scenes by mapping every point in Fractions, closed-form
-shapes by walking the chain in Fractions, and limit estimates by
-comparing Fraction values.
+shapes by walking the chain in Fractions, and limit estimates by comparing
+Fraction values.
 """
 
 from __future__ import annotations
@@ -131,23 +131,20 @@ def borel_by_full_scan(I: MonomialIdeal, extra_degrees: int = 2) -> bool:
     return True
 
 
-def area_by_inclusion_exclusion(corners) -> Fraction:
-    """Union area of corner triangles {x>=p0, y>=p1, x+y<=s} via subsets;
-    intersections of corner triangles are corner triangles again."""
-
-    def tri_area(p0, p1, s):
-        side = Fraction(s) - p0 - p1
-        return side * side / 2 if side > 0 else Fraction(0)
-
+def volume_by_inclusion_exclusion(corners) -> Fraction:
+    """Union volume of corner boxes {beta >= prefix, sum(beta) <= s} in any
+    dimension k >= 1 via subsets: the boxes of a subset meet in the box of
+    their coordinatewise largest prefix and least slack, a simplex of side
+    s - |prefix| and volume side^k / k!."""
     total = Fraction(0)
     items = list(corners)
     for k in range(1, len(items) + 1):
         sign = 1 if k % 2 == 1 else -1
         for subset in combinations(items, k):
-            p0 = max(p for (p, _), _ in subset)
-            p1 = max(q for (_, q), _ in subset)
-            s = min(Fraction(s) for _, s in subset)
-            total += sign * tri_area(p0, p1, s)
+            prefix = [max(c) for c in zip(*(p for p, _ in subset))]
+            side = min(Fraction(s) for _, s in subset) - sum(prefix)
+            if side > 0:
+                total += sign * side ** len(prefix) / factorial(len(prefix))
     return total
 
 

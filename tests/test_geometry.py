@@ -52,7 +52,6 @@ from limshape.geometry import (
 )
 
 from conftest import (
-    area_by_inclusion_exclusion,
     brute_hf,
     clip_halfplane,
     family_specs,
@@ -65,6 +64,7 @@ from conftest import (
     random_chain,
     slicing_lattice_count,
     sweep_area,
+    volume_by_inclusion_exclusion,
 )
 
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
@@ -159,8 +159,7 @@ def test_volumes():
     region = staircase_region(DOUBLING_1, 1, 3)
     assert region_volume(region) == 1
     assert region_volume(gamma_region(DOUBLING_1, 1, 3)) == 2
-    with pytest.raises(UnsupportedDimensionError):
-        region_volume(ComplementRegion(StaircaseRegion(3, Fraction(1), ())))
+    assert region_volume(ComplementRegion(StaircaseRegion(3, Fraction(1), ()))) == Fraction(1, 6)
 
 
 def test_complement_identity_exact():
@@ -191,7 +190,7 @@ def test_staircase_area_matches_inclusion_exclusion(rng):
             s = sum(p) + Fraction(rng.choice([0, rng.randint(0, 17)]), rng.randint(1, 7))
             corners.append((p, s))
         region = StaircaseRegion(2, max(s for _, s in corners), tuple(corners))
-        assert region_volume(region) == area_by_inclusion_exclusion(corners)
+        assert region_volume(region) == volume_by_inclusion_exclusion(corners)
 
 
 def test_lattice_count_bridge_all_families():
@@ -667,7 +666,7 @@ def test_region_counts_and_volumes_match_the_oracles(region):
     assert lattice_count(ComplementRegion(region)) == (comb(d + dim, dim) if d >= 0 else 0) - inside
     if dim == 2:
         area = sweep_area(corners)
-        assert area == area_by_inclusion_exclusion(corners)
+        assert area == volume_by_inclusion_exclusion(corners)
     elif dim == 1:
         area = sum((b - a for a, b in merge_intervals([(Fraction(p[0]), Fraction(s))
                                                        for p, s in corners])), Fraction(0))
@@ -676,6 +675,29 @@ def test_region_counts_and_volumes_match_the_oracles(region):
     assert region_volume(region) == area
     simplex = Fraction(bound) ** dim / factorial(dim) if bound >= 0 else 0
     assert region_volume(ComplementRegion(region)) == simplex - area
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(3, 4),
+    st.fractions(0, 12, max_denominator=4),
+    st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.fractions(0, 1, max_denominator=7)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_region_volumes_in_dimensions_3_and_4_match_inclusion_exclusion(dim, bound, raw):
+    # slacks between |prefix| and the bound, most of them non-integral
+    corners = []
+    for prefix, u in raw:
+        prefix = prefix[:dim]
+        if sum(prefix) <= bound:
+            corners.append((prefix, sum(prefix) + u * (bound - sum(prefix))))
+    region = StaircaseRegion(dim, bound, tuple(sorted(corners)))
+    volume = volume_by_inclusion_exclusion(corners)
+    assert region_volume(region) == volume
+    assert region_volume(ComplementRegion(region)) == bound**dim / factorial(dim) - volume
 
 
 @pytest.mark.parametrize("dim, prefix", [
@@ -737,7 +759,7 @@ def test_staircase_area_matches_inclusion_exclusion_on_ideals(gens, m, t):
     ideal = MonomialIdeal.from_gens(3, gens)
     assume(len({g[2] for g in ideal.gens}) > 1)  # several slacks
     region = staircase_region(ideal, m, t)
-    assert region_volume(region) == area_by_inclusion_exclusion(region.corners)
+    assert region_volume(region) == volume_by_inclusion_exclusion(region.corners)
     assert region_volume(gamma_region(ideal, m, t)) == (m * t) ** 2 / 2 - region_volume(region)
 
 
@@ -922,3 +944,36 @@ def test_ahf_charges_every_sample_before_any_shape():
     # t is checked first
     with pytest.raises(ValueError):
         ahf(plain, -1, max_m=5000)
+
+
+@st.composite
+def padded_plane_pairs(draw):
+    """A 2-variable power or doubling family and the same family padded to
+    three variables by a zero last column, a t and a max_m >= 2."""
+    if draw(st.booleans()):
+        pair = make_doubling_family(), make_doubling_family(extra_vars=1)
+    else:
+        exponent = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any)
+        ideal = MonomialIdeal.from_gens(2, draw(st.lists(exponent, min_size=1, max_size=3)))
+        pair = make_power_family(ideal), make_power_family(ideal.padded(3))
+    return pair, draw(st.fractions(0, 6, max_denominator=4)), draw(st.integers(2, 4))
+
+
+@settings(max_examples=150)
+@given(padded_plane_pairs())
+def test_padding_a_plane_family_leaves_every_payload_unchanged(case):
+    # pins each 2-variable fast path (corner hull, staircase lookups, corner
+    # counts) to the general path of the padded family
+    (plain, padded), t, max_m = case
+
+    def payloads(family):
+        out = [shape_json(family, t, max_m), ahf(family, t, max_m).to_json(), waldschmidt(family, max_m),
+               verify_graded(family, max_m).to_json()]
+        if plain.claims_borel:  # the areg estimate needs a Borel-fixed family
+            out.append(areg(family, max_m))
+        if plain.label.startswith("doubling"):  # its label names the variables
+            for payload in out:
+                payload.pop("label", None)
+        return out
+
+    assert payloads(plain) == payloads(padded)
