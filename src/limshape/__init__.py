@@ -73,6 +73,6 @@ from .planar import (
     two_line_vertices,
     validate_configuration,
 )
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 
 __version__ = "0.1.0"

@@ -247,15 +247,11 @@ def _cmd_render(args) -> str:
         graph = _planar_graph(_planar_config(args))
         t = parse_rational(args.t) if args.t is not None else None
         return render_polygon(planar.gamma_vertices(graph, t), hatched=True)
-    if args.kind == "shape":
-        family = _family_from_args(args)
-        if args.t is None:
-            raise CliError("render shape needs --t")
-        result = geometry.limiting_shape(family, parse_rational(args.t), args.max_m)
-        if result.polygon is None:
-            raise CliError("family has no polygonal shape to render")
-        return render_polygon(result.polygon, hatched=False)
-    raise CliError(f"unknown render kind {args.kind!r}")
+    family = _family_from_args(args)  # "shape", the last of the parser's choices
+    if args.t is None:
+        raise CliError("render shape needs --t")
+    result = geometry.limiting_shape(family, parse_rational(args.t), args.max_m)
+    return render_polygon(result.polygon, hatched=False)
 
 
 @cache

@@ -79,8 +79,8 @@ class ExactShape:
     from the x-axis towards the y-axis; a chain ending off the y-axis goes
     on up a vertical ray.  `geometry` walks the chain once, which needs it
     to start on the x-axis with x strictly decreasing and slopes -1 or
-    steeper that strictly steepen (so x + y never decreases along it); any
-    other chain is refused with ValueError.
+    steeper that strictly steepen (so y strictly rises and x + y never
+    decreases along it); any other chain is refused with ValueError.
 
     The shape carries one integer image, `_image`: its vertices times the
     lcm L of their denominators, made by `_scaled`.  The chain is validated
@@ -166,6 +166,8 @@ class GradedFamily:
         self._shapes: dict = {}
 
     def ideal(self, m: int) -> MonomialIdeal:
+        if type(m) is not int:  # a bool, float or str is refused, never read as a member
+            m = _check_int(m, "family index m")
         if m < 1:
             raise ValueError("family index m must be >= 1")
         cached = self._cache.get(m)
@@ -328,10 +330,9 @@ def make_chain_family(breakpoints) -> GradedFamily:
     """Family whose m-th ideal consists of the lattice points on or above the
     concave chain of breakpoints scaled by m.
 
-    Breakpoints run (s_0, 0), (s_1, t_1), ..., (0, t_n) with s strictly
-    decreasing and t strictly increasing; consecutive slopes must strictly
-    steepen and start at -1 or steeper, which also makes every ideal
-    Borel-fixed.
+    Breakpoints run (s_0, 0), (s_1, t_1), ..., (0, t_n), at least two and
+    the last on the y-axis, under `ExactShape`'s chain rules (which also make
+    t strictly increase and every ideal Borel-fixed).
     """
     if not isinstance(breakpoints, (list, tuple)) or not all(
         isinstance(p, (list, tuple)) and len(p) == 2 for p in breakpoints
@@ -340,16 +341,9 @@ def make_chain_family(breakpoints) -> GradedFamily:
     pts = [(parse_rational(s), parse_rational(t)) for s, t in breakpoints]
     if len(pts) < 2:
         raise ValueError("need at least two breakpoints")
-    if pts[0][1] != 0:
-        raise ValueError("first breakpoint must lie on the x-axis (t_0 = 0)")
     if pts[-1][0] != 0:
         raise ValueError("last breakpoint must lie on the y-axis (s_n = 0)")
-    for (s0, t0), (s1, t1) in zip(pts, pts[1:]):
-        if not s1 < s0:
-            raise ValueError(f"s must strictly decrease: {s0} then {s1}")
-        if not t1 > t0:
-            raise ValueError(f"t must strictly increase: {t0} then {t1}")
-    # ExactShape refuses a first slope above -1 and slopes that do not steepen
+    # ExactShape refuses every other chain its rule cannot read
     shape = ExactShape(tuple(pts))
     text = [[format_rational(s), format_rational(t)] for s, t in pts]
     return GradedFamily(

@@ -37,7 +37,7 @@ from functools import cached_property
 from math import comb, factorial, floor, lcm
 
 from .families import MAX_STAIRCASE_COLUMNS, _check_max_m, _check_walk, areg_estimate, waldschmidt_estimate
-from .hilbert import _series, hilbert_function
+from .hilbert import _numerator, hilbert_function
 from .ideals import MonomialIdeal, WorkBudgetError, _check_int
 from .rationals import _ZERO, _nonnegative, _scaled, format_rational, parse_rational
 
@@ -170,7 +170,7 @@ def _complement(stair: StaircaseRegion, count: bool, outside: bool):
         gens = [(B - s.numerator * (L // s.denominator), *(v * L for v in p)) for p, s in stair.corners]
     if B < 0:
         return 0 if count else _ZERO
-    N = _series(gens, k + 1)
+    N = _numerator(gens, k + 1)
     if count:
         rest = sum(c * comb(B - e + k, k) for e, c in N.items() if e <= B)
         return rest if outside else comb(B + k, k) - rest
@@ -285,10 +285,6 @@ class ShapePolygon(_Imaged):
                     changed = True
                     break
         return keep
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.vertices) == 0
 
     def signed_area(self) -> Fraction:
         """Shoelace sum on the image, divided by 2 * L^2 once."""
@@ -517,7 +513,7 @@ def shape_json(family, t, max_m: int) -> dict:
         "label": family.label,
         "t": format_rational(delta.t),
         "exact": delta.exact,
-        "delta_vertices": delta.polygon.to_json() if delta.polygon else [],
+        "delta_vertices": delta.polygon.to_json(),
         "gamma_vertices": gamma.polygon.to_json() if gamma.polygon else [],
         "gamma_area": format_rational(gamma.area),
     }

@@ -60,8 +60,11 @@ def _numerator(gens, nvars: int, budget=None) -> dict:
     one-variable case serves one-variable ideals only.  Its worst case is
     exponential in nvars, so each slice's tails are taken from `budget`, one
     running total for the whole series, before the slice is read; past
-    MAX_SLICE_GENS the series is refused with WorkBudgetError.
+    MAX_SLICE_GENS the series is refused with WorkBudgetError, and so is one
+    in more than MAX_NVARS variables before the recursion starts.
     """
+    if nvars > MAX_NVARS:
+        raise WorkBudgetError(f"Hilbert series in {nvars} variables, over {MAX_NVARS}")
     if not gens:
         return {0: 1}
     if nvars == 1:
@@ -102,14 +105,6 @@ def _numerator(gens, nvars: int, budget=None) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def _series(gens, nvars: int) -> dict:
-    """`_numerator`, with more than MAX_NVARS variables refused with
-    WorkBudgetError before the recursion starts."""
-    if nvars > MAX_NVARS:
-        raise WorkBudgetError(f"Hilbert series in {nvars} variables, over {MAX_NVARS}")
-    return _numerator(gens, nvars)
-
-
 def hilbert_function(I: MonomialIdeal, d: int) -> int:
     """dim of (S/I)_d: degree-d monomials not contained in I.  `d` is read by
     the rule for exponents: True, 2.5, 3.0 or "3" is refused with a
@@ -119,7 +114,7 @@ def hilbert_function(I: MonomialIdeal, d: int) -> int:
         raise ValueError("degree must be non-negative")
     n = I.nvars
     # generators of degree > d cannot change the degree-d piece
-    N = _series([g for g in I.gens if sum(g) <= d], n)
+    N = _numerator([g for g in I.gens if sum(g) <= d], n)
     return sum(c * comb(d - e + n - 1, n - 1) for e, c in N.items() if e <= d)
 
 
@@ -188,7 +183,7 @@ def hilbert_polynomial(I: MonomialIdeal) -> IntegerPolynomial:
     """
     n = I.nvars
     moments = [0] * n
-    for e, c in _series(I.gens, n).items():
+    for e, c in _numerator(I.gens, n).items():
         for j in range(n):
             moments[j] += c
             c *= -e
@@ -208,5 +203,5 @@ def regularity_index(I: MonomialIdeal) -> int:
     degree max(N) - n the top term of N alone disagrees, by +-c_top, and
     above it every term agrees.
     """
-    N = _series(I.gens, I.nvars)
+    N = _numerator(I.gens, I.nvars)
     return max(0, max(N) - I.nvars + 1) if N else 0

@@ -179,10 +179,6 @@ class MonomialIdeal:
 
     def _contains(self, v) -> bool:
         """Membership of a vector of nvars non-negative ints, unchecked."""
-        if self.nvars == 2:
-            xs, ys = self._staircase
-            i = bisect_right(xs, v[0])
-            return i > 0 and ys[i - 1] <= v[1]
         return any(all(a <= b for a, b in zip(g, v)) for g in self.gens)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":

@@ -89,10 +89,6 @@ class LineConfiguration:
                 raise ValueError(f"counts must be strictly decreasing: {cs}")
         return cls(cs, shared_intersection)
 
-    @property
-    def total_points(self) -> int:
-        return sum(self.counts) + (1 if self.shared_intersection else 0)
-
 
 def validate_configuration(counts, shared_intersection: bool = False) -> LineConfiguration:
     return LineConfiguration.make(counts, shared_intersection)

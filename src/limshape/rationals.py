@@ -13,9 +13,8 @@ import re
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["Rational", "parse_rational", "format_rational"]
+__all__ = ["parse_rational", "format_rational"]
 
-Rational = Fraction
 _ZERO = Fraction(0)
 # Python's limit for printing an int: no larger power of ten could be printed
 MAX_EXPONENT = 4300

@@ -30,7 +30,7 @@ from limshape import (
     waldschmidt_from_shape,
 )
 from limshape.cli import main
-from limshape.svgfig import _dec_nd, _svg
+from limshape.svgfig import _dec_nd, _svg, render_staircase
 
 from conftest import _rationals, cyclic_gens, family_specs, fraction_decimal, fraction_svg
 
@@ -619,6 +619,18 @@ def test_render_staircase_charges_a_closed_form_member_before_building_it(capsys
     # an empty --counts was given: its value is refused, not reported missing
     *(([*argv, "--counts", ""], "error: counts: expected comma-separated integers, got ''\n")
       for argv in (["planar-vertices"], ["planar-reduce", "--m", "6"], ["render", "--kind", "graph"])),
+    (["hf", "--degree", "2", "--ideal", "@no-such-dir/ideal.json"], "error: ideal: [Errno 2] "),
+    (["waldschmidt"], "error: family: provide --family KIND or --input FILE\n"),
+    (["hf", "--family", "doubling", "--degree", "2"], "error: --m required to evaluate a family to an ideal\n"),
+    (["hf", "--degree", "2"], "error: provide --ideal JSON or a family plus --m\n"),
+    (["planar-vertices", "--counts", "5", "--output", "."], "error: output: "),  # a directory
+    (["family-eval", "--family", "doubling"], "error: --m is required\n"),
+    (["render", "--kind", "graph"], "error: --counts is required\n"),
+    (["planar-reduce", "--counts", "3"], "error: --m is required\n"),
+    (["render", "--kind", "staircase", "--ideal", '{"vars":3,"gens":[[1,0,0]]}', "--t", "1"],
+     "error: render staircase needs --m and --t\n"),
+    (["render", "--kind", "shape", "--family", "halfplane", "--q1", "1", "--q2", "2"],
+     "error: render shape needs --t\n"),
 ])
 def test_missing_flags_are_refused_before_any_member_is_built(capsys, monkeypatch, argv, message):
     built = []
@@ -626,6 +638,12 @@ def test_missing_flags_are_refused_before_any_member_is_built(capsys, monkeypatc
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, built) == (1, "", [])
     assert err.startswith("error: ") and message in err
+
+
+def test_render_staircase_refuses_more_than_three_variables():
+    wide = MonomialIdeal.from_gens(4, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="^staircase rendering needs a two-dimensional region$"):
+        render_staircase(wide, 1, 2)
 
 
 def test_top_level_help_is_one_sentence(capsys):

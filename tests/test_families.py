@@ -107,6 +107,21 @@ def test_halfplane_family():
         make_halfplane_family(3, 2)
     with pytest.raises(TypeError, match="degree_cap"):
         make_halfplane_family(2, 3, degree_cap=1)
+    assert repr(fam) == "GradedFamily('halfplane(q1=2, q2=3)', nvars=2)"
+
+
+@pytest.mark.parametrize("m, message", [
+    (True, "family index m must be an integer, got True"),
+    (1.5, "family index m must be an integer, got 1.5"),
+    ("2", "family index m must be an integer, got '2'"),
+    (0, "family index m must be >= 1"),
+])
+def test_member_index_is_refused_not_truncated(m, message):
+    fam = make_halfplane_family(1, 2)
+    fam.ideal(1)  # True equals 1 and hashes alike, but must not hit member 1
+    with pytest.raises(ValueError) as exc:
+        fam.ideal(m)
+    assert str(exc.value) == message
 
 
 def test_halfplane_membership_matches_inequality():
@@ -137,6 +152,32 @@ def test_chain_family_validation():
         make_chain_family([(4, 0), (3, 1), (2, 2), (0, 7)])
     with pytest.raises(ValueError):
         make_chain_family([(4, 1), (0, 7)])
+
+
+def _fractions(*points):
+    return repr(tuple((Fraction(s), Fraction(t)) for s, t in points))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_doubling_family(2), "extra_vars must be 0 or 1"),
+    (lambda: make_chain_family([(4, 0)]), "need at least two breakpoints"),
+    (lambda: make_chain_family([(4, 0), (3, 1)]), "last breakpoint must lie on the y-axis (s_n = 0)"),
+    # every other chain rule is ExactShape's, in its words
+    (lambda: make_chain_family([(4, 1), (0, 7)]),
+     "chain must start on the x-axis, x strictly decreasing: " + _fractions((4, 1), (0, 7))),
+    (lambda: make_chain_family([(4, 0), (4, 3), (0, 7)]),
+     "chain must start on the x-axis, x strictly decreasing: " + _fractions((4, 0), (4, 3), (0, 7))),
+    (lambda: make_chain_family([(4, 0), (3, 0), (0, 7)]),
+     "first slope 0 exceeds -1: chain must start at -1 or steeper"),
+    (lambda: waldschmidt_estimate(GradedFamily(2, lambda m: MonomialIdeal.zero(2), "nothing"), 3),
+     "nothing: rule(1) is the zero ideal"),
+    (lambda: family_from_json({"kind": "ceiling", "params": [["q", "2"]]}), "family 'params' must be an object"),
+    (lambda: family_to_json(GradedFamily(1, lambda m: MonomialIdeal.unit(1), "unit")), "unit has no JSON form"),
+])
+def test_family_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_exact_shape_refuses_chains_the_walk_cannot_read():

@@ -13,6 +13,7 @@ from limshape import (
     GradedFamily,
     MonomialIdeal,
     ShapePolygon,
+    ShapeResult,
     UnsupportedDimensionError,
     WorkBudgetError,
     ComplementRegion,
@@ -277,7 +278,7 @@ def test_limiting_shape_ceiling():
 def test_limiting_shape_small_t_clips():
     fam = make_halfplane_family(2, 3)
     delta = limiting_shape(fam, 1)
-    assert delta.polygon.is_empty or delta.area == 0
+    assert not delta.polygon.vertices or delta.area == 0
     gamma = gamma_limit(fam, 1)
     assert gamma.area == Fraction(1, 2)
 
@@ -314,7 +315,7 @@ def _point_in_convex(poly: ShapePolygon, pt) -> bool:
 def test_degenerate_families():
     nothing = GradedFamily(2, lambda m: MonomialIdeal.zero(2), "nothing")
     shape = limiting_shape(nothing, 5, max_m=4)
-    assert shape.polygon.is_empty and shape.area == 0
+    assert not shape.polygon.vertices and shape.area == 0
     everything = GradedFamily(2, lambda m: MonomialIdeal.unit(2), "everything")
     gamma = gamma_limit(everything, 5, max_m=4)
     assert gamma.area == 0
@@ -325,6 +326,23 @@ def test_shape_refused_above_three_variables():
     fam = make_power_family(wide)
     with pytest.raises(UnsupportedDimensionError):
         limiting_shape(fam, 4)
+
+
+# hand-built exact results whose chains no ExactShape would carry
+_OFF_AXIS = ShapeResult("delta", Fraction(3), True, ShapePolygon(()), Fraction(0), ((1, 1), (0, 3)))
+_NO_CHAIN = ShapeResult("delta", Fraction(3), True, ShapePolygon(()), Fraction(0), ())
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: staircase_region(MonomialIdeal.unit(3), 0, 1), ValueError, "m must be >= 1"),
+    (lambda: lattice_count(42), TypeError, "not a region: 42"),
+    (lambda: waldschmidt_from_shape(_OFF_AXIS), ValueError, "staircase chain must start on the x-axis"),
+    (lambda: areg_from_shape(_NO_CHAIN), ValueError, "shape has no extremal points below the simplex bound"),
+])
+def test_geometry_refusals_are_pinned(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # the closed forms and their invariants: (waldschmidt, areg)

@@ -113,6 +113,11 @@ def test_degree_and_window_must_be_integers(function, value):
         function(DOUBLING_1, value)
 
 
+def test_a_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="^degree must be non-negative$"):
+        hilbert_function(DOUBLING_1, -1)
+
+
 @st.composite
 def small_ideals(draw):
     nvars = draw(st.integers(1, 4))

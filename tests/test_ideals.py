@@ -267,6 +267,20 @@ def test_format_monomial():
     assert format_monomial((2, 0, 1)) == "x0^2*x2"
     assert format_monomial((0, 0)) == "1"
     assert str(MonomialIdeal.from_gens(3, [(2, 0, 1), (0, 1, 0)])) == "(x1, x0^2*x2)"
+    assert str(MonomialIdeal.zero(2)) == "(0)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: minimal_exponents([5]), "exponent vector must hold integers, got 5"),
+    (lambda: MonomialIdeal.from_gens(0, []), "need at least one variable"),
+    (lambda: MonomialIdeal.from_gens(3, [(1, 0)]), "generators have 2 exponents, expected 3"),
+    (lambda: MonomialIdeal.unit(2).product(MonomialIdeal.unit(3)), "ideal product across different variable counts"),
+    (lambda: MonomialIdeal.zero(2).max_generator_degree(), "zero ideal has no generators"),
+])
+def test_ideal_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_json_round_trip():

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -46,13 +47,12 @@ FOUR_LINE_VERTICES = (
 def test_validate_configuration():
     cfg = validate_configuration(FOUR_LINES)
     assert cfg.counts == FOUR_LINES and not cfg.shared_intersection
-    assert cfg.total_points == 26
     with pytest.raises(ValueError):
         validate_configuration((3, 3))
     with pytest.raises(ValueError):
         validate_configuration((2, 2), shared_intersection=True)  # 4 <= 4
     shared = validate_configuration((3, 2), shared_intersection=True)
-    assert shared.total_points == 6
+    assert shared.counts == (3, 2) and shared.shared_intersection
     with pytest.raises(ValueError):
         validate_configuration((3, 2, 1), shared_intersection=True)
     with pytest.raises(ValueError):
@@ -71,6 +71,17 @@ def test_point_counts_are_refused_not_truncated(call, bad):
     # a count goes through the exponent rule: no int() truncation of 2.7 to 2
     with pytest.raises(ValueError, match=re.escape(f"point count must be an integer, got {bad}")):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: validate_configuration((3, 0)), "point counts must be positive: (3, 0)"),
+    (lambda: validate_configuration((2, 3), shared_intersection=True), "counts must be non-increasing: (2, 3)"),
+    (lambda: reduction_vector(validate_configuration((3, 2)), 0), "multiplicity m must be >= 1"),
+])
+def test_configuration_refusals_are_pinned(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("m, bad", [(True, "True"), (6.0, "6.0"), (2.5, "2.5"), ("6", "'6'")])
@@ -237,6 +248,28 @@ def test_folded_chain_still_matches_envelope():
     assert env.vertices == closed.vertices
 
 
+@pytest.mark.parametrize("counts", [(6, 4, 2, 1), (9, 6, 4, 2), (9, 6, 4, 2, 1)])
+def test_folded_closed_form_equals_its_envelope_and_refuses_every_cut(counts):
+    # the chain turns back in x, and the envelope at the modulus says the same
+    config = validate_configuration(counts)
+    closed = dhf_vertices_closed_form(counts)
+    assert not closed.is_function
+    assert dhf_envelope(reduction_vector(config, divisibility_modulus(config))).vertices == closed.vertices
+    for cut in (closed.value_at, closed.truncated, closed.area, lambda t: gamma_vertices(closed, t)):
+        with pytest.raises(ValueError, match="^graph is not x-monotone$"):
+            cut(3)
+
+
+def test_closed_form_folds_exactly_when_the_harmonic_sum_passes_one():
+    # consecutive vertices differ in x by (a_i - a_(i+1)) * (1 - H_i), H_i the
+    # sum of 1/a_j over the first i lines
+    assert dhf_vertices_closed_form((6, 4, 2, 1)).vertices[1:3] == ((4, 4), (Fraction(37, 12), Fraction(25, 12)))
+    for n in range(1, 5):
+        for counts in combinations(range(12, 0, -1), n):
+            harmonic = sum(Fraction(1, a) for a in counts)
+            assert dhf_vertices_closed_form(counts).is_function == (harmonic <= 1), counts
+
+
 def test_graph_area():
     graph = dhf_vertices_closed_form(FOUR_LINES)
     assert area_under_graph(graph) == 13
@@ -359,7 +392,8 @@ def line_configurations(draw):
     else:
         counts = draw(st.sets(st.integers(1, 12), min_size=1, max_size=4))
         config = validate_configuration(sorted(counts, reverse=True))
-    assume(config.total_points * divisibility_modulus(config) <= 20000)
+    points = sum(config.counts) + config.shared_intersection
+    assume(points * divisibility_modulus(config) <= 20000)
     return config
 
 
