@@ -234,13 +234,10 @@ def _cmd_planar_vertices(args) -> dict:
 
 def _cmd_render(args) -> str:
     if args.kind == "staircase":
-        if args.t is None:  # checked before any member is built
+        if args.m is None or args.t is None:  # checked before any member is built
             raise CliError("render staircase needs --m and --t")
         t = parse_rational(args.t)
-        ideal = _ideal_from_args(args, _charge_triangles)
-        if args.m is None:
-            raise CliError("render staircase needs --m and --t")
-        return render_staircase(ideal, args.m, t)
+        return render_staircase(_ideal_from_args(args, _charge_triangles), args.m, t)
     if args.kind == "graph":
         return render_graph(_planar_graph(_planar_config(args)))
     if args.kind == "gamma":

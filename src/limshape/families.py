@@ -25,7 +25,7 @@ from math import ceil
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MAX_PRODUCT_PAIRS, MonomialIdeal, WorkBudgetError, _check_int, _minimal
+from .ideals import MAX_PRODUCT_PAIRS, MonomialIdeal, WorkBudgetError, _check_at_least, _check_int, _minimal
 from .rationals import _ZERO, _scaled, format_rational, parse_rational
 
 __all__ = [
@@ -98,7 +98,7 @@ class ExactShape:
             raise ValueError(f"vertex coordinates must be ints or Fractions: {v!r}")
         ints, L = _scaled(v)
         if not ints or ints[0][1] or any(not x1 < x0 for (x0, _), (x1, _) in zip(ints, ints[1:])):
-            raise ValueError(f"chain must start on the x-axis, x strictly decreasing: {v!r}")
+            raise ValueError(f"chain must start on the x-axis, x strictly decreasing: {_chain_text(v)}")
         # (dx, dy) of each segment, dx < 0: slope dy/dx is -1 or steeper when
         # dx + dy >= 0, and steeper than dy0/dx0 when dy * dx0 < dy0 * dx
         steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(ints, ints[1:])]
@@ -124,6 +124,11 @@ class ExactShape:
         rule, and its generators for a chain ending on the y-axis."""
         ints, L = self._image
         return -(-m * ints[0][0] // L) + 1
+
+
+def _chain_text(points) -> str:
+    """The points as a chain label writes them: [(s,t);...]."""
+    return "[" + ";".join(f"({format_rational(s)},{format_rational(t)})" for s, t in points) + "]"
 
 
 def _member(nvars: int, gens) -> MonomialIdeal:
@@ -166,10 +171,8 @@ class GradedFamily:
         self._shapes: dict = {}
 
     def ideal(self, m: int) -> MonomialIdeal:
-        if type(m) is not int:  # a bool, float or str is refused, never read as a member
-            m = _check_int(m, "family index m")
-        if m < 1:
-            raise ValueError("family index m must be >= 1")
+        if type(m) is not int or m < 1:  # a bool, float, str or m < 1 is refused, never read as a member
+            m = _check_at_least(m, "family index m")
         cached = self._cache.get(m)
         if cached is not None:
             return cached
@@ -349,7 +352,7 @@ def make_chain_family(breakpoints) -> GradedFamily:
     return GradedFamily(
         2,
         _staircase_rule(shape),
-        label="chain[" + ";".join(f"({s},{t})" for s, t in text) + "]",
+        label="chain" + _chain_text(pts),
         claims_borel=True,
         exact_shape=shape,
         json_spec={"kind": "chain", "params": {"breakpoints": text}},
@@ -406,15 +409,6 @@ class GradednessReport:
                 "violations": [{"p": v.p, "q": v.q, "witness": list(v.witness)} for v in self.violations]}
 
 
-def _check_max_m(max_m, least: int = 1) -> int:
-    """`max_m` through `_check_int`, refused below `least` for every family,
-    closed form or not."""
-    max_m = _check_int(max_m, "max_m")
-    if max_m < least:
-        raise ValueError(f"max_m must be >= {least}")
-    return max_m
-
-
 def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     """Check I_p * I_q <= I_{p+q} for every p <= q with p + q <= max_m;
     refused with WorkBudgetError before the pair (p, q) that would take the
@@ -426,7 +420,7 @@ def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     (degree, vector) is the witness.  It is the product's first missing
     generator, since a missing sum's minimal divisor among the sums is
     itself a missing sum of no larger degree."""
-    max_m = _check_max_m(max_m, 2)
+    max_m = _check_at_least(max_m, "max_m", 2)
     violations = []
     checked = 0
     work = 0
@@ -486,10 +480,8 @@ _BY_VALUE = cmp_to_key(lambda u, w: u[1] * w[0] - w[1] * u[0])
 
 def _estimate_from_values(values, tolerance, period) -> LimitEstimate:
     """The estimate of the sequence v_m = n/m from its integer pairs (m, n),
-    m = 1 .. max_m.  Values are compared by cross products, and one Fraction
-    is built per value."""
-    if type(tolerance) is not Fraction:
-        tolerance = Fraction(tolerance)
+    m = 1 .. max_m, within a Fraction tolerance.  Values are compared by
+    cross products, and one Fraction is built per value."""
     tn, td = tolerance.numerator, tolerance.denominator
 
     def over(lo, hi):  # v(hi) - v(lo) > tolerance
@@ -543,12 +535,12 @@ def waldschmidt_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
             raise ValueError(f"{family.label}: rule({m}) is the zero ideal")
         return ideal.alpha()
 
-    return _walk_estimate(family, _check_max_m(max_m), alpha)
+    return _walk_estimate(family, _check_at_least(max_m, "max_m"), alpha)
 
 
 def areg_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
     """Sequence reg(I_m)/m for Borel-fixed families (max generator degree)."""
-    max_m = _check_max_m(max_m)
+    max_m = _check_at_least(max_m, "max_m")
     if not family.claims_borel:
         raise ValueError("asymptotic regularity estimate needs a Borel-fixed family")
     return _walk_estimate(family, max_m, lambda m: family.ideal(m).max_generator_degree())
@@ -556,7 +548,7 @@ def areg_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
 
 def ri_estimate(family: GradedFamily, max_m: int) -> LimitEstimate:
     """Sequence ri(I_m)/m via the Hilbert-polynomial regularity index."""
-    return _walk_estimate(family, _check_max_m(max_m), lambda m: regularity_index(family.ideal(m)))
+    return _walk_estimate(family, _check_at_least(max_m, "max_m"), lambda m: regularity_index(family.ideal(m)))
 
 
 def _build_power(params: dict) -> GradedFamily:

@@ -36,9 +36,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, floor, lcm
 
-from .families import MAX_STAIRCASE_COLUMNS, _check_max_m, _check_walk, areg_estimate, waldschmidt_estimate
+from .families import MAX_STAIRCASE_COLUMNS, _check_walk, areg_estimate, waldschmidt_estimate
 from .hilbert import _numerator, hilbert_function
-from .ideals import MonomialIdeal, WorkBudgetError, _check_int
+from .ideals import MonomialIdeal, WorkBudgetError, _check_at_least
 from .rationals import _ZERO, _nonnegative, _scaled, format_rational, parse_rational
 
 __all__ = [
@@ -120,12 +120,9 @@ def _boxes(gens, bound, scale=1) -> list:
 
 
 def _scale_and_parameter(m, t) -> tuple:
-    """m through `_check_int` and t through `parse_rational`; m < 1 is
-    refused here, t < 0 by `_nonnegative`."""
-    m = _check_int(m, "m")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return m, _nonnegative(parse_rational(t))
+    """m through `_check_at_least` and t through `parse_rational` and
+    `_nonnegative`: an m below 1 and a t below 0 are refused."""
+    return _check_at_least(m, "m"), _nonnegative(parse_rational(t))
 
 
 def staircase_region(I: MonomialIdeal, m: int, t) -> StaircaseRegion:
@@ -327,17 +324,9 @@ def _monotone_chain(pts: list) -> list:
 
 
 def convex_hull(points) -> list:
-    """Exact 2-D convex hull (monotone chain), CCW without repeated endpoint.
-
-    The sweep runs in the points' own exact type: int and Fraction
-    coordinates are used as given (other values are first read by
-    `parse_rational`), and only the returned vertices are converted to
-    Fraction.
-    """
-    pts = {(x, y) for x, y in points}
-    if any(type(v) not in (int, Fraction) for p in pts for v in p):
-        pts = {(parse_rational(x), parse_rational(y)) for x, y in pts}
-    return [(Fraction(x), Fraction(y)) for x, y in _monotone_chain(sorted(pts))]
+    """Exact 2-D convex hull (monotone chain) of the points read by
+    `parse_rational`, CCW without repeated endpoint."""
+    return _monotone_chain(sorted({(parse_rational(x), parse_rational(y)) for x, y in points}))
 
 
 @dataclass(frozen=True)
@@ -349,7 +338,6 @@ class ShapeResult:
     staircases (and the complement is reported by area only).
     """
 
-    kind: str  # "delta" or "gamma"
     t: Fraction
     exact: bool
     polygon: ShapePolygon | None
@@ -416,8 +404,8 @@ def _exact_pair(shape, t: Fraction) -> tuple:
         walk, pts, crossed = [(T, 0)], [(t, _ZERO)], True
     gamma = ShapePolygon._from_image([(0, 0)] + walk + [(0, T)] * crossed, S,
                                      [(_ZERO, _ZERO)] + pts + [(_ZERO, t)] * crossed)
-    return (ShapeResult("delta", t, True, delta, delta.area(), shape.vertices),
-            ShapeResult("gamma", t, True, gamma, gamma.area(), shape.vertices))
+    return (ShapeResult(t, True, delta, delta.area(), shape.vertices),
+            ShapeResult(t, True, gamma, gamma.area(), shape.vertices))
 
 
 def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
@@ -444,15 +432,15 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     # a strictly convex hull: the reduction keeps every vertex
     poly = ShapePolygon._from_image(_monotone_chain(sorted(set(points))), D)
     area = poly.area()
-    return (ShapeResult("delta", t, False, poly, area, None),
-            ShapeResult("gamma", t, False, None, t * t / 2 - area, None))
+    return (ShapeResult(t, False, poly, area, None),
+            ShapeResult(t, False, None, t * t / 2 - area, None))
 
 
 def _shape_pair(family, t, max_m: int) -> tuple:
     """(delta, gamma) at t, computed once and kept in `family._shapes`:
     under t for a closed form, under (t, max_m) for an inner approximation."""
     t = _nonnegative(parse_rational(t))
-    max_m = _check_max_m(max_m)
+    max_m = _check_at_least(max_m, "max_m")
     shape = getattr(family, "exact_shape", None)
     key = t if shape is not None else (t, max_m)
     pair = family._shapes.get(key)
@@ -530,7 +518,7 @@ def waldschmidt(family, max_m: int) -> dict:
     over the members up to max_m, with its values (`method` "estimate")."""
     shape = family.exact_shape
     if shape is not None:
-        _check_max_m(max_m)
+        _check_at_least(max_m, "max_m")
         return {"label": family.label, "method": "shape", "value": format_rational(shape.vertices[0][0])}
     est = waldschmidt_estimate(family, max_m)
     return {"label": family.label, "method": "estimate", "value": format_rational(est.inf_value),
@@ -544,7 +532,7 @@ def areg(family, max_m: int) -> dict:
     for a periodic family (`method` "estimate")."""
     shape = family.exact_shape
     if shape is not None:
-        _check_max_m(max_m)
+        _check_at_least(max_m, "max_m")
         return {"label": family.label, "method": "shape", "value": format_rational(sum(shape.vertices[-1]))}
     est = areg_estimate(family, max_m)
     out = {"label": family.label, "method": "estimate", "max_m": max_m,
@@ -584,7 +572,7 @@ def ahf(family, t, max_m: int = 16) -> AhfResult:
     member's is `hilbert_function`, which charges its own numerator."""
     t = _nonnegative(parse_rational(t))
     p, q = t.numerator, t.denominator
-    max_m = _check_max_m(max_m)
+    max_m = _check_at_least(max_m, "max_m")
     _check_walk(family, max_m)
     shape = family.exact_shape
     if shape is not None and family.nvars == 2:

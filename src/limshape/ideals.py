@@ -46,6 +46,15 @@ def _check_int(value, name: str) -> int:
     return index(value)
 
 
+def _check_at_least(value, name: str, least: int = 1) -> int:
+    """`value` through `_check_int`, refused below `least`: the one check of
+    every integer with a lower bound (an index m, a bound max_m)."""
+    value = _check_int(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
 def _check_vector(vec) -> tuple:
     """`vec` as a tuple of non-negative ints; a bool or an entry without
     `__index__` (1.5, "3") is refused, never truncated."""
@@ -126,6 +135,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_gens(cls, nvars: int, gens: Iterable) -> "MonomialIdeal":
+        nvars = _check_int(nvars, "nvars")
         if nvars < 1:
             raise ValueError("need at least one variable")
         mins = minimal_exponents(gens)

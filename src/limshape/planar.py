@@ -34,7 +34,7 @@ from math import lcm
 from operator import add, lt, mul
 
 from .geometry import ShapePolygon, _cross, _half_chain, _Imaged
-from .ideals import WorkBudgetError, _check_int
+from .ideals import WorkBudgetError, _check_at_least, _check_int
 from .rationals import parse_rational
 
 __all__ = [
@@ -64,34 +64,28 @@ class LineConfiguration:
     counts: tuple
     shared_intersection: bool = False
 
-    @classmethod
-    def make(cls, counts, shared_intersection: bool = False) -> "LineConfiguration":
-        counts = tuple(counts)
-        if len(counts) > MAX_LINES:
-            raise WorkBudgetError(f"{len(counts)} lines, over {MAX_LINES}")
-        cs = tuple(_check_int(a, "point count") for a in counts)
-        if not cs:
-            raise ValueError("configuration needs at least one line")
-        if any(a < 1 for a in cs):
-            raise ValueError(f"point counts must be positive: {cs}")
-        if shared_intersection:
-            if len(cs) != 2:
-                raise ValueError("shared-intersection variant needs exactly two lines")
-            a1, a2 = cs
-            if a1 < a2:
-                raise ValueError(f"counts must be non-increasing: {cs}")
-            if a1 * a2 <= a1 + a2:
-                raise ValueError(
-                    f"need a1*a2 > a1+a2, got {a1}*{a2} = {a1 * a2} <= {a1 + a2}"
-                )
-        else:
-            if any(x <= y for x, y in zip(cs, cs[1:])):
-                raise ValueError(f"counts must be strictly decreasing: {cs}")
-        return cls(cs, shared_intersection)
-
 
 def validate_configuration(counts, shared_intersection: bool = False) -> LineConfiguration:
-    return LineConfiguration.make(counts, shared_intersection)
+    """The checked configuration of `counts`, each read by `_check_int`."""
+    counts = tuple(counts)
+    if len(counts) > MAX_LINES:
+        raise WorkBudgetError(f"{len(counts)} lines, over {MAX_LINES}")
+    cs = tuple(_check_int(a, "point count") for a in counts)
+    if not cs:
+        raise ValueError("configuration needs at least one line")
+    if any(a < 1 for a in cs):
+        raise ValueError(f"point counts must be positive: {cs}")
+    if shared_intersection:
+        if len(cs) != 2:
+            raise ValueError("shared-intersection variant needs exactly two lines")
+        a1, a2 = cs
+        if a1 < a2:
+            raise ValueError(f"counts must be non-increasing: {cs}")
+        if a1 * a2 <= a1 + a2:
+            raise ValueError(f"need a1*a2 > a1+a2, got {a1}*{a2} = {a1 * a2} <= {a1 + a2}")
+    elif any(x <= y for x, y in zip(cs, cs[1:])):
+        raise ValueError(f"counts must be strictly decreasing: {cs}")
+    return LineConfiguration(cs, shared_intersection)
 
 
 def divisibility_modulus(config: LineConfiguration) -> int:
@@ -119,9 +113,7 @@ class ReductionVector:
 def reduction_vector(
     config: LineConfiguration, m: int, approximate: bool = False
 ) -> ReductionVector:
-    m = _check_int(m, "multiplicity m")
-    if m < 1:
-        raise ValueError("multiplicity m must be >= 1")
+    m = _check_at_least(m, "multiplicity m")
     base = lcm(*config.counts)
     if m % base != 0 and not approximate:
         raise ValueError(
@@ -222,7 +214,7 @@ class PLGraph(_Imaged):
         # a truncation of an x-monotone graph is x-monotone, so only self is checked
         ints, L = (upto is not None and self._cut(parse_rational(upto))) or self._image
         if not self.is_function:
-            raise ValueError("area needs an x-monotone graph")
+            raise ValueError("graph is not x-monotone")
         twice = sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(ints, ints[1:]))
         return Fraction(twice, 2 * L * L)
 
@@ -307,12 +299,12 @@ def _closed_image(config: LineConfiguration) -> tuple:
 
 def dhf_vertices_closed_form(counts) -> PLGraph:
     """Vertex chain of the limiting first-difference graph for disjoint lines."""
-    return PLGraph._from_image(*_closed_image(LineConfiguration.make(counts)))
+    return PLGraph._from_image(*_closed_image(validate_configuration(counts)))
 
 
 def two_line_vertices(a1: int, a2: int) -> PLGraph:
     """Closed-form graph for two lines sharing one extra intersection point."""
-    return PLGraph._from_image(*_closed_image(LineConfiguration.make((a1, a2), shared_intersection=True)))
+    return PLGraph._from_image(*_closed_image(validate_configuration((a1, a2), shared_intersection=True)))
 
 
 def gamma_vertices(graph: PLGraph, t=None) -> ShapePolygon:

@@ -200,6 +200,12 @@ MALFORMED_FLAGS = [
 ]
 
 
+def test_chain_refusal_prints_the_chain_as_given(capsys):
+    code, out, err = run_cli(capsys, "family-eval", "--family", "chain", "--breakpoints", "4,1;0,7", "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: chain must start on the x-axis, x strictly decreasing: [(4,1);(0,7)]\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["family-eval", "--m", "1", "--input", spec] for spec in MALFORMED_SPECS] + MALFORMED_FLAGS,
@@ -628,6 +634,9 @@ def test_render_staircase_charges_a_closed_form_member_before_building_it(capsys
     (["render", "--kind", "graph"], "error: --counts is required\n"),
     (["planar-reduce", "--counts", "3"], "error: --m is required\n"),
     (["render", "--kind", "staircase", "--ideal", '{"vars":3,"gens":[[1,0,0]]}', "--t", "1"],
+     "error: render staircase needs --m and --t\n"),
+    # a family without --m: the flag check comes before the family is read
+    (["render", "--kind", "staircase", "--family", "doubling", "--t", "1"],
      "error: render staircase needs --m and --t\n"),
     (["render", "--kind", "shape", "--family", "halfplane", "--q1", "1", "--q2", "2"],
      "error: render shape needs --t\n"),

@@ -115,6 +115,7 @@ def test_halfplane_family():
     (1.5, "family index m must be an integer, got 1.5"),
     ("2", "family index m must be an integer, got '2'"),
     (0, "family index m must be >= 1"),
+    (-3, "family index m must be >= 1"),
 ])
 def test_member_index_is_refused_not_truncated(m, message):
     fam = make_halfplane_family(1, 2)
@@ -154,25 +155,23 @@ def test_chain_family_validation():
         make_chain_family([(4, 1), (0, 7)])
 
 
-def _fractions(*points):
-    return repr(tuple((Fraction(s), Fraction(t)) for s, t in points))
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: make_doubling_family(2), "extra_vars must be 0 or 1"),
     (lambda: make_chain_family([(4, 0)]), "need at least two breakpoints"),
     (lambda: make_chain_family([(4, 0), (3, 1)]), "last breakpoint must lie on the y-axis (s_n = 0)"),
     # every other chain rule is ExactShape's, in its words
     (lambda: make_chain_family([(4, 1), (0, 7)]),
-     "chain must start on the x-axis, x strictly decreasing: " + _fractions((4, 1), (0, 7))),
+     "chain must start on the x-axis, x strictly decreasing: [(4,1);(0,7)]"),
     (lambda: make_chain_family([(4, 0), (4, 3), (0, 7)]),
-     "chain must start on the x-axis, x strictly decreasing: " + _fractions((4, 0), (4, 3), (0, 7))),
+     "chain must start on the x-axis, x strictly decreasing: [(4,0);(4,3);(0,7)]"),
     (lambda: make_chain_family([(4, 0), (3, 0), (0, 7)]),
      "first slope 0 exceeds -1: chain must start at -1 or steeper"),
     (lambda: waldschmidt_estimate(GradedFamily(2, lambda m: MonomialIdeal.zero(2), "nothing"), 3),
      "nothing: rule(1) is the zero ideal"),
     (lambda: family_from_json({"kind": "ceiling", "params": [["q", "2"]]}), "family 'params' must be an object"),
     (lambda: family_to_json(GradedFamily(1, lambda m: MonomialIdeal.unit(1), "unit")), "unit has no JSON form"),
+    (lambda: verify_graded(make_doubling_family(), 1), "max_m must be >= 2"),
+    (lambda: ri_estimate(make_doubling_family(), 0), "max_m must be >= 1"),
 ])
 def test_family_refusals_are_pinned(call, message):
     with pytest.raises(ValueError) as exc:
@@ -199,10 +198,9 @@ F = Fraction
 
 
 @pytest.mark.parametrize("vertices, message", [
-    (((4, 1), (0, 7)), "chain must start on the x-axis, x strictly decreasing: ((4, 1), (0, 7))"),
-    ((), "chain must start on the x-axis, x strictly decreasing: ()"),
-    (((F(7, 2), 0), (F(7, 2), 3)),
-     "chain must start on the x-axis, x strictly decreasing: ((Fraction(7, 2), 0), (Fraction(7, 2), 3))"),
+    (((4, 1), (0, 7)), "chain must start on the x-axis, x strictly decreasing: [(4,1);(0,7)]"),
+    ((), "chain must start on the x-axis, x strictly decreasing: []"),
+    (((F(7, 2), 0), (F(7, 2), 3)), "chain must start on the x-axis, x strictly decreasing: [(7/2,0);(7/2,3)]"),
     (((4, 0), (0, 2)), "first slope -1/2 exceeds -1: chain must start at -1 or steeper"),
     (((F(9, 2), 0), (F(3, 2), F(5, 2))), "first slope -5/6 exceeds -1: chain must start at -1 or steeper"),
     (((4, 0), (3, 1), (2, 2), (0, 7)), "slopes must strictly steepen: segment 1 has slope -1, previous -1"),

@@ -329,12 +329,14 @@ def test_shape_refused_above_three_variables():
 
 
 # hand-built exact results whose chains no ExactShape would carry
-_OFF_AXIS = ShapeResult("delta", Fraction(3), True, ShapePolygon(()), Fraction(0), ((1, 1), (0, 3)))
-_NO_CHAIN = ShapeResult("delta", Fraction(3), True, ShapePolygon(()), Fraction(0), ())
+_OFF_AXIS = ShapeResult(Fraction(3), True, ShapePolygon(()), Fraction(0), ((1, 1), (0, 3)))
+_NO_CHAIN = ShapeResult(Fraction(3), True, ShapePolygon(()), Fraction(0), ())
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: staircase_region(MonomialIdeal.unit(3), 0, 1), ValueError, "m must be >= 1"),
+    (lambda: staircase_region(MonomialIdeal.unit(3), -2, 1), ValueError, "m must be >= 1"),
+    (lambda: gamma_lattice_count(MonomialIdeal.unit(3), 0, 1), ValueError, "m must be >= 1"),
     (lambda: lattice_count(42), TypeError, "not a region: 42"),
     (lambda: waldschmidt_from_shape(_OFF_AXIS), ValueError, "staircase chain must start on the x-axis"),
     (lambda: areg_from_shape(_NO_CHAIN), ValueError, "shape has no extremal points below the simplex bound"),

@@ -273,6 +273,9 @@ def test_format_monomial():
 @pytest.mark.parametrize("call, message", [
     (lambda: minimal_exponents([5]), "exponent vector must hold integers, got 5"),
     (lambda: MonomialIdeal.from_gens(0, []), "need at least one variable"),
+    (lambda: MonomialIdeal.from_gens(True, [(2,)]), "nvars must be an integer, got True"),
+    (lambda: MonomialIdeal.from_gens(2.0, [(1, 2)]), "nvars must be an integer, got 2.0"),
+    (lambda: MonomialIdeal.from_gens("2", [(1, 2)]), "nvars must be an integer, got '2'"),
     (lambda: MonomialIdeal.from_gens(3, [(1, 0)]), "generators have 2 exponents, expected 3"),
     (lambda: MonomialIdeal.unit(2).product(MonomialIdeal.unit(3)), "ideal product across different variable counts"),
     (lambda: MonomialIdeal.zero(2).max_generator_degree(), "zero ideal has no generators"),

@@ -77,6 +77,7 @@ def test_point_counts_are_refused_not_truncated(call, bad):
     (lambda: validate_configuration((3, 0)), "point counts must be positive: (3, 0)"),
     (lambda: validate_configuration((2, 3), shared_intersection=True), "counts must be non-increasing: (2, 3)"),
     (lambda: reduction_vector(validate_configuration((3, 2)), 0), "multiplicity m must be >= 1"),
+    (lambda: reduction_vector(validate_configuration((3, 2)), -6, approximate=True), "multiplicity m must be >= 1"),
 ])
 def test_configuration_refusals_are_pinned(call, message):
     with pytest.raises(ValueError) as exc:
@@ -595,9 +596,9 @@ def test_folded_graph_cuts_are_refused(points):
             cut(below)
     with pytest.raises(ValueError, match="^graph is not x-monotone$"):
         graph.value_at(last)
-    # at or past the last x nothing is cut: the area still refuses the fold
+    # at or past the last x nothing is cut: the area still refuses the fold, in the same words
     for upto in (None, last, last + 1):
-        with pytest.raises(ValueError, match="^area needs an x-monotone graph$"):
+        with pytest.raises(ValueError, match="^graph is not x-monotone$"):
             graph.area(upto)
     assert graph.truncated(last + 1) is graph
     assert gamma_vertices(graph, last).vertices == fraction_polygon_make([(y, x - y) for x, y in v])
