@@ -55,6 +55,14 @@ def _check_at_least(value, name: str, least: int = 1) -> int:
     return value
 
 
+def _check_nvars(nvars) -> int:
+    """A variable count through `_check_int`, refused below one."""
+    nvars = _check_int(nvars, "nvars")
+    if nvars < 1:
+        raise ValueError("need at least one variable")
+    return nvars
+
+
 def _check_vector(vec) -> tuple:
     """`vec` as a tuple of non-negative ints; a bool or an entry without
     `__index__` (1.5, "3") is refused, never truncated."""
@@ -135,9 +143,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_gens(cls, nvars: int, gens: Iterable) -> "MonomialIdeal":
-        nvars = _check_int(nvars, "nvars")
-        if nvars < 1:
-            raise ValueError("need at least one variable")
+        nvars = _check_nvars(nvars)
         mins = minimal_exponents(gens)
         if mins and len(mins[0]) != nvars:
             raise ValueError(
@@ -147,10 +153,11 @@ class MonomialIdeal:
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, ())
+        return cls(_check_nvars(nvars), ())
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
+        nvars = _check_nvars(nvars)
         return cls(nvars, ((0,) * nvars,))
 
     @property
@@ -249,6 +256,7 @@ class MonomialIdeal:
 
     def padded(self, nvars: int) -> "MonomialIdeal":
         """Extend to a larger polynomial ring (new variables get exponent 0)."""
+        nvars = _check_int(nvars, "nvars")
         if nvars < self.nvars:
             raise ValueError("cannot pad to fewer variables")
         if nvars == self.nvars:

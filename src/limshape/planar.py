@@ -15,8 +15,11 @@ step simulator with pluggable tie-breaking.
 The graph extractor takes the lattice path (k, k + u_{k+1}) of the recorded
 entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
 divisible by the configuration's modulus the hull breakpoints are exactly the
-closed-form vertex chain, which the test-suite enforces; the extractor takes
-it as a guess, checks it against every entry and searches only where it fails.
+closed-form vertex chain: the number of entries above w is at least a convex
+piecewise-linear function of w, and equals it at each of its breaks (see
+`dhf_envelope`).  So the extractor takes that chain as the hull of an exact
+vector that `reduction_vector` built; of any other vector it takes the chain
+as a guess, checks it against every entry and searches only where it fails.
 
 Hulls and the closed form run on integers, and each graph carries that
 integer image with its scale.  Cuts at t, the gamma map and every area run on
@@ -101,13 +104,17 @@ class ReductionVector:
     """Recorded line weights in pick order, plus one terminal zero.
 
     `exact` marks multiplicities divisible by the modulus of `config`, where
-    the scaled envelope provably matches the closed-form chain.
+    the scaled envelope provably matches the closed-form chain.  Only
+    `reduction_vector` sets `_trusted`, on the exact vectors it built, and
+    `dhf_envelope` takes their hull from the closed form unchecked.  It is no
+    constructor argument, so `dataclasses.replace` leaves it False.
     """
 
     entries: tuple
     multiplicity: int
     exact: bool
     config: LineConfiguration | None = field(default=None, compare=False, repr=False)
+    _trusted: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 def reduction_vector(
@@ -133,7 +140,9 @@ def reduction_vector(
         # the shared point weighs m - k on the k-th pick, the same on both lines
         entries = map(add, entries, chain(range(m, 0, -1), repeat(0)))
     exact = m % divisibility_modulus(config) == 0
-    return ReductionVector((*entries, 0), m, exact, config)
+    vec = ReductionVector((*entries, 0), m, exact, config)
+    object.__setattr__(vec, "_trusted", exact)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -142,8 +151,10 @@ class PLGraph(_Imaged):
 
     Valid first-difference graphs start at (0,0), climb with slope one to the
     diagonal corner, then descend to the x-axis; `is_function` reports
-    whether x is non-decreasing (configurations with too few points per line
-    produce folded chains, which are still comparable vertex-for-vertex).
+    whether x is non-decreasing.  The closed form of disjoint lines a_i is
+    x-monotone exactly when the sum of the 1/a_i is at most 1 (its x-steps are
+    (a_i - a_(i+1)) * (1 - 1/a_1 - ... - 1/a_i)), and a shared pair's always
+    is; a folded chain is still comparable vertex-for-vertex.
     Cuts, values and areas run on the integer image.
     """
 
@@ -243,11 +254,30 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
 
     The hull is taken on (k, e_k), a shear of the path with the same hull
     indices, guessed from the ends and, for an exact vector with its config,
-    the picks k = y*m/L of the closed-form vertices (x, y)/L.  An edge of the
-    guess stays if no entry lies strictly below it; any other is searched by
-    a hull of every SAMPLE_STRIDE-th point over it, then of that hull's
-    vertices and the points strictly below its edges.  That is exact, since a
-    strict hull vertex lies strictly below every chord over it.
+    the picks k = y*m/L of the closed-form vertices (x, y)/L.
+
+    For an exact vector that `reduction_vector` built, the guess is the hull:
+    - Disjoint lines a_1, ..., a_n.  The entries above w number
+      G(w) = sum_i max(0, m - floor(w/a_i)), at least
+      g(w) = sum_i max(0, m - w/a_i), which is convex and decreasing.  The
+      entry e_k has at most k entries above it, so every point (k, e_k), and
+      so their hull, lies in the convex region {(k, w) : w >= 0, k >= g(w)}.
+      The region's corners are (g(w), w) at g's breaks w = a_(i+1)*m,
+      i = 0..n, with a_(n+1) = 0.  The modulus divides m, so each a_i divides
+      m, and G = g there: each corner is the path's point at
+      k = G(w) = S_i*m (S_i as in `_closed_image`), which the guess picks.
+      So the hull is the region's boundary, the chain of the guess.
+    - Shared pair.  e_k = d_k + max(m - k, 0), d the vector of the disjoint
+      lines (a_1, a_2).  The added term is convex with one break, at k = m,
+      so the hull of e is the hull of d plus that term if d_m is on d's hull.
+      It is: a_1 + a_2 divides m, so w = a_1*a_2*m/(a_1 + a_2) is an entry
+      with G(w) = g(w) = m.  The guess picks k = 0, S_1*m, m and 2m.
+
+    Any other vector keeps an edge of the guess if no entry lies strictly
+    below it, and searches any other by a hull of every SAMPLE_STRIDE-th
+    point over it, then of that hull's vertices and the points strictly below
+    its edges.  That is exact, since a strict hull vertex lies strictly below
+    every chord over it.
     """
     entries, m = u.entries, u.multiplicity
     last = len(entries)  # the path ends at (last, 0), after the last nonzero entry
@@ -262,7 +292,7 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     guess = _half_chain((k, entries[k]) for k in sorted(picks))
     kept = guess[:1]
     for (k1, e1), (k2, e2) in zip(guess, guess[1:]):
-        if not any(_below(entries, k1, e1, k2, e2)):
+        if u._trusted or not any(_below(entries, k1, e1, k2, e2)):
             kept.append((k2, e2))
             continue
         sampled = zip(range(k1, k2, SAMPLE_STRIDE), entries[k1:k2:SAMPLE_STRIDE])

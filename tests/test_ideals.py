@@ -277,6 +277,11 @@ def test_format_monomial():
     (lambda: MonomialIdeal.from_gens(2.0, [(1, 2)]), "nvars must be an integer, got 2.0"),
     (lambda: MonomialIdeal.from_gens("2", [(1, 2)]), "nvars must be an integer, got '2'"),
     (lambda: MonomialIdeal.from_gens(3, [(1, 0)]), "generators have 2 exponents, expected 3"),
+    (lambda: MonomialIdeal.zero(True), "nvars must be an integer, got True"),
+    (lambda: MonomialIdeal.zero(0), "need at least one variable"),
+    (lambda: MonomialIdeal.unit(2.0), "nvars must be an integer, got 2.0"),
+    (lambda: MonomialIdeal.unit(-1), "need at least one variable"),
+    (lambda: MonomialIdeal.unit(2).padded(3.0), "nvars must be an integer, got 3.0"),
     (lambda: MonomialIdeal.unit(2).product(MonomialIdeal.unit(3)), "ideal product across different variable counts"),
     (lambda: MonomialIdeal.zero(2).max_generator_degree(), "zero ideal has no generators"),
 ])

@@ -1,4 +1,6 @@
+import inspect
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -271,6 +273,17 @@ def test_closed_form_folds_exactly_when_the_harmonic_sum_passes_one():
             assert dhf_vertices_closed_form(counts).is_function == (harmonic <= 1), counts
 
 
+# every disjoint configuration of 1-3 lines with counts <= 9, folded ones included
+DISJOINT_SAMPLE = [counts for n in range(1, 4) for counts in combinations(range(9, 0, -1), n)]
+
+
+def test_envelope_folds_exactly_when_the_harmonic_sum_passes_one():
+    for counts in DISJOINT_SAMPLE:
+        config = validate_configuration(counts)
+        envelope = dhf_envelope(reduction_vector(config, divisibility_modulus(config)))
+        assert envelope.is_function == (sum(Fraction(1, a) for a in counts) <= 1), counts
+
+
 def test_graph_area():
     graph = dhf_vertices_closed_form(FOUR_LINES)
     assert area_under_graph(graph) == 13
@@ -477,6 +490,19 @@ def test_envelope_equals_unfiltered_hull(entries, m, config):
     assert dhf_envelope(guessed).vertices == _unfiltered_envelope(vec)
 
 
+def test_trusted_envelope_equals_unfiltered_hull():
+    # the vectors whose guess is taken unchecked: the disjoint sample and every
+    # shared pair with a1 <= 10, at once and twice the modulus
+    configs = [validate_configuration(counts) for counts in DISJOINT_SAMPLE] + [
+        validate_configuration((a1, a2), shared_intersection=True)
+        for a1 in range(3, 11) for a2 in range(2, a1 + 1) if a1 * a2 > a1 + a2]
+    for config in configs:
+        for k in (1, 2):
+            vec = reduction_vector(config, k * divisibility_modulus(config))
+            assert vec._trusted
+            assert dhf_envelope(vec).vertices == _unfiltered_envelope(vec), (config, k)
+
+
 GUESS_CONFIGS = [validate_configuration(FOUR_LINES), validate_configuration((5, 3), shared_intersection=True)]
 
 
@@ -507,8 +533,16 @@ def test_reduction_vector_config_is_outside_equality_and_repr(config):
     vec = reduction_vector(config, m)
     assert vec.config is config
     plain = ReductionVector(vec.entries, m, vec.exact)
+    assert vec._trusted and not plain._trusted  # so the checks below show ==, hash and repr skip it
     assert vec == plain and hash(vec) == hash(plain)
     assert "config" not in repr(vec) and repr(vec) == repr(plain)
+    assert "_trusted" not in inspect.signature(ReductionVector).parameters
+    # a replaced vector is no longer the one reduction_vector built: its
+    # envelope is checked, and is the new entries' own hull
+    lowered = replace(vec, entries=(vec.entries[0], *(e // 2 for e in vec.entries[1:])))
+    assert not lowered._trusted
+    envelope = dhf_envelope(lowered).vertices
+    assert envelope == _unfiltered_envelope(lowered) != dhf_envelope(vec).vertices
 
 
 @st.composite
