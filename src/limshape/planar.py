@@ -9,17 +9,18 @@ sequence is exactly the descending merge of the arithmetic progressions
 a_i*m, a_i*(m-1), ..., a_i.  The shared point adds the same weight to both
 lines, so it never changes which line is picked: the shared variant records
 that same merge plus max(m - k, 0) on the k-th pick (counting from 0).
-`reduction_vector` builds both by a sort; the test-suite checks it against a
-step simulator with pluggable tie-breaking.
+`reduction_vector` builds both by one sort of the ascending progressions;
+the test-suite checks it against a step simulator with pluggable
+tie-breaking.
 
 The graph extractor takes the lattice path (k, k + u_{k+1}) of the recorded
 entries and keeps its lower-left convex hull scaled by 1/m.  At multiplicity
 divisible by the configuration's modulus the hull breakpoints are exactly the
 closed-form vertex chain: the number of entries above w is at least a convex
 piecewise-linear function of w, and equals it at each of its breaks (see
-`dhf_envelope`).  So the extractor takes that chain as the hull of an exact
-vector that `reduction_vector` built; of any other vector it takes the chain
-as a guess, checks it against every entry and searches only where it fails.
+`dhf_envelope`).  So the extractor returns the closed form itself for an
+exact vector that `reduction_vector` built, and hulls any other vector by a
+sampled search that checks every entry.
 
 Hulls and the closed form run on integers, and each graph carries that
 integer image with its scale.  Cuts at t, the gamma map and every area run on
@@ -62,33 +63,40 @@ MAX_LINES = 1000  # the closed form's scale lcm(counts) grows with every line
 @dataclass(frozen=True)
 class LineConfiguration:
     """Point counts per line; `shared_intersection` adds one common point to
-    exactly two lines (requires a1*a2 > a1 + a2)."""
+    exactly two lines (requires a1*a2 > a1 + a2).  Every configuration is
+    checked when built, so `reduction_vector` and the closed form read only
+    checked ones: each count through `_check_int`, the flag True or False."""
 
     counts: tuple
     shared_intersection: bool = False
 
+    def __post_init__(self):
+        counts, shared = tuple(self.counts), self.shared_intersection
+        if len(counts) > MAX_LINES:
+            raise WorkBudgetError(f"{len(counts)} lines, over {MAX_LINES}")
+        cs = tuple(_check_int(a, "point count") for a in counts)
+        if not cs:
+            raise ValueError("configuration needs at least one line")
+        if any(a < 1 for a in cs):
+            raise ValueError(f"point counts must be positive: {cs}")
+        if shared is not True and shared is not False:
+            raise ValueError(f"shared_intersection must be True or False, got {shared!r}")
+        if shared:
+            if len(cs) != 2:
+                raise ValueError("shared-intersection variant needs exactly two lines")
+            a1, a2 = cs
+            if a1 < a2:
+                raise ValueError(f"counts must be non-increasing: {cs}")
+            if a1 * a2 <= a1 + a2:
+                raise ValueError(f"need a1*a2 > a1+a2, got {a1}*{a2} = {a1 * a2} <= {a1 + a2}")
+        elif any(x <= y for x, y in zip(cs, cs[1:])):
+            raise ValueError(f"counts must be strictly decreasing: {cs}")
+        object.__setattr__(self, "counts", cs)
+
 
 def validate_configuration(counts, shared_intersection: bool = False) -> LineConfiguration:
-    """The checked configuration of `counts`, each read by `_check_int`."""
-    counts = tuple(counts)
-    if len(counts) > MAX_LINES:
-        raise WorkBudgetError(f"{len(counts)} lines, over {MAX_LINES}")
-    cs = tuple(_check_int(a, "point count") for a in counts)
-    if not cs:
-        raise ValueError("configuration needs at least one line")
-    if any(a < 1 for a in cs):
-        raise ValueError(f"point counts must be positive: {cs}")
-    if shared_intersection:
-        if len(cs) != 2:
-            raise ValueError("shared-intersection variant needs exactly two lines")
-        a1, a2 = cs
-        if a1 < a2:
-            raise ValueError(f"counts must be non-increasing: {cs}")
-        if a1 * a2 <= a1 + a2:
-            raise ValueError(f"need a1*a2 > a1+a2, got {a1}*{a2} = {a1 * a2} <= {a1 + a2}")
-    elif any(x <= y for x, y in zip(cs, cs[1:])):
-        raise ValueError(f"counts must be strictly decreasing: {cs}")
-    return LineConfiguration(cs, shared_intersection)
+    """The checked configuration of `counts`: `LineConfiguration` checks."""
+    return LineConfiguration(counts, shared_intersection)
 
 
 def divisibility_modulus(config: LineConfiguration) -> int:
@@ -106,8 +114,9 @@ class ReductionVector:
     `exact` marks multiplicities divisible by the modulus of `config`, where
     the scaled envelope provably matches the closed-form chain.  Only
     `reduction_vector` sets `_trusted`, on the exact vectors it built, and
-    `dhf_envelope` takes their hull from the closed form unchecked.  It is no
-    constructor argument, so `dataclasses.replace` leaves it False.
+    `dhf_envelope` returns the closed form for them without reading an
+    entry.  It is no constructor argument, so `dataclasses.replace` leaves it
+    False.
     """
 
     entries: tuple
@@ -132,15 +141,19 @@ def reduction_vector(
     size = (len(config.counts) + config.shared_intersection) * m
     if size > MAX_REDUCTION_ENTRIES:
         raise WorkBudgetError(f"m={m} needs {size} entries, over {MAX_REDUCTION_ENTRIES}")
-    # greedy order equals the descending merge of each line's progression
-    entries = sorted(
-        chain.from_iterable([range(a * m, 0, -a) for a in config.counts]), reverse=True
-    )
+    # greedy order equals the descending merge of each line's progression:
+    # one sort of the ascending runs, reversed in place
+    entries: list = []
+    for a in config.counts:
+        entries.extend(range(a, a * m + 1, a))
+    entries.sort()
+    entries.reverse()
     if config.shared_intersection:
         # the shared point weighs m - k on the k-th pick, the same on both lines
-        entries = map(add, entries, chain(range(m, 0, -1), repeat(0)))
+        entries[:m] = map(add, entries[:m], range(m, 0, -1))
+    entries.append(0)
     exact = m % divisibility_modulus(config) == 0
-    vec = ReductionVector((*entries, 0), m, exact, config)
+    vec = ReductionVector(tuple(entries), m, exact, config)
     object.__setattr__(vec, "_trusted", exact)
     return vec
 
@@ -230,9 +243,9 @@ class PLGraph(_Imaged):
         return Fraction(twice, 2 * L * L)
 
 
-# Without a guess, or over a guessed edge that fails, `dhf_envelope` hulls every
-# SAMPLE_STRIDE-th point first: on the planar-sweep pools of seeds 5 and 31 (CPython
-# 3.11), 12-16 measured fastest of 4-48, and 0.5-2 times sqrt(len(entries)) slower.
+# Of a vector it does not trust, `dhf_envelope` hulls every SAMPLE_STRIDE-th point
+# first: on the planar-sweep pools of seeds 5 and 31 (CPython 3.11), 12-16 measured
+# fastest of 4-48, and 0.5-2 times sqrt(len(entries)) slower.
 SAMPLE_STRIDE = 16
 
 
@@ -250,13 +263,12 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     Hull of the integer path (k, k + u_{k+1}); the x-coordinate as a function
     of the pick count is convex, so the lower hull keeps exactly the phase
     breakpoints, scaled by the multiplicity.  A slope-one diagonal from the
-    origin closes the graph on the left.
+    origin closes the graph on the left.  The hull is taken on (k, e_k), a
+    shear of the path with the same hull indices.
 
-    The hull is taken on (k, e_k), a shear of the path with the same hull
-    indices, guessed from the ends and, for an exact vector with its config,
-    the picks k = y*m/L of the closed-form vertices (x, y)/L.
-
-    For an exact vector that `reduction_vector` built, the guess is the hull:
+    For an exact vector that `reduction_vector` built, that hull is the
+    closed-form chain, returned from `_closed_image` without reading an
+    entry, on the closed form's scale:
     - Disjoint lines a_1, ..., a_n.  The entries above w number
       G(w) = sum_i max(0, m - floor(w/a_i)), at least
       g(w) = sum_i max(0, m - w/a_i), which is convex and decreasing.  The
@@ -265,20 +277,21 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
       The region's corners are (g(w), w) at g's breaks w = a_(i+1)*m,
       i = 0..n, with a_(n+1) = 0.  The modulus divides m, so each a_i divides
       m, and G = g there: each corner is the path's point at
-      k = G(w) = S_i*m (S_i as in `_closed_image`), which the guess picks.
-      So the hull is the region's boundary, the chain of the guess.
+      k = G(w) = S_i*m (S_i as in `_closed_image`), a closed-form vertex.
+      So the hull is the region's boundary, the closed-form chain.
     - Shared pair.  e_k = d_k + max(m - k, 0), d the vector of the disjoint
       lines (a_1, a_2).  The added term is convex with one break, at k = m,
       so the hull of e is the hull of d plus that term if d_m is on d's hull.
       It is: a_1 + a_2 divides m, so w = a_1*a_2*m/(a_1 + a_2) is an entry
-      with G(w) = g(w) = m.  The guess picks k = 0, S_1*m, m and 2m.
+      with G(w) = g(w) = m.  The hull's picks are k = 0, S_1*m, m and 2m.
 
-    Any other vector keeps an edge of the guess if no entry lies strictly
-    below it, and searches any other by a hull of every SAMPLE_STRIDE-th
-    point over it, then of that hull's vertices and the points strictly below
-    its edges.  That is exact, since a strict hull vertex lies strictly below
-    every chord over it.
+    Any other vector is hulled by every SAMPLE_STRIDE-th point first, then
+    by that hull's vertices and the points strictly below its edges.  That
+    is exact, since a strict hull vertex lies strictly below every chord
+    over it.
     """
+    if u._trusted:
+        return PLGraph._from_image(*_closed_image(u.config))
     entries, m = u.entries, u.multiplicity
     last = len(entries)  # the path ends at (last, 0), after the last nonzero entry
     while last and entries[last - 1] == 0:
@@ -287,20 +300,13 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
         return PLGraph.make([(0, 0)])
     if last == len(entries):
         entries = (*entries, 0)
-    P, L = _closed_image(u.config) if u.exact and u.config is not None else ((), 1)
-    picks = {0, last, *(min(y * m // L, last) for _, y in P)}
-    guess = _half_chain((k, entries[k]) for k in sorted(picks))
-    kept = guess[:1]
-    for (k1, e1), (k2, e2) in zip(guess, guess[1:]):
-        if u._trusted or not any(_below(entries, k1, e1, k2, e2)):
-            kept.append((k2, e2))
-            continue
-        sampled = zip(range(k1, k2, SAMPLE_STRIDE), entries[k1:k2:SAMPLE_STRIDE])
-        sample = _half_chain(chain(sampled, ((k2, e2),)))
-        for (s1, f1), (s2, f2) in zip(sample, sample[1:]):
-            below = compress(range(s1 + 1, s2), _below(entries, s1, f1, s2, f2))
-            kept.extend([(k, entries[k]) for k in below])
-            kept.append((s2, f2))
+    sampled = zip(range(0, last, SAMPLE_STRIDE), entries[:last:SAMPLE_STRIDE])
+    sample = _half_chain(chain(sampled, ((last, 0),)))
+    kept = sample[:1]
+    for (s1, f1), (s2, f2) in zip(sample, sample[1:]):
+        below = compress(range(s1 + 1, s2), _below(entries, s1, f1, s2, f2))
+        kept.extend([(k, entries[k]) for k in below])
+        kept.append((s2, f2))
     return PLGraph._from_image([(0, 0), *((k + e, k) for k, e in reversed(_half_chain(kept)))], m)
 
 

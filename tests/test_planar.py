@@ -21,7 +21,7 @@ from limshape import (
     two_line_vertices,
     validate_configuration,
 )
-from limshape.planar import MAX_LINES, MAX_REDUCTION_ENTRIES, ReductionVector
+from limshape.planar import MAX_LINES, MAX_REDUCTION_ENTRIES, LineConfiguration, ReductionVector
 
 from conftest import (
     fraction_graph_area,
@@ -68,6 +68,7 @@ def test_validate_configuration():
     (lambda: validate_configuration([3, Fraction(2)]), "Fraction(2, 1)"),
     (lambda: two_line_vertices(3.5, 3), "3.5"),
     (lambda: dhf_vertices_closed_form((5, 2.0)), "2.0"),
+    (lambda: LineConfiguration((5, 2.0)), "2.0"),
 ])
 def test_point_counts_are_refused_not_truncated(call, bad):
     # a count goes through the exponent rule: no int() truncation of 2.7 to 2
@@ -78,6 +79,18 @@ def test_point_counts_are_refused_not_truncated(call, bad):
 @pytest.mark.parametrize("call, message", [
     (lambda: validate_configuration((3, 0)), "point counts must be positive: (3, 0)"),
     (lambda: validate_configuration((2, 3), shared_intersection=True), "counts must be non-increasing: (2, 3)"),
+    # a configuration built by hand is checked as well: none reaches reduction_vector unchecked
+    (lambda: LineConfiguration((3, 5)), "counts must be strictly decreasing: (3, 5)"),
+    (lambda: LineConfiguration((5, 0)), "point counts must be positive: (5, 0)"),
+    (lambda: LineConfiguration((5, 3, 2), True), "shared-intersection variant needs exactly two lines"),
+    (lambda: LineConfiguration((2, 2), True), "need a1*a2 > a1+a2, got 2*2 = 4 <= 4"),
+    (lambda: LineConfiguration(()), "configuration needs at least one line"),
+    (lambda: replace(validate_configuration((5, 3)), counts=(3, 5)), "counts must be strictly decreasing: (3, 5)"),
+    # the flag is True or False, not any truthy value
+    (lambda: validate_configuration((5, 3), "no"), "shared_intersection must be True or False, got 'no'"),
+    (lambda: validate_configuration((5, 3), 2), "shared_intersection must be True or False, got 2"),
+    (lambda: LineConfiguration((5, 3), 1), "shared_intersection must be True or False, got 1"),
+    (lambda: validate_configuration((5, 3), None), "shared_intersection must be True or False, got None"),
     (lambda: reduction_vector(validate_configuration((3, 2)), 0), "multiplicity m must be >= 1"),
     (lambda: reduction_vector(validate_configuration((3, 2)), -6, approximate=True), "multiplicity m must be >= 1"),
 ])
@@ -101,6 +114,9 @@ def test_integer_like_point_counts_are_read_by_index():
             return 3
 
     assert validate_configuration([Three(), 1]).counts == (3, 1)
+    # built by hand from a list, a configuration holds the same checked tuple
+    assert LineConfiguration([Three(), 1]) == validate_configuration((3, 1))
+    assert hash(LineConfiguration([3, 1])) == hash(validate_configuration((3, 1)))
 
 
 def test_divisibility_modulus():
@@ -484,23 +500,60 @@ def small_configurations(draw):
 def test_envelope_equals_unfiltered_hull(entries, m, config):
     vec = ReductionVector(entries, m, False)
     assert dhf_envelope(vec).vertices == _unfiltered_envelope(vec)
-    # entries that do not match the guessing configuration: the guess is
-    # checked against every entry, so the hull is still the entries' own
-    guessed = ReductionVector(entries, m, True, config)
-    assert dhf_envelope(guessed).vertices == _unfiltered_envelope(vec)
+    # a hand-built exact vector with a config is not trusted: whatever the
+    # config, its hull is the entries' own
+    exact = ReductionVector(entries, m, True, config)
+    assert dhf_envelope(exact).vertices == _unfiltered_envelope(vec)
+
+
+# the configurations of the trusted vectors checked below: the disjoint sample
+# and every shared pair with a1 <= 10
+TRUSTED_SAMPLE = [validate_configuration(counts) for counts in DISJOINT_SAMPLE] + [
+    validate_configuration((a1, a2), shared_intersection=True)
+    for a1 in range(3, 11) for a2 in range(2, a1 + 1) if a1 * a2 > a1 + a2]
 
 
 def test_trusted_envelope_equals_unfiltered_hull():
-    # the vectors whose guess is taken unchecked: the disjoint sample and every
-    # shared pair with a1 <= 10, at once and twice the modulus
-    configs = [validate_configuration(counts) for counts in DISJOINT_SAMPLE] + [
-        validate_configuration((a1, a2), shared_intersection=True)
-        for a1 in range(3, 11) for a2 in range(2, a1 + 1) if a1 * a2 > a1 + a2]
-    for config in configs:
+    # the vectors whose envelope is the closed form, read off no entry, at
+    # once and twice the modulus
+    for config in TRUSTED_SAMPLE:
         for k in (1, 2):
             vec = reduction_vector(config, k * divisibility_modulus(config))
             assert vec._trusted
             assert dhf_envelope(vec).vertices == _unfiltered_envelope(vec), (config, k)
+
+
+def test_trusted_envelope_is_the_checked_hull_at_every_cut():
+    # the trusted envelope is the closed form, on its scale lcm(counts); the
+    # same entries in a hand-built vector are hulled and checked on the scale
+    # m, so equal vertices must also give equal values and areas at each cut
+    for config in TRUSTED_SAMPLE:
+        closed = two_line_vertices(*config.counts) if config.shared_intersection \
+            else dhf_vertices_closed_form(config.counts)
+        for k in (1, 2):
+            vec = reduction_vector(config, k * divisibility_modulus(config))
+            trusted = dhf_envelope(vec)
+            checked = dhf_envelope(ReductionVector(vec.entries, vec.multiplicity, True, config))
+            assert trusted.vertices == checked.vertices == closed.vertices, (config, k)
+            assert trusted.to_json() == checked.to_json()
+            if not closed.is_function:
+                assert not trusted.is_function and not checked.is_function
+                continue
+            top = closed.vertices[-1][0]
+            for t in (top * Fraction(j, 5) for j in range(1, 6)):
+                assert trusted.value_at(t) == checked.value_at(t), (config, k, t)
+                assert trusted.area(t) == checked.area(t), (config, k, t)
+                assert gamma_vertices(trusted, t).area() == gamma_vertices(checked, t).area(), (config, k, t)
+
+
+def test_reduction_vector_equals_step_simulation_at_and_off_the_modulus():
+    # exact vectors at the modulus and approximate ones one off it
+    for config in TRUSTED_SAMPLE:
+        modulus = divisibility_modulus(config)
+        for m in {modulus, modulus + 1, max(modulus - 1, 1)}:
+            vec = reduction_vector(config, m, approximate=True)
+            assert vec.exact == (m % modulus == 0)
+            assert vec.entries == (*simulate_reduction(config, m), 0), (config, m)
 
 
 GUESS_CONFIGS = [validate_configuration(FOUR_LINES), validate_configuration((5, 3), shared_intersection=True)]
