@@ -63,7 +63,6 @@ from .planar import (
     LineConfiguration,
     PLGraph,
     ReductionVector,
-    WorkBudgetError,
     area_under_graph,
     dhf_envelope,
     dhf_vertices_closed_form,
@@ -74,5 +73,6 @@ from .planar import (
     validate_configuration,
 )
 from .rationals import format_rational, parse_rational
+from .work import WorkBudgetError
 
 __version__ = "0.1.0"

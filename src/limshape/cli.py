@@ -34,7 +34,8 @@ from .families import FamilyRuleError, GradedFamily, family_from_json, verify_gr
 from .hilbert import hilbert_function, hilbert_function_extended, hilbert_polynomial, regularity_index
 from .ideals import MonomialIdeal
 from .rationals import format_rational, parse_rational
-from .svgfig import _charge_triangles, render_graph, render_polygon, render_staircase
+from .svgfig import render_graph, render_polygon, render_staircase
+from .work import WorkBudgetError, charge
 
 __all__ = ["main"]
 
@@ -79,17 +80,18 @@ def _family_from_args(args) -> GradedFamily:
     return family_from_json(spec)
 
 
-def _ideal_from_args(args, charge=None) -> MonomialIdeal:
+def _ideal_from_args(args) -> MonomialIdeal:
     """The family's member at --m when a family is given (--ideal is then the
-    power family's parameter), else --ideal itself.  `charge`, when given, is
-    called with the generator count of a 2-variable closed-form member,
-    ceil(m * x-intercept) + 1, before that member is built."""
+    power family's parameter), else --ideal itself.  For `render`, the
+    generator count of a 2-variable closed-form member,
+    ceil(m * x-intercept) + 1, is charged to the "triangles" budget before
+    that member is built."""
     if args.family or args.input:
         if args.m is None:
             raise CliError("--m required to evaluate a family to an ideal")
         family = _family_from_args(args)
-        if charge and family.exact_shape is not None and family.nvars == 2:
-            charge(family.exact_shape.columns(args.m))
+        if args.command == "render" and family.exact_shape is not None and family.nvars == 2:
+            charge("triangles", family.exact_shape.columns(args.m))
         return family.ideal(args.m)
     if args.ideal:
         return MonomialIdeal.from_json(_load_json_arg(args.ideal, "ideal"))
@@ -237,7 +239,7 @@ def _cmd_render(args) -> str:
         if args.m is None or args.t is None:  # checked before any member is built
             raise CliError("render staircase needs --m and --t")
         t = parse_rational(args.t)
-        return render_staircase(_ideal_from_args(args, _charge_triangles), args.m, t)
+        return render_staircase(_ideal_from_args(args), args.m, t)
     if args.kind == "graph":
         return render_graph(_planar_graph(_planar_config(args)))
     if args.kind == "gamma":
@@ -391,7 +393,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (geometry.UnsupportedDimensionError, FamilyRuleError, planar.WorkBudgetError) as exc:
+    except (geometry.UnsupportedDimensionError, FamilyRuleError, WorkBudgetError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
     return 0

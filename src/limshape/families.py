@@ -25,8 +25,9 @@ from math import ceil
 from typing import Callable
 
 from .hilbert import regularity_index
-from .ideals import MAX_PRODUCT_PAIRS, MonomialIdeal, WorkBudgetError, _check_at_least, _check_int, _minimal
+from .ideals import MonomialIdeal, _check_at_least, _check_int, _minimal
 from .rationals import _ZERO, _scaled, format_rational, parse_rational
+from .work import charge
 
 __all__ = [
     "ExactShape",
@@ -51,19 +52,9 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = Fraction(1, 20)
-# 2^m must print in fewer than Python's 4300-digit limit (m < 14284)
-MAX_DOUBLING_M = 10**4
-# generator pairs one verify_graded call may test
-MAX_GRADED_PAIRS = 10**5
 # least charge of one pair (p, q): the fixed cost of fetching its members and
 # testing them, which a pair of one-generator ideals spends almost alone
 GRADED_PRODUCT_FLOOR = 8
-# columns a = 0 .. ceil(m * x-intercept) one staircase member may walk
-MAX_STAIRCASE_COLUMNS = 10**6
-# members m = 1 .. max_m an estimator or an inner approximation may walk: the
-# inner shape of the oscillating family (2, 3, 2) at t = 3 takes about 0.2 s
-# at max_m 2000 and 0.6 s at 3000 (Python 3.11, 2-CPU Linux container)
-MAX_WALK_M = 2000
 
 
 class FamilyRuleError(RuntimeError):
@@ -193,26 +184,28 @@ class GradedFamily:
 def make_power_family(I: MonomialIdeal) -> GradedFamily:
     """Ordinary powers m -> I^m of a fixed proper nonzero ideal.
 
-    The chain of products I^(k-1)*I shares one budget: a product that would
-    take the family's total of generator pairs over MAX_PRODUCT_PAIRS is
-    refused with WorkBudgetError before it is formed."""
+    The chain of products I^(k-1)*I charges its generator pairs to one
+    "power" total per family, each product before it is formed, and a lower
+    bound on the pairs towards I^m before the first: |G(I^j)| >= j + 1 when
+    I has two generators or more (a compact edge of NP(I), scaled by j,
+    holds j + 1 lattice points, all minimal generators of I^j, as its weight
+    vector is strictly positive), and |G(I^j)| = 1 for a principal I."""
     if not I.is_proper:
         raise ValueError("power family needs a proper nonzero ideal")
     powers = {1: I}
     charged = 0
+    n = len(I.gens)
 
     def rule(m: int) -> MonomialIdeal:
         nonlocal charged
         top = max(k for k in powers if k <= m)
         out = powers[top]
+        if m > top + 1:
+            # the bound b(j) on |G(I^j)| summed over j = top + 1 .. m - 1
+            rest = (m * (m + 1) - (top + 1) * (top + 2)) // 2 if n > 1 else m - 1 - top
+            charge("power", charged + n * (len(out.gens) + rest), m, "at least ")
         for k in range(top + 1, m + 1):
-            pairs = len(out.gens) * len(I.gens)
-            if charged + pairs > MAX_PRODUCT_PAIRS:
-                raise WorkBudgetError(
-                    f"power I^{k} would take the chain's products to {charged + pairs} "
-                    f"generator pairs, over {MAX_PRODUCT_PAIRS}"
-                )
-            charged += pairs
+            charged = charge("power", charged + len(out.gens) * n, k, "")
             out = out.product(I)
             powers[k] = out
         return out
@@ -230,7 +223,7 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     """m -> (x^2, x*y^(2^m)), optionally padded by one extra variable.
 
     Generator degrees grow like 2^m, so no linear regularity bound exists;
-    m above MAX_DOUBLING_M is refused with WorkBudgetError.
+    m itself is charged to the "doubling" budget.
     """
     extra_vars = _check_int(extra_vars, "parameter 'extra_vars'")
     if extra_vars not in (0, 1):
@@ -239,9 +232,7 @@ def make_doubling_family(extra_vars: int = 0) -> GradedFamily:
     pad = (0,) * extra_vars
 
     def rule(m: int) -> MonomialIdeal:
-        if m > MAX_DOUBLING_M:
-            raise WorkBudgetError(f"doubling member m={m} is over {MAX_DOUBLING_M}")
-        return _member(nv, [(2, 0) + pad, (1, 2**m) + pad])
+        return _member(nv, [(2, 0) + pad, (1, 2 ** charge("doubling", m)) + pad])
 
     return GradedFamily(
         nv,
@@ -299,8 +290,7 @@ def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
     drops strictly until it reaches 0 in the last: each column is a
     generator, with the staircase corners already known.  Column a reads the
     one segment above it, from consecutive points of the shape's image.  A
-    member walking more than MAX_STAIRCASE_COLUMNS columns is refused with
-    WorkBudgetError."""
+    member's columns are charged to the "columns" budget before its walk."""
     ints, L = shape._image
     # segment j, from image point j to j + 1, as A*a + B*b >= m*C on lattice
     # points (a, b); listed from the y-axis, each with the image x of its
@@ -309,10 +299,7 @@ def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
                 for (x0, y0), (x1, y1) in zip(ints, ints[1:])][::-1]
 
     def rule(m: int) -> MonomialIdeal:
-        columns = shape.columns(m)
-        if columns > MAX_STAIRCASE_COLUMNS:
-            raise WorkBudgetError(
-                f"staircase member m={m} walks {columns} columns, over {MAX_STAIRCASE_COLUMNS}")
+        columns = charge("columns", shape.columns(m), m)
         ys: list = []
         for A, B, C, x in segments:
             mC = m * C
@@ -411,9 +398,8 @@ class GradednessReport:
 
 def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     """Check I_p * I_q <= I_{p+q} for every p <= q with p + q <= max_m;
-    refused with WorkBudgetError before the pair (p, q) that would take the
-    total of max(|G_p| * |G_q|, GRADED_PRODUCT_FLOOR) generator pairs over
-    MAX_GRADED_PAIRS.
+    each pair (p, q) charges max(|G_p| * |G_q|, GRADED_PRODUCT_FLOOR)
+    generator pairs to one "graded pairs" total before it is tested.
 
     In 2 variables no product is formed: every sum a + b of generators is
     looked up in the staircase of I_{p+q}, and the least missing sum by
@@ -427,12 +413,8 @@ def verify_graded(family: GradedFamily, max_m: int) -> GradednessReport:
     for p in range(1, max_m // 2 + 1):
         for q in range(p, max_m - p + 1):
             Ip, Iq = family.ideal(p), family.ideal(q)
-            work += max(len(Ip.gens) * len(Iq.gens), GRADED_PRODUCT_FLOOR)
-            if work > MAX_GRADED_PAIRS:
-                raise WorkBudgetError(
-                    f"{family.label}: gradedness up to max_m={max_m} is charged over "
-                    f"{MAX_GRADED_PAIRS} generator pairs (|G_p|*|G_q|, at least "
-                    f"{GRADED_PRODUCT_FLOOR} per pair; reached at p={p}, q={q})")
+            work = charge("graded pairs", work + max(len(Ip.gens) * len(Iq.gens), GRADED_PRODUCT_FLOOR),
+                          family.label, max_m, GRADED_PRODUCT_FLOOR, p, q)
             target = family.ideal(p + q)
             checked += 1
             if target.nvars == 2:
@@ -509,18 +491,10 @@ def _estimate_from_values(values, tolerance, period) -> LimitEstimate:
     )
 
 
-def _check_walk(family: GradedFamily, max_m: int) -> None:
-    """Refuse with WorkBudgetError, before any member is built, a walk over
-    the members m = 1 .. max_m above MAX_WALK_M."""
-    if max_m > MAX_WALK_M:
-        raise WorkBudgetError(
-            f"{family.label}: walking the members up to max_m={max_m} is over {MAX_WALK_M}")
-
-
 def _walk_estimate(family: GradedFamily, max_m: int, value) -> LimitEstimate:
     """The estimate of v_m = value(m)/m over m = 1 .. max_m, a checked
-    max_m, with the walk charged before the first member."""
-    _check_walk(family, max_m)
+    max_m, with the "walk" charged before the first member."""
+    charge("walk", max_m, family.label)
     values = [(m, value(m)) for m in range(1, max_m + 1)]
     return _estimate_from_values(values, DEFAULT_TOLERANCE, family.period)
 

@@ -36,10 +36,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, floor, lcm
 
-from .families import MAX_STAIRCASE_COLUMNS, _check_walk, areg_estimate, waldschmidt_estimate
+from .families import areg_estimate, waldschmidt_estimate
 from .hilbert import _numerator, hilbert_function
-from .ideals import MonomialIdeal, WorkBudgetError, _check_at_least
+from .ideals import MonomialIdeal, _check_at_least
 from .rationals import _ZERO, _nonnegative, _scaled, format_rational, parse_rational
+from .work import charge
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -410,9 +411,9 @@ def _exact_pair(shape, t: Fraction) -> tuple:
 
 def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     """The inner approximation (see `limiting_shape`) and its complement,
-    reported by area only: t^2/2 - area(delta).  A max_m over MAX_WALK_M is
-    refused with WorkBudgetError before D is formed."""
-    _check_walk(family, max_m)
+    reported by area only: t^2/2 - area(delta).  max_m is charged to the
+    "walk" budget before D is formed."""
+    charge("walk", max_m, family.label)
     D = lcm(*range(1, max_m + 1)) * t.denominator
     tD = t.numerator * (D // t.denominator)
     points = []
@@ -564,22 +565,19 @@ class AhfResult:
 
 def ahf(family, t, max_m: int = 16) -> AhfResult:
     """The complement area of the limiting shape at t and the samples for
-    m = 1..max_m.  Before any member or shape is built, the walk is charged
-    by `_check_walk` and, for a two-variable closed form, the sum of its
-    members' generators `columns(m)` against MAX_STAIRCASE_COLUMNS.  Each
+    m = 1..max_m.  Before any member or shape is built, max_m is charged to
+    the "walk" budget and, for a two-variable closed form, the sum of its
+    members' generators `columns(m)` to the "ahf columns" budget.  Each
     sample is the member's Hilbert function at floor(m*t): a two-variable
     member's is read off its cached staircase corners, a three-variable
     member's is `hilbert_function`, which charges its own numerator."""
     t = _nonnegative(parse_rational(t))
     p, q = t.numerator, t.denominator
     max_m = _check_at_least(max_m, "max_m")
-    _check_walk(family, max_m)
+    charge("walk", max_m, family.label)
     shape = family.exact_shape
     if shape is not None and family.nvars == 2:
-        columns = sum(shape.columns(m) for m in range(1, max_m + 1))
-        if columns > MAX_STAIRCASE_COLUMNS:
-            raise WorkBudgetError(f"ahf samples up to m={max_m} build members of "
-                                  f"{columns} columns, over {MAX_STAIRCASE_COLUMNS}")
+        charge("ahf columns", sum(shape.columns(m) for m in range(1, max_m + 1)), max_m)
     gamma = gamma_limit(family, t, max_m)
     samples = []
     for m in range(1, max_m + 1):

@@ -12,9 +12,9 @@ the Hilbert polynomial is the same sum with each binomial read as a
 polynomial in d, and the two agree exactly from degree max(N) - n + 1 on.
 A two-variable N is read straight off the staircase corners in one sorted
 pass; with more variables `_numerator` slices on x_0 down to that corner
-form, n - 1 calls deep, so an ideal in more than MAX_NVARS variables is
-refused with WorkBudgetError, and so is a series whose slices take more than
-MAX_SLICE_GENS generators in all, mid-series.  No degree cap is involved.
+form, n - 1 calls deep, so a series charges its variables to the
+"variables" budget before it starts and the generators it hands its slices
+to one "slices" total, mid-series.  No degree cap is involved.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from itertools import groupby
 from math import comb, factorial
 from operator import itemgetter
 
-from .ideals import MonomialIdeal, WorkBudgetError, _check_int
+from .ideals import MonomialIdeal, _check_int
 from .rationals import _nonnegative, parse_rational
+from .work import charge
 
 __all__ = [
     "IntegerPolynomial",
@@ -37,11 +38,8 @@ __all__ = [
     "degree_cap",
 ]
 
-MAX_NVARS = 500  # `_numerator` recurses nvars - 1 calls deep, well below the recursion limit
-MAX_SLICE_GENS = 10**5  # generators handed to slices, summed over one series
 
-
-def _numerator(gens, nvars: int, budget=None) -> dict:
+def _numerator(gens, nvars: int) -> dict:
     """Numerator {degree: coeff} of HS(S/I), zero coefficients dropped.
 
     Two variables: one sorted pass keeps a generator only where its
@@ -58,51 +56,51 @@ def _numerator(gens, nvars: int, budget=None) -> dict:
     and redundant tails cost less than removing them.  The recursion is
     nvars - 1 calls deep: it bottoms out at the corner form, and the
     one-variable case serves one-variable ideals only.  Its worst case is
-    exponential in nvars, so each slice's tails are taken from `budget`, one
-    running total for the whole series, before the slice is read; past
-    MAX_SLICE_GENS the series is refused with WorkBudgetError, and so is one
-    in more than MAX_NVARS variables before the recursion starts.
+    exponential in nvars, so each slice's tails are charged to one "slices"
+    total for the whole series before the slice is read, and nvars is
+    charged to the "variables" budget before the recursion starts.
     """
-    if nvars > MAX_NVARS:
-        raise WorkBudgetError(f"Hilbert series in {nvars} variables, over {MAX_NVARS}")
-    if not gens:
-        return {0: 1}
-    if nvars == 1:
-        e = min(g[0] for g in gens)
-        return {} if e == 0 else {0: 1, e: -1}
-    if nvars == 2:
+    charge("variables", nvars)
+    spent = 0
+
+    def series(gens, nvars: int) -> dict:
+        nonlocal spent
+        if not gens:
+            return {0: 1}
+        if nvars == 1:
+            e = min(g[0] for g in gens)
+            return {} if e == 0 else {0: 1, e: -1}
+        if nvars == 2:
+            out = {0: 1}
+            last = None  # y-exponent of the previous corner
+            for a, b in sorted(gens):
+                if last is not None:
+                    if b >= last:
+                        continue
+                    out[a + last] = out.get(a + last, 0) + 1
+                out[a + b] = out.get(a + b, 0) - 1
+                last = b
+            return {e: c for e, c in out.items() if c}
+        gens = sorted(gens)
+        if not any(gens[0]):  # the zero vector sorts first: I is the unit ideal
+            return {}
         out = {0: 1}
-        last = None  # y-exponent of the previous corner
-        for a, b in sorted(gens):
-            if last is not None:
-                if b >= last:
-                    continue
-                out[a + last] = out.get(a + last, 0) + 1
-            out[a + b] = out.get(a + b, 0) - 1
-            last = b
+        prev = {0: 1}
+        tails: list = []
+        for a, group in groupby(gens, key=itemgetter(0)):
+            tails.extend(g[1:] for g in group)
+            spent = charge("slices", spent + len(tails))
+            cur = series(tails, nvars - 1)
+            for e, c in cur.items():
+                out[a + e] = out.get(a + e, 0) + c
+            for e, c in prev.items():
+                out[a + e] = out.get(a + e, 0) - c
+            if not cur:  # a unit slice stays the unit ideal at every later a_j
+                break
+            prev = cur
         return {e: c for e, c in out.items() if c}
-    gens = sorted(gens)
-    if not any(gens[0]):  # the zero vector sorts first: I is the unit ideal
-        return {}
-    if budget is None:
-        budget = [MAX_SLICE_GENS]
-    out = {0: 1}
-    prev = {0: 1}
-    tails: list = []
-    for a, group in groupby(gens, key=itemgetter(0)):
-        tails.extend(g[1:] for g in group)
-        budget[0] -= len(tails)
-        if budget[0] < 0:
-            raise WorkBudgetError(f"Hilbert series slices over {MAX_SLICE_GENS} generators")
-        cur = _numerator(tails, nvars - 1, budget)
-        for e, c in cur.items():
-            out[a + e] = out.get(a + e, 0) + c
-        for e, c in prev.items():
-            out[a + e] = out.get(a + e, 0) - c
-        if not cur:  # a unit slice stays the unit ideal at every later a_j
-            break
-        prev = cur
-    return {e: c for e, c in out.items() if c}
+
+    return series(gens, nvars)
 
 
 def hilbert_function(I: MonomialIdeal, d: int) -> int:

@@ -20,21 +20,14 @@ from functools import cached_property
 from operator import add, index
 from typing import Iterable
 
+from .work import WorkBudgetError, charge
+
 __all__ = [
     "MonomialIdeal",
     "minimal_exponents",
     "format_monomial",
     "WorkBudgetError",
 ]
-
-MAX_PRODUCT_PAIRS = 10**6
-
-
-class WorkBudgetError(RuntimeError):
-    """Refused before starting: the computation would exceed a fixed work budget.
-
-    Raised by `MonomialIdeal.product`, the doubling family, lattice counts and
-    reduction vectors; re-exported by `limshape.planar` and `limshape`."""
 
 
 def _check_int(value, name: str) -> int:
@@ -199,16 +192,11 @@ class MonomialIdeal:
         return any(all(a <= b for a, b in zip(g, v)) for g in self.gens)
 
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        """Ideal product; refused with WorkBudgetError above MAX_PRODUCT_PAIRS
-        generator pairs, before any sum is formed."""
+        """Ideal product; its generator pairs are charged to the "product"
+        budget before any sum is formed."""
         if self.nvars != other.nvars:
             raise ValueError("ideal product across different variable counts")
-        pairs = len(self.gens) * len(other.gens)
-        if pairs > MAX_PRODUCT_PAIRS:
-            raise WorkBudgetError(
-                f"product of {len(self.gens)} by {len(other.gens)} generators "
-                f"needs {pairs} sums, over {MAX_PRODUCT_PAIRS}"
-            )
+        charge("product", len(self.gens) * len(other.gens), len(self.gens), len(other.gens))
         sums = {tuple(map(add, a, b)) for a in self.gens for b in other.gens}
         return MonomialIdeal(self.nvars, _minimal(sums))
 

@@ -38,8 +38,9 @@ from math import lcm
 from operator import add, lt, mul
 
 from .geometry import ShapePolygon, _cross, _half_chain, _Imaged
-from .ideals import WorkBudgetError, _check_at_least, _check_int
+from .ideals import _check_at_least, _check_int
 from .rationals import parse_rational
+from .work import WorkBudgetError, charge
 
 __all__ = [
     "LineConfiguration",
@@ -56,24 +57,21 @@ __all__ = [
     "WorkBudgetError",
 ]
 
-MAX_REDUCTION_ENTRIES = 10**6
-MAX_LINES = 1000  # the closed form's scale lcm(counts) grows with every line
-
 
 @dataclass(frozen=True)
 class LineConfiguration:
     """Point counts per line; `shared_intersection` adds one common point to
     exactly two lines (requires a1*a2 > a1 + a2).  Every configuration is
     checked when built, so `reduction_vector` and the closed form read only
-    checked ones: each count through `_check_int`, the flag True or False."""
+    checked ones: the number of lines against the "lines" budget, each count
+    through `_check_int`, the flag True or False."""
 
     counts: tuple
     shared_intersection: bool = False
 
     def __post_init__(self):
         counts, shared = tuple(self.counts), self.shared_intersection
-        if len(counts) > MAX_LINES:
-            raise WorkBudgetError(f"{len(counts)} lines, over {MAX_LINES}")
+        charge("lines", len(counts))
         cs = tuple(_check_int(a, "point count") for a in counts)
         if not cs:
             raise ValueError("configuration needs at least one line")
@@ -138,9 +136,7 @@ def reduction_vector(
         )
     # lines * m entries; the shared variant records 2m against a bound of 3m,
     # counting the shared point's m units as the step simulator did
-    size = (len(config.counts) + config.shared_intersection) * m
-    if size > MAX_REDUCTION_ENTRIES:
-        raise WorkBudgetError(f"m={m} needs {size} entries, over {MAX_REDUCTION_ENTRIES}")
+    charge("entries", (len(config.counts) + config.shared_intersection) * m, m)
     # greedy order equals the descending merge of each line's progression:
     # one sort of the ascending runs, reversed in place
     entries: list = []

@@ -16,16 +16,16 @@ from __future__ import annotations
 from itertools import islice
 
 from .geometry import ShapePolygon, staircase_region
-from .ideals import MonomialIdeal, WorkBudgetError
+from .ideals import MonomialIdeal
 from .planar import PLGraph
 from .rationals import _scaled, format_rational
+from .work import charge
 
 __all__ = ["render_staircase", "render_graph", "render_polygon"]
 
 _DIGITS = 12
 _SCALE = 48  # SVG units per unit of the figure
 _MARGIN = 40  # SVG units around the axes
-MAX_TRIANGLES = 10**4  # corner triangles of one staircase figure
 
 
 def _dec_nd(n: int, d: int) -> str:
@@ -106,19 +106,12 @@ def _corner_triangle(prefix, slack) -> list:
     return [(p0, p1), (p0, slack - p0), (slack - p1, p1)]
 
 
-def _charge_triangles(n: int) -> None:
-    """Refuse a staircase figure of n > MAX_TRIANGLES corner triangles with
-    WorkBudgetError."""
-    if n > MAX_TRIANGLES:
-        raise WorkBudgetError(f"{n} generators to draw, over {MAX_TRIANGLES}")
-
-
 def render_staircase(I: MonomialIdeal, m: int, t) -> str:
     """Staircase region of an ideal in three variables (or padded to three):
     hatched corner triangles inside the dashed simplex.  Up to one triangle
-    per generator: more than MAX_TRIANGLES generators are refused with
-    WorkBudgetError before the region is built."""
-    _charge_triangles(len(I.gens))
+    per generator: the generators are charged to the "triangles" budget
+    before the region is built."""
+    charge("triangles", len(I.gens))
     region = staircase_region(I.padded(3) if I.nvars < 3 else I, m, t)
     if region.dim != 2:
         raise ValueError("staircase rendering needs a two-dimensional region")

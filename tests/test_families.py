@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import limshape.families
 from limshape import (
     ExactShape,
     FamilyRuleError,
@@ -29,13 +28,11 @@ from limshape import (
 from limshape.families import (
     DEFAULT_TOLERANCE,
     GRADED_PRODUCT_FLOOR,
-    MAX_DOUBLING_M,
-    MAX_GRADED_PAIRS,
-    MAX_WALK_M,
     GradednessViolation,
     _estimate_from_values,
 )
 from limshape.ideals import minimal_exponents
+from limshape.work import BUDGETS
 
 from conftest import divisible_by_a_generator, family_specs, fraction_estimate, random_chain
 
@@ -68,7 +65,7 @@ def test_power_family():
 def test_power_chain_shares_one_budget(monkeypatch):
     # forming I^k from I^(k-1) charges |G_(k-1)| * |G_1| = 2k pairs for (x, y),
     # so the members up to I^m take m(m + 1) - 2 pairs in all: 88 at m = 9
-    monkeypatch.setattr(limshape.families, "MAX_PRODUCT_PAIRS", 100)
+    monkeypatch.setitem(BUDGETS, "power", (100, BUDGETS["power"][1]))
     maximal = MonomialIdeal.from_gens(2, [(1, 0), (0, 1)])
     fam = make_power_family(maximal)
     assert len(fam.ideal(9).gens) == 10
@@ -79,7 +76,7 @@ def test_power_chain_shares_one_budget(monkeypatch):
     split.ideal(5)
     with pytest.raises(WorkBudgetError):
         split.ideal(10)
-    monkeypatch.setattr(limshape.families, "MAX_PRODUCT_PAIRS", 108)
+    monkeypatch.setitem(BUDGETS, "power", (108, BUDGETS["power"][1]))
     assert len(make_power_family(maximal).ideal(10).gens) == 11
 
 
@@ -91,9 +88,10 @@ def test_doubling_family():
     assert all(fam.ideal(2).contains(g) for g in prod.gens)
     padded = make_doubling_family(extra_vars=1)
     assert padded.ideal(1).nvars == 3
-    assert fam.ideal(MAX_DOUBLING_M).gens[-1] == (1, 2**MAX_DOUBLING_M)
+    limit = BUDGETS["doubling"][0]
+    assert fam.ideal(limit).gens[-1] == (1, 2**limit)
     with pytest.raises(WorkBudgetError):
-        fam.ideal(MAX_DOUBLING_M + 1)
+        fam.ideal(limit + 1)
 
 
 def test_halfplane_family():
@@ -292,16 +290,17 @@ def test_verify_graded_work_budget(monkeypatch):
         )
 
     power = make_power_family(POWER3)
-    assert pairs(power, 12) <= MAX_GRADED_PAIRS
+    assert pairs(power, 12) <= BUDGETS["graded pairs"][0]
     assert verify_graded(power, 12).ok
     for family, max_m in ((make_halfplane_family(1, 2), 100), (power, 24), (power, 400)):
         with pytest.raises(WorkBudgetError, match="generator pairs"):
             verify_graded(family, max_m)
     # the total may reach the budget but not pass it
     halfplane = make_halfplane_family(2, 3)
-    monkeypatch.setattr(limshape.families, "MAX_GRADED_PAIRS", pairs(halfplane, 6))
+    message = BUDGETS["graded pairs"][1]
+    monkeypatch.setitem(BUDGETS, "graded pairs", (pairs(halfplane, 6), message))
     assert verify_graded(halfplane, 6).ok
-    monkeypatch.setattr(limshape.families, "MAX_GRADED_PAIRS", pairs(halfplane, 6) - 1)
+    monkeypatch.setitem(BUDGETS, "graded pairs", (pairs(halfplane, 6) - 1, message))
     with pytest.raises(WorkBudgetError):
         verify_graded(halfplane, 6)
 
@@ -592,7 +591,7 @@ def test_estimators_refuse_long_walks_before_any_member():
     family = GradedFamily(2, rule, "counted", claims_borel=True)
     for estimator in (waldschmidt_estimate, areg_estimate, ri_estimate):
         with pytest.raises(WorkBudgetError, match="max_m"):
-            estimator(family, MAX_WALK_M + 1)
+            estimator(family, BUDGETS["walk"][0] + 1)
     assert not built
     assert waldschmidt_estimate(family, 3).inf_value == 1 and built == [1, 2, 3]
 

@@ -45,12 +45,12 @@ from limshape import (
     waldschmidt_estimate,
     waldschmidt_from_shape,
 )
-from limshape.families import MAX_WALK_M
 from limshape.geometry import (
     StaircaseRegion,
     _corner_count,
     _exact_pair,
 )
+from limshape.work import BUDGETS
 
 from conftest import (
     brute_hf,
@@ -625,7 +625,7 @@ def test_inner_approximation_refuses_long_walks_before_any_member():
     plain = GradedFamily(2, make_halfplane_family(1, 2).ideal, "plain")
     start = time.perf_counter()
     with pytest.raises(WorkBudgetError, match="max_m"):
-        limiting_shape(plain, 3, MAX_WALK_M + 1)
+        limiting_shape(plain, 3, BUDGETS["walk"][0] + 1)
     assert time.perf_counter() - start < 1 and not plain._cache
     assert not limiting_shape(plain, 3, 4).exact
     # a closed form never reads max_m beyond its check

@@ -17,7 +17,8 @@ from limshape import (
     make_halfplane_family,
     regularity_index,
 )
-from limshape.hilbert import MAX_NVARS, MAX_SLICE_GENS, _numerator
+from limshape.hilbert import _numerator
+from limshape.work import BUDGETS
 
 from conftest import brute_hf, cyclic_gens, expanded_hilbert_polynomial, random_ideal, slicing_numerator
 
@@ -195,15 +196,16 @@ def test_doubling_regularity_index_growth():
 
 def test_too_many_variables_are_refused_before_the_recursion():
     # the numerator slices one variable per call: 1200 variables would pass
-    # the interpreter's recursion limit, MAX_NVARS still answers
-    big = MonomialIdeal.from_gens(MAX_NVARS + 1, [(1,) * (MAX_NVARS + 1)])
+    # the interpreter's recursion limit; at the budget's own limit it still answers
+    limit = BUDGETS["variables"][0]
+    big = MonomialIdeal.from_gens(limit + 1, [(1,) * (limit + 1)])
     for call in (partial(hilbert_function, big, 1300), partial(hilbert_polynomial, big),
                  partial(regularity_index, big)):
-        with pytest.raises(WorkBudgetError, match=f"over {MAX_NVARS}"):
+        with pytest.raises(WorkBudgetError, match=f"over {limit}"):
             call()
-    edge = MonomialIdeal.from_gens(MAX_NVARS, [(1,) * MAX_NVARS])
+    edge = MonomialIdeal.from_gens(limit, [(1,) * limit])
     assert regularity_index(edge) == 1
-    assert hilbert_function(edge, MAX_NVARS) == comb(2 * MAX_NVARS - 1, MAX_NVARS - 1) - 1
+    assert hilbert_function(edge, limit) == comb(2 * limit - 1, limit - 1) - 1
 
 
 def test_exponential_slicing_is_refused_mid_series():
@@ -213,7 +215,7 @@ def test_exponential_slicing_is_refused_mid_series():
     for call in (partial(hilbert_function, I, 60), partial(hilbert_polynomial, I),
                  partial(regularity_index, I)):
         start = time.perf_counter()
-        with pytest.raises(WorkBudgetError, match=f"over {MAX_SLICE_GENS} generators"):
+        with pytest.raises(WorkBudgetError, match=f"over {BUDGETS['slices'][0]} generators"):
             call()
         assert time.perf_counter() - start < 1
     # the degree-2 generators alone slice cheaply: C(21, 2) monomials

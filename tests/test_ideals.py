@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import limshape.planar
 from limshape import MonomialIdeal, WorkBudgetError, format_monomial
-from limshape.ideals import MAX_PRODUCT_PAIRS, minimal_exponents
+from limshape.ideals import minimal_exponents
+from limshape.work import BUDGETS
 
 from conftest import borel_by_full_scan, borel_closure, divisible_by_a_generator, random_ideal
 
@@ -136,12 +137,13 @@ def test_ideal_product_examples():
 
 
 def test_product_over_budget_is_refused():
-    n = isqrt(MAX_PRODUCT_PAIRS) + 1  # n * n generator pairs, over the budget
+    n = isqrt(BUDGETS["product"][0]) + 1  # n * n generator pairs, over the budget
     I = MonomialIdeal.from_gens(2, [(i, n - i) for i in range(n)])
     assert len(I.gens) == n
     with pytest.raises(WorkBudgetError):
         I.product(I)
     assert WorkBudgetError is limshape.planar.WorkBudgetError is limshape.WorkBudgetError
+    assert WorkBudgetError is limshape.ideals.WorkBudgetError is limshape.work.WorkBudgetError
 
 
 def test_ideal_product_commutative_associative(rng):

@@ -21,7 +21,8 @@ from limshape import (
     two_line_vertices,
     validate_configuration,
 )
-from limshape.planar import MAX_LINES, MAX_REDUCTION_ENTRIES, LineConfiguration, ReductionVector
+from limshape.planar import LineConfiguration, ReductionVector
+from limshape.work import BUDGETS
 
 from conftest import (
     fraction_graph_area,
@@ -402,9 +403,9 @@ def test_reduction_vector_refuses_work_over_budget():
         reduction_vector(validate_configuration((3, 2)), 600_000_000_000)
     shared = validate_configuration((3, 2), shared_intersection=True)
     with pytest.raises(WorkBudgetError):
-        reduction_vector(shared, 6 * (MAX_REDUCTION_ENTRIES // 18 + 1))
+        reduction_vector(shared, 6 * (BUDGETS["entries"][0] // 18 + 1))
     with pytest.raises(WorkBudgetError):
-        reduction_vector(validate_configuration((1,)), MAX_REDUCTION_ENTRIES + 1)
+        reduction_vector(validate_configuration((1,)), BUDGETS["entries"][0] + 1)
     # an invalid multiplicity is still a validation error, not a refusal
     with pytest.raises(ValueError):
         reduction_vector(validate_configuration((3, 2)), 600_000_000_001)
@@ -703,8 +704,9 @@ def test_closed_form_equals_harmonic_fractions(counts):
 
 def test_lines_over_budget_are_refused_before_any_count_is_read():
     # counts that are not even integers: the line count is refused first
-    with pytest.raises(WorkBudgetError, match=f"over {MAX_LINES}"):
-        validate_configuration(["x"] * (MAX_LINES + 1))
+    limit = BUDGETS["lines"][0]
+    with pytest.raises(WorkBudgetError, match=f"over {limit}"):
+        validate_configuration(["x"] * (limit + 1))
     with pytest.raises(WorkBudgetError):
-        dhf_vertices_closed_form(range(2 * MAX_LINES, 0, -1))
-    assert len(validate_configuration(range(MAX_LINES, 0, -1)).counts) == MAX_LINES
+        dhf_vertices_closed_form(range(2 * limit, 0, -1))
+    assert len(validate_configuration(range(limit, 0, -1)).counts) == limit
