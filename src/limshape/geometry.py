@@ -25,8 +25,8 @@ two-variable family figures show).  A member in one or two variables is read
 straight from the corners of its staircase, which is what padding it to three
 variables would give; a member in three variables goes through its generator
 boxes; members in more than three variables are refused.  A closed form is
-walked once per t on its `ExactShape`'s integer image, and only the crossing
-with x + y = t and the areas become Fractions.
+walked once per t on its `ExactShape`'s integer image; only the areas, and
+the vertices of a polygon when read, become Fractions.
 """
 
 from __future__ import annotations
@@ -225,28 +225,33 @@ def region_volume(region) -> Fraction:
 
 class _Imaged:
     """Base of `ShapePolygon` and `planar.PLGraph`: exact rational vertices
-    carrying one integer image, the vertices times a scale L.  A builder
-    that already holds a scale passes the image to `_from_image`; otherwise
-    `_scaled` takes it when first read.  `cls._reduce` picks the vertices."""
+    carrying one integer image, the vertices times a scale L.  `_from_image`
+    keeps only the image, and `__getattr__` reads the vertices off it; from
+    vertices, `_scaled` takes the image when first read.  `cls._reduce`
+    picks the vertices."""
 
     @classmethod
     def make(cls, points):
         """Through the points read by `parse_rational`, reduced by `_reduce`
         on the points scaled to integers."""
-        pts = [(parse_rational(x), parse_rational(y)) for x, y in points]
-        return cls._from_image(*_scaled(pts), pts)
+        return cls._from_image(*_scaled([(parse_rational(x), parse_rational(y)) for x, y in points]))
 
     @classmethod
-    def _from_image(cls, ints, L, pts=None):
-        """Through the integer points over the scale L, reduced on them.  Each
-        kept vertex is its point of `pts` where given, else one Fraction per
-        coordinate; the kept integer points and L are cached as the image."""
-        keep = cls._reduce(ints)
-        image = [ints[i] for i in keep]
-        obj = cls(tuple(pts[i] for i in keep) if pts is not None
-                  else tuple((Fraction(x, L), Fraction(y, L)) for x, y in image))
-        obj.__dict__["_image"] = image, L
+    def _from_image(cls, ints, L):
+        """Through the integer points over the scale L, reduced on them: the
+        kept points and L are the image, and no Fraction is built."""
+        obj = object.__new__(cls)
+        obj.__dict__["_image"] = [ints[i] for i in cls._reduce(ints)], L
         return obj
+
+    def __getattr__(self, name):
+        """Only missing attributes come here: one Fraction per coordinate
+        of the image is a `_from_image` polygon's vertices, kept once read."""
+        if name != "vertices" or "_image" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ints, L = self._image
+        self.__dict__["vertices"] = vertices = tuple((Fraction(x, L), Fraction(y, L)) for x, y in ints)
+        return vertices
 
     @cached_property
     def _image(self) -> tuple:
@@ -370,14 +375,14 @@ def _exact_pair(shape, t: Fraction) -> tuple:
     from the x-intercept: to (t, 0), up x + y = t to the crossing (or to
     (0, t) and down the y-axis), then back along the walk; empty without a
     walk.  Gamma is the triangle below the chain: the origin, the walk and,
-    after a crossing, (0, t); the whole triangle without a walk.  A chain
-    vertex they keep is the shape's own pair, so only the crossing and the
-    areas are built as Fractions."""
+    after a crossing, (0, t); the whole triangle without a walk.  The walk
+    runs on integers alone: both polygons keep its points as their image,
+    and only the areas are built as Fractions."""
     ints, L = shape._image
     q = t.denominator
     S, T = L * q, t.numerator * L
-    walk, pts, crossed = [], [], False  # integer points on the scale S, their pairs
-    for (x, y), v in zip(ints, shape.vertices):
+    walk, crossed = [], False  # integer points on the scale S
+    for x, y in ints:
         x, y = x * q, y * q
         if x + y > T:
             if walk:
@@ -386,25 +391,19 @@ def _exact_pair(shape, t: Fraction) -> tuple:
                 walk = [(a * d, b * d) for a, b in walk]
                 S, T, crossed = S * d, T * d, True
                 walk.append((x0 * d + k * (x - x0), y0 * d + k * (y - y0)))
-                pts.append((Fraction(walk[-1][0], S), Fraction(walk[-1][1], S)))
             break
         walk.append((x, y))
-        pts.append(v)
     else:
         x0 = walk[-1][0]
         if x0:
             walk.append((x0, T - x0))
-            pts.append((pts[-1][0], Fraction(T - x0, S)))
             crossed = True
     if walk:
-        delta = ShapePolygon._from_image(
-            [walk[0], (T, 0)] + [(0, T)] * (not crossed) + walk[:0:-1], S,
-            [pts[0], (t, _ZERO)] + [(_ZERO, t)] * (not crossed) + pts[:0:-1])
+        delta = ShapePolygon._from_image([walk[0], (T, 0)] + [(0, T)] * (not crossed) + walk[:0:-1], S)
     else:  # the chain starts beyond the line
         delta = ShapePolygon._from_image([], S)
-        walk, pts, crossed = [(T, 0)], [(t, _ZERO)], True
-    gamma = ShapePolygon._from_image([(0, 0)] + walk + [(0, T)] * crossed, S,
-                                     [(_ZERO, _ZERO)] + pts + [(_ZERO, t)] * crossed)
+        walk, crossed = [(T, 0)], True
+    gamma = ShapePolygon._from_image([(0, 0)] + walk + [(0, T)] * crossed, S)
     return (ShapeResult(t, True, delta, delta.area(), shape.vertices),
             ShapeResult(t, True, gamma, gamma.area(), shape.vertices))
 

@@ -22,10 +22,10 @@ piecewise-linear function of w, and equals it at each of its breaks (see
 exact vector that `reduction_vector` built, and hulls any other vector by a
 sampled search that checks every entry.
 
-Hulls and the closed form run on integers, and each graph carries that
-integer image with its scale.  Cuts at t, the gamma map and every area run on
-the image (a cut on its scale times den(t) and the cut segment's dx), so a
-Fraction is built only once per output coordinate or area.
+Hulls and the closed form run on integers, and each graph is that integer
+image with its scale.  Cuts at t, the gamma map and every area run on the
+image (a cut on its scale times den(t) and the cut segment's dx), so a
+Fraction is built only for a value, an area, or a vertex when first read.
 """
 
 from __future__ import annotations
@@ -207,9 +207,9 @@ class PLGraph(_Imaged):
     def _cut(self, t: Fraction):
         """The image of the chain truncated at x = t, as (points, scale): the
         vertices left of t (or the first), then the point at t unless it is
-        the last of them.  None when t is at or past the last x."""
+        the last of them.  None at or past the last x of a nonempty chain."""
         P, L = self._image
-        if t.numerator * L >= P[-1][0] * t.denominator:
+        if P and t.numerator * L >= P[-1][0] * t.denominator:
             return None
         j, k, cut = self._at(t)
         pts = [(x * k, y * k) for x, y in P[:j] or P[:1]]

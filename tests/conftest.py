@@ -12,14 +12,18 @@ bound, membership by testing divisibility by every generator, polygon and
 graph vertices, cuts, areas and convexity in Fractions, the closed-form
 graph from harmonic Fractions, reduction vectors by stepping the reduction,
 inner approximations by hulling every point of every member padded to three
-variables, SVG scenes by mapping every point in Fractions, closed-form
+variables, a polygon built from its image against the one built from its
+vertices, SVG scenes by mapping every point in Fractions, closed-form
 shapes by walking the chain in Fractions, and limit estimates by comparing
 Fraction values.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import factorial, lcm
@@ -241,6 +245,25 @@ def fraction_signed_area(vertices) -> Fraction:
     for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
         twice += x0 * y1 - x1 * y0
     return twice / 2
+
+
+def assert_vertices_read_once(poly, oracle) -> None:
+    """`poly`, built from its integer image, holds no vertices until they are
+    read; a deep copy and a pickle round trip taken before then hold none
+    either.  Read, they are all Fractions and equal `oracle`; `poly` and both
+    copies equal, hash and print as the polygon built from them, and its
+    `vertices` cannot be assigned."""
+    assert "vertices" not in poly.__dict__
+    copies = [copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))]
+    assert not any("vertices" in c.__dict__ for c in copies)
+    vertices = poly.vertices
+    assert vertices == tuple(oracle) and all(type(c) is Fraction for p in vertices for c in p)
+    assert poly.vertices is vertices  # built once
+    ref = type(poly)(vertices)
+    for c in [poly, *copies, copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))]:
+        assert (c, hash(c), repr(c)) == (ref, hash(ref), repr(ref))
+    with pytest.raises(FrozenInstanceError):
+        poly.vertices = vertices
 
 
 def fraction_chain_walk(vertices, t) -> tuple:

@@ -53,6 +53,7 @@ from limshape.geometry import (
 from limshape.work import BUDGETS
 
 from conftest import (
+    assert_vertices_read_once,
     brute_hf,
     clip_halfplane,
     family_specs,
@@ -619,6 +620,44 @@ def test_exact_pair_on_the_image_matches_the_fraction_walk(rng):
             assert delta.staircase_vertices is gamma.staircase_vertices is shape.vertices
             assert all(type(c) is Fraction for p in delta.polygon.vertices + gamma.polygon.vertices
                        for c in p)
+
+
+def test_closed_form_polygons_hold_their_image_until_read():
+    # the walk builds both polygons from integers; their areas read no vertex
+    exact = [family for family in builtin_families() if family.exact_shape is not None]
+    assert len(exact) == 3
+    for family in exact:
+        for t in (Fraction(0), Fraction(1, 2), Fraction(5, 2), Fraction(22, 3), Fraction(40)):
+            delta, gamma = limiting_shape(family, t), gamma_limit(family, t)
+            want = fraction_exact_pair(family.exact_shape.vertices, t)
+            for poly in (delta.polygon, gamma.polygon):
+                assert poly.area() == abs(poly.signed_area())
+            assert (delta.area, gamma.area) == (want[1], want[3])
+            assert_vertices_read_once(delta.polygon, want[0])
+            assert_vertices_read_once(gamma.polygon, want[2])
+
+
+def test_inner_approximation_holds_its_image_until_read():
+    inexact = [family for family in builtin_families() if family.exact_shape is None]
+    assert len(inexact) == 4
+    for family in inexact:
+        t, max_m = Fraction(5, 2), 4
+        delta = limiting_shape(family, t, max_m)
+        assert not delta.exact and gamma_limit(family, t, max_m).polygon is None
+        poly = delta.polygon
+        assert delta.area == poly.area() == abs(poly.signed_area())
+        assert_vertices_read_once(poly, padded_inner_hull(family, t, max_m))
+
+
+def test_a_hand_built_integer_chain_gives_fraction_vertices_only():
+    # delta and gamma keep no vertex of the chain itself, so the ints of a
+    # hand-built chain never reach their vertices
+    shape = ExactShape(((2, 0), (0, 3)))
+    t = Fraction(5, 2)
+    delta, gamma = _exact_pair(shape, t)
+    assert delta.staircase_vertices is gamma.staircase_vertices is shape.vertices
+    assert_vertices_read_once(delta.polygon, ((2, 0), (t, 0), (1, Fraction(3, 2))))
+    assert_vertices_read_once(gamma.polygon, ((0, 0), (2, 0), (1, Fraction(3, 2)), (0, t)))
 
 
 def test_inner_approximation_refuses_long_walks_before_any_member():

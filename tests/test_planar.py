@@ -25,6 +25,7 @@ from limshape.planar import LineConfiguration, ReductionVector
 from limshape.work import BUDGETS
 
 from conftest import (
+    assert_vertices_read_once,
     fraction_graph_area,
     fraction_graph_make,
     fraction_graph_truncate,
@@ -249,6 +250,37 @@ def test_two_line_vertices():
     assert area_under_graph(graph) == Fraction(3 + 2 + 1, 2)
     with pytest.raises(ValueError):
         two_line_vertices(2, 2)
+
+
+def test_graphs_and_gamma_polygons_hold_their_image_until_read():
+    # every graph here and every polygon cut from it is built from integers;
+    # cuts, values and areas read no vertex
+    config = validate_configuration(FOUR_LINES)
+    vec = reduction_vector(config, divisibility_modulus(config))
+    assert vec._trusted and not replace(vec)._trusted
+    two_lines = tuple((Fraction(x), Fraction(y)) for x, y in
+                      [(0, 0), (2, 2), (Fraction(11, 5), 1), (3, Fraction(1, 3)), (4, 0)])
+    cases = [
+        (dhf_vertices_closed_form(FOUR_LINES), FOUR_LINE_VERTICES),
+        (two_line_vertices(3, 2), two_lines),
+        (dhf_envelope(vec), FOUR_LINE_VERTICES),  # the closed form, trusted
+        (dhf_envelope(replace(vec)), FOUR_LINE_VERTICES),  # the checked hull
+        (PLGraph.make(FOUR_LINE_VERTICES), FOUR_LINE_VERTICES),
+    ]
+    t = Fraction(7, 2)
+    for graph, want in cases:
+        cut = fraction_graph_truncate(want, t)
+        assert graph.is_function and graph.area() == fraction_graph_area(want)
+        assert graph.area(t) == area_under_graph(graph, t) == fraction_graph_area(cut)
+        assert graph.value_at(t) == fraction_graph_value(want, t)
+        truncated, gamma, whole = graph.truncated(t), gamma_vertices(graph, t), gamma_vertices(graph)
+        assert truncated.area() == fraction_graph_area(cut)
+        for poly in (gamma, whole):
+            assert poly.area() == abs(poly.signed_area())
+        assert_vertices_read_once(truncated, cut)
+        assert_vertices_read_once(gamma, fraction_polygon_make([(y, x - y) for x, y in cut] + [(0, t)]))
+        assert_vertices_read_once(whole, fraction_polygon_make([(y, x - y) for x, y in want]))
+        assert_vertices_read_once(graph, want)
 
 
 def test_two_line_envelope_matches_closed_form():
@@ -669,6 +701,17 @@ def test_cuts_equal_fraction_oracle(points, lam, beyond):
     for cut in (graph.value_at, graph.truncated, graph.area, lambda t: gamma_vertices(graph, t)):
         with pytest.raises(ValueError, match=re.escape(f"x={t} outside graph range")):
             cut(t)
+
+
+def test_an_empty_graph_refuses_every_cut():
+    # as before the first x of any other graph: `_at`'s refusal, no IndexError
+    for graph in (PLGraph(()), PLGraph.make([])):
+        assert graph.vertices == () and graph.is_function and graph.area() == 0
+        cuts = (graph.value_at, graph.truncated, graph.area,
+                lambda t: area_under_graph(graph, t), lambda t: gamma_vertices(graph, t))
+        for cut in cuts:
+            with pytest.raises(ValueError, match=re.escape("x=1 outside graph range")):
+                cut(1)
 
 
 @settings(max_examples=200)
