@@ -39,7 +39,7 @@ from math import comb, factorial, floor, lcm
 from .families import areg_estimate, waldschmidt_estimate
 from .hilbert import _numerator, hilbert_function
 from .ideals import MonomialIdeal, _check_at_least
-from .rationals import _ZERO, _nonnegative, _scaled, format_rational, parse_rational
+from .rationals import _ZERO, _format_over, _nonnegative, _scaled, format_rational, parse_rational
 from .work import charge
 
 __all__ = [
@@ -225,10 +225,11 @@ def region_volume(region) -> Fraction:
 
 class _Imaged:
     """Base of `ShapePolygon` and `planar.PLGraph`: exact rational vertices
-    carrying one integer image, the vertices times a scale L.  `_from_image`
-    keeps only the image, and `__getattr__` reads the vertices off it; from
-    vertices, `_scaled` takes the image when first read.  `cls._reduce`
-    picks the vertices."""
+    carrying one integer image, the vertices times a scale L.  `_of` keeps
+    only an image already reduced, `_from_image` reduces one first, and
+    `__getattr__` reads the vertices off it; from vertices, `_scaled` takes
+    the image when first read.  `cls._reduce` picks the vertices, and
+    `to_json` prints them off the image."""
 
     @classmethod
     def make(cls, points):
@@ -238,15 +239,21 @@ class _Imaged:
 
     @classmethod
     def _from_image(cls, ints, L):
-        """Through the integer points over the scale L, reduced on them: the
-        kept points and L are the image, and no Fraction is built."""
+        """`_of` of the integer points over the scale L that `_reduce` keeps."""
+        return cls._of([ints[i] for i in cls._reduce(ints)], L)
+
+    @classmethod
+    def _of(cls, ints, L):
+        """Through integer points over the scale L that `_reduce` would keep
+        whole, so it is not run: the points and L are the image, and no
+        Fraction is built."""
         obj = object.__new__(cls)
-        obj.__dict__["_image"] = [ints[i] for i in cls._reduce(ints)], L
+        obj.__dict__["_image"] = ints, L
         return obj
 
     def __getattr__(self, name):
         """Only missing attributes come here: one Fraction per coordinate
-        of the image is a `_from_image` polygon's vertices, kept once read."""
+        of the image is an `_of` polygon's vertices, kept once read."""
         if name != "vertices" or "_image" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         ints, L = self._image
@@ -255,10 +262,15 @@ class _Imaged:
 
     @cached_property
     def _image(self) -> tuple:
-        return _scaled(self.vertices)
+        """The image of vertices given to the constructor, each coordinate
+        read by `parse_rational` as `format_rational` reads it."""
+        return _scaled([(parse_rational(x), parse_rational(y)) for x, y in self.vertices])
 
     def to_json(self) -> list:
-        return [[format_rational(x), format_rational(y)] for x, y in self.vertices]
+        """The vertices as "num/den" pairs, each coordinate formatted straight
+        off the image by `_format_over`, building no Fraction."""
+        ints, L = self._image
+        return [[_format_over(x, L), _format_over(y, L)] for x, y in ints]
 
 
 @dataclass(frozen=True)
@@ -289,16 +301,20 @@ class ShapePolygon(_Imaged):
                     break
         return keep
 
-    def signed_area(self) -> Fraction:
-        """Shoelace sum on the image, divided by 2 * L^2 once."""
+    def _twice_area(self) -> tuple:
+        """Twice the signed area times L^2, the shoelace sum on the image
+        (0 below three vertices), and 2 * L^2."""
         ints, L = self._image
-        if len(ints) < 3:
-            return Fraction(0)
         twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(ints, ints[1:] + ints[:1]))
-        return Fraction(twice, 2 * L * L)
+        return twice, 2 * L * L
+
+    def signed_area(self) -> Fraction:
+        return Fraction(*self._twice_area())
 
     def area(self) -> Fraction:
-        return abs(self.signed_area())
+        """|shoelace| / (2 * L^2), one Fraction."""
+        twice, den = self._twice_area()
+        return Fraction(abs(twice), den)
 
 
 def _cross(a, b, c):
@@ -429,8 +445,9 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
         for (p0, p1), sD in _boxes(I.gens, tD, k):
             x, y = p0 * k, p1 * k
             points += ((x, y), (x, sD - x), (sD - y, y))
-    # a strictly convex hull: the reduction keeps every vertex
-    poly = ShapePolygon._from_image(_monotone_chain(sorted(set(points))), D)
+    # a strictly convex hull (or at most two points): the reduction keeps
+    # every vertex, so it is not run
+    poly = ShapePolygon._of(_monotone_chain(sorted(set(points))), D)
     area = poly.area()
     return (ShapeResult(t, False, poly, area, None),
             ShapeResult(t, False, None, t * t / 2 - area, None))

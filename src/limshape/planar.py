@@ -23,9 +23,11 @@ exact vector that `reduction_vector` built, and hulls any other vector by a
 sampled search that checks every entry.
 
 Hulls and the closed form run on integers, and each graph is that integer
-image with its scale.  Cuts at t, the gamma map and every area run on the
-image (a cut on its scale times den(t) and the cut segment's dx), so a
-Fraction is built only for a value, an area, or a vertex when first read.
+image with its scale; the closed form is built reduced and with its
+x-monotonicity, both proved in `_closed_graph`, so neither is recomputed.
+Cuts at t, the gamma map and every area run on the image (a cut on its scale
+times den(t) and the cut segment's dx), so a Fraction is built only for a
+value, an area, or a vertex when first read.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ class PLGraph(_Imaged):
     whether x is non-decreasing.  The closed form of disjoint lines a_i is
     x-monotone exactly when the sum of the 1/a_i is at most 1 (its x-steps are
     (a_i - a_(i+1)) * (1 - 1/a_1 - ... - 1/a_i)), and a shared pair's always
-    is; a folded chain is still comparable vertex-for-vertex.
+    is, so a closed form stores `is_function` when built; a folded chain is
+    still comparable vertex-for-vertex.
     Cuts, values and areas run on the integer image.
     """
 
@@ -263,8 +266,8 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     shear of the path with the same hull indices.
 
     For an exact vector that `reduction_vector` built, that hull is the
-    closed-form chain, returned from `_closed_image` without reading an
-    entry, on the closed form's scale:
+    closed-form chain, returned as the closed-form graph (`_closed_graph`)
+    without reading an entry, on the closed form's scale:
     - Disjoint lines a_1, ..., a_n.  The entries above w number
       G(w) = sum_i max(0, m - floor(w/a_i)), at least
       g(w) = sum_i max(0, m - w/a_i), which is convex and decreasing.  The
@@ -273,7 +276,7 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
       The region's corners are (g(w), w) at g's breaks w = a_(i+1)*m,
       i = 0..n, with a_(n+1) = 0.  The modulus divides m, so each a_i divides
       m, and G = g there: each corner is the path's point at
-      k = G(w) = S_i*m (S_i as in `_closed_image`), a closed-form vertex.
+      k = G(w) = S_i*m (S_i as in `_closed_graph`), a closed-form vertex.
       So the hull is the region's boundary, the closed-form chain.
     - Shared pair.  e_k = d_k + max(m - k, 0), d the vector of the disjoint
       lines (a_1, a_2).  The added term is convex with one break, at k = m,
@@ -287,7 +290,7 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     over it.
     """
     if u._trusted:
-        return PLGraph._from_image(*_closed_image(u.config))
+        return _closed_graph(u.config)
     entries, m = u.entries, u.multiplicity
     last = len(entries)  # the path ends at (last, 0), after the last nonzero entry
     while last and entries[last - 1] == 0:
@@ -306,37 +309,59 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     return PLGraph._from_image([(0, 0), *((k + e, k) for k, e in reversed(_half_chain(kept)))], m)
 
 
-def _closed_image(config: LineConfiguration) -> tuple:
-    """Vertex chain of the limiting first-difference graph, as integer points
-    and their scale.
+def _closed_graph(config: LineConfiguration) -> PLGraph:
+    """Vertex chain of the limiting first-difference graph, built from its
+    integer image with `is_function` stored: both proved below, so neither
+    `PLGraph._reduce` nor the scan of `is_function` is run.
 
     For disjoint lines, with a_{n+1} = 0, H_i = 1/a_1 + ... + 1/a_i and S_i
     the total scaled pick count needed to level the first i lines down to
     weight a_{i+1}, so that S_i = S_{i-1} + (a_i - a_{i+1}) H_i, the chain is
     (0,0), (n,n), then (a_{i+1} + S_i, S_i) for i = n-1 .. 1, then (a_1, 0).
-    H_i and S_i are carried as integers times D = lcm(a_1..a_n), the scale.
+    H_i and S_i are carried as integers times L = lcm(a_1..a_n), the scale.
+
+    The chain is reduced as built: `PLGraph._reduce` would keep every
+    point.  Its first step has direction (1, 1); the step into
+    (a_i + S_(i-1), S_(i-1)) is (a_i - a_(i+1)) * (1 - H_i, -H_i), never
+    zero as the counts strictly decrease.  Two such directions cross in
+    H_i - H_j, never zero as H_i strictly rises, and each crosses (1, 1) in
+    -1: no step is parallel to the next, so no point repeats and none is
+    collinear with its neighbours.  The x-steps (a_i - a_(i+1)) * (1 - H_i) are all >= 0
+    exactly when H_n <= 1, which is `is_function`.
+
+    The shared pair's chain, over its scale L = a1 * (a1 + a2), is (0,0),
+    (2,2), (1 + h, 1), (a2 + 1, 1 - a2/a1), (a1 + 1, 0) with
+    h = a1*a2/(a1 + a2) > 1.  Its steps are 2 * (1, 1), (h - 1, -1),
+    (a2^2/(a1 + a2), -a2/a1) and (a1 - a2) * (1, -1/a1), all with x >= 0,
+    so the chain is x-monotone.  Their directions cross their successors'
+    in -h, a2/a1 and a2/(a1 + a2), never zero, so only a1 = a2, zeroing the
+    last step, repeats a point, and that point is dropped.
     """
     if config.shared_intersection:
         a1, a2 = config.counts
-        L = a1 * (a1 + a2)  # a1 = a2 repeats the last point, which is dropped
-        return [(0, 0), (2 * L, 2 * L), ((a1 * a2 + a1 + a2) * a1, L),
-                ((a2 + 1) * L, (a1 - a2) * (a1 + a2)), ((a1 + 1) * L, 0)], L
-    a, D = config.counts + (0,), lcm(*config.counts)
-    SD, HD = [0], 0
-    for i in range(1, len(a)):
-        HD += D // a[i - 1]
-        SD.append(SD[-1] + (a[i - 1] - a[i]) * HD)
-    return [(0, 0), *((a[i] * D + SD[i], SD[i]) for i in reversed(range(len(a))))], D
+        L = a1 * (a1 + a2)
+        ints, monotone = [(0, 0), (2 * L, 2 * L), ((a1 * a2 + a1 + a2) * a1, L),
+                          ((a2 + 1) * L, (a1 - a2) * (a1 + a2)), ((a1 + 1) * L, 0)][:4 + (a1 > a2)], True
+    else:
+        a, L = config.counts + (0,), lcm(*config.counts)
+        SD, HD = [0], 0
+        for i in range(1, len(a)):
+            HD += L // a[i - 1]
+            SD.append(SD[-1] + (a[i - 1] - a[i]) * HD)
+        ints, monotone = [(0, 0), *((a[i] * L + SD[i], SD[i]) for i in reversed(range(len(a))))], HD <= L
+    graph = PLGraph._of(ints, L)
+    graph.__dict__["is_function"] = monotone
+    return graph
 
 
 def dhf_vertices_closed_form(counts) -> PLGraph:
     """Vertex chain of the limiting first-difference graph for disjoint lines."""
-    return PLGraph._from_image(*_closed_image(validate_configuration(counts)))
+    return _closed_graph(validate_configuration(counts))
 
 
 def two_line_vertices(a1: int, a2: int) -> PLGraph:
     """Closed-form graph for two lines sharing one extra intersection point."""
-    return PLGraph._from_image(*_closed_image(validate_configuration((a1, a2), shared_intersection=True)))
+    return _closed_graph(validate_configuration((a1, a2), shared_intersection=True))
 
 
 def gamma_vertices(graph: PLGraph, t=None) -> ShapePolygon:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 __all__ = ["parse_rational", "format_rational"]
 
@@ -52,6 +52,13 @@ def format_rational(q) -> str:
     if type(q) is not int and not isinstance(q, Fraction):
         q = parse_rational(q)
     return str(q)
+
+
+def _format_over(n: int, d: int) -> str:
+    """`format_rational(Fraction(n, d))` for ints n and d > 0, through one
+    gcd and no Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _scaled(points) -> tuple:

@@ -362,6 +362,19 @@ def test_cli_as_subprocess():
     assert payload["vertices"][-1] == ["7", "0"]
 
 
+# `tools/cli_replay.py` over the 2400 cli-mix calls of seeds 11 and 12345: one
+# sha256 over every call's argv, exit code, stdout and stderr
+CLI_REPLAY = ("calls: 2400\nexit 0: 2000\nexit 1: 400\n"
+              "sha256: c9e65636e2b82a23109b663e787e38006cc10f27d5334393babb4a08ac9be984\n")
+
+
+def test_cli_replay_digest_is_pinned():
+    # a change to any byte the CLI prints on those calls changes the digest
+    proc = subprocess.run([sys.executable, str(README.parent / "tools" / "cli_replay.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, CLI_REPLAY, "")
+
+
 def test_readme_cli_examples_match_golden():
     section = README.read_text().split("## CLI", 1)[1]
     block = section.split("```sh", 1)[1].split("```", 1)[0]

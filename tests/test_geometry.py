@@ -12,6 +12,7 @@ from limshape import (
     ExactShape,
     GradedFamily,
     MonomialIdeal,
+    PLGraph,
     ShapePolygon,
     ShapeResult,
     UnsupportedDimensionError,
@@ -23,6 +24,7 @@ from limshape import (
     areg_from_shape,
     convex_hull,
     family_from_json,
+    format_rational,
     gamma_lattice_count,
     gamma_limit,
     gamma_region,
@@ -49,6 +51,7 @@ from limshape.geometry import (
     StaircaseRegion,
     _corner_count,
     _exact_pair,
+    _monotone_chain,
 )
 from limshape.work import BUDGETS
 
@@ -69,6 +72,7 @@ from conftest import (
     volume_by_inclusion_exclusion,
 )
 
+_small_fractions = st.fractions(-20, 20, max_denominator=12)
 DOUBLING_1 = MonomialIdeal.from_gens(2, [(2, 0), (1, 2)])
 CHAIN_POINTS = [(4, 0), (3, 1), (1, 4), (0, 7)]
 
@@ -647,6 +651,45 @@ def test_inner_approximation_holds_its_image_until_read():
         poly = delta.polygon
         assert delta.area == poly.area() == abs(poly.signed_area())
         assert_vertices_read_once(poly, padded_inner_hull(family, t, max_m))
+
+
+def test_inner_hulls_are_built_reduced():
+    # the monotone chain is strictly convex (or at most two points), so the
+    # polygon is built without `ShapePolygon._reduce`, which would keep it whole
+    inexact = [family for family in builtin_families() if family.exact_shape is None]
+    assert len(inexact) == 4
+    for family in inexact:
+        for t in (Fraction(0), Fraction(1, 3), Fraction(5, 2), Fraction(6), Fraction(40, 3)):
+            for max_m in (1, 2, 5, 8, 12):
+                delta = limiting_shape(family, t, max_m)
+                ints = delta.polygon._image[0]
+                assert ShapePolygon._reduce(ints) == list(range(len(ints))), (family.label, t, max_m)
+                assert delta.area == delta.polygon.area() == abs(delta.polygon.signed_area())
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=12))
+def test_monotone_chain_is_kept_whole_by_the_polygon_reduction(points):
+    hull = _monotone_chain(sorted(set(points)))
+    assert ShapePolygon._reduce(hull) == list(range(len(hull)))
+    assert ShapePolygon._of(hull, 1).area() == abs(fraction_signed_area(hull))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(_small_fractions, _small_fractions), max_size=8))
+def test_to_json_of_the_image_equals_the_formatted_vertices(points):
+    for poly in (ShapePolygon.make(points), PLGraph.make(points), ShapePolygon(tuple(points))):
+        assert poly.to_json() == [[format_rational(x), format_rational(y)] for x, y in poly.vertices]
+
+
+def test_to_json_of_hand_built_vertices_reads_them_as_format_rational_does():
+    # the image of a hand-built polygon reads each coordinate by `parse_rational`
+    vertices = ((0.5, 0), ("1/3", 1), (Fraction(2, 4), "1e2"))
+    for poly in (ShapePolygon(vertices), PLGraph(vertices)):
+        assert poly.to_json() == [["1/2", "0"], ["1/3", "1"], ["1/2", "100"]]
+        assert poly.to_json() == [[format_rational(x), format_rational(y)] for x, y in vertices]
+    with pytest.raises(ValueError, match="a bool is not a number"):
+        ShapePolygon(((True, 0),)).to_json()
 
 
 def test_a_hand_built_integer_chain_gives_fraction_vertices_only():

@@ -333,6 +333,61 @@ def test_envelope_folds_exactly_when_the_harmonic_sum_passes_one():
         assert envelope.is_function == (sum(Fraction(1, a) for a in counts) <= 1), counts
 
 
+# every strictly decreasing configuration of at most 5 lines with counts <= 16,
+# folded ones included, and every shared pair with a1 <= 29, a1 = a2 included
+CLOSED_FORM_SWEEP = (
+    [validate_configuration(counts) for n in range(1, 6) for counts in combinations(range(16, 0, -1), n)]
+    + [validate_configuration((a1, a2), shared_intersection=True)
+       for a1 in range(2, 30) for a2 in range(2, a1 + 1) if a1 * a2 > a1 + a2]
+)
+
+
+def _closed_form(config) -> PLGraph:
+    if config.shared_intersection:
+        return two_line_vertices(*config.counts)
+    return dhf_vertices_closed_form(config.counts)
+
+
+def _reduced_and_scanned(graph) -> tuple:
+    """The graph's image through `PLGraph._reduce`, and whether x never
+    decreases along it: what a closed form is built with, recomputed."""
+    ints = graph._image[0]
+    return [ints[i] for i in PLGraph._reduce(ints)], all(p[0] <= q[0] for p, q in zip(ints, ints[1:]))
+
+
+def test_closed_forms_are_built_reduced_with_their_monotonicity_stored():
+    # `_closed_graph` proves both, so neither is recomputed when built
+    assert len(CLOSED_FORM_SWEEP) == 6884 + 405
+    for config in CLOSED_FORM_SWEEP:
+        graph = _closed_form(config)
+        stored = graph.__dict__["is_function"]  # stored when built, not scanned
+        assert _reduced_and_scanned(graph) == (graph._image[0], stored), config
+    # an equal shared pair repeats its last point, which is dropped
+    for a in (3, 4, 29):
+        assert len(two_line_vertices(a, a).vertices) == 4
+        assert len(two_line_vertices(a, a - 1).vertices) == 5
+
+
+def test_trusted_envelopes_carry_the_closed_form_image_and_flag():
+    for config in TRUSTED_SAMPLE:
+        closed = _closed_form(config)
+        envelope = dhf_envelope(reduction_vector(config, divisibility_modulus(config)))
+        assert envelope._image == closed._image, config
+        assert envelope.__dict__["is_function"] == closed.is_function, config
+        assert _reduced_and_scanned(envelope) == (envelope._image[0], envelope.is_function), config
+
+
+def test_gamma_polygon_areas_of_closed_forms_are_their_shoelace_areas():
+    # every 7th configuration of the sweep, whole and cut at three t
+    for config in CLOSED_FORM_SWEEP[::7]:
+        graph = _closed_form(config)
+        if not graph.is_function:
+            continue
+        top = graph.vertices[-1][0]
+        for poly in [gamma_vertices(graph), *(gamma_vertices(graph, top * Fraction(j, 4)) for j in (1, 2, 3))]:
+            assert poly.area() == abs(poly.signed_area()) == abs(fraction_signed_area(poly.vertices)), config
+
+
 def test_graph_area():
     graph = dhf_vertices_closed_form(FOUR_LINES)
     assert area_under_graph(graph) == 13

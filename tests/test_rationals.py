@@ -2,6 +2,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from limshape import (
     IntegerPolynomial,
@@ -24,7 +26,7 @@ from limshape import (
     shape_json,
     staircase_region,
 )
-from limshape.rationals import MAX_EXPONENT
+from limshape.rationals import MAX_EXPONENT, _format_over
 
 HUGE = "1e100000000"
 IDEAL = MonomialIdeal.from_gens(3, [(2, 0, 0), (1, 1, 1), (0, 2, 0), (0, 0, 3)])
@@ -124,3 +126,8 @@ def test_format_rational_reads_what_is_not_a_number_by_the_same_rule():
     assert format_rational("10/4") == "5/2"
     with pytest.raises(ValueError, match="a bool is not a number"):
         format_rational(True)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+def test_format_over_is_format_rational_of_the_fraction(n, d):
+    assert _format_over(n, d) == format_rational(Fraction(n, d))
