@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from limshape import (
+    ExactShape,
     PLGraph,
     WorkBudgetError,
     area_under_graph,
@@ -21,6 +22,7 @@ from limshape import (
     two_line_vertices,
     validate_configuration,
 )
+from limshape.geometry import _exact_pair
 from limshape.planar import LineConfiguration, ReductionVector
 from limshape.work import BUDGETS
 
@@ -482,6 +484,28 @@ def test_area_under_graph_equals_gamma_area_at_cuts():
     graph = dhf_vertices_closed_form(FOUR_LINES)
     for t in (Fraction(3), Fraction(9, 2), Fraction(47, 8), Fraction(10), Fraction(12)):
         assert area_under_graph(graph, t) == gamma_vertices(graph, t).area(), t
+
+
+BRIDGE_CONFIGURATIONS = (
+    [validate_configuration(c) for n in range(1, 5) for c in combinations(range(12, 0, -1), n)
+     if sum(Fraction(1, a) for a in c) <= 1]
+    + [validate_configuration((a1, a2), shared_intersection=True)
+       for a1 in range(2, 13) for a2 in range(2, a1 + 1) if a1 * a2 > a1 + a2]
+)
+
+
+def test_closed_form_shape_of_the_mapped_chain_is_the_gamma_of_its_graph():
+    # the chain (y, x - y) of a closed graph, origin dropped, is a closed-form
+    # shape whose gamma at every t is the graph's gamma polygon, with its area
+    assert len(BRIDGE_CONFIGURATIONS) == 509 + 65
+    for config in BRIDGE_CONFIGURATIONS:
+        graph = _closed_form(config)
+        shape = ExactShape(tuple((y, x - y) for x, y in graph.vertices[1:]))
+        for k in range(3 * (config.counts[0] + 2)):
+            t = Fraction(k, 3)
+            gamma = _exact_pair(shape, t)[1]
+            assert gamma.polygon.to_json() == gamma_vertices(graph, t).to_json(), (config, t)
+            assert gamma.area == area_under_graph(graph, t), (config, t)
 
 
 def test_reduction_vector_refuses_work_over_budget():
