@@ -68,14 +68,14 @@ class ExactShape:
     plane: the set { A*x + B*y >= C for all half-planes } in the first
     quadrant.  `vertices` is the boundary chain of extremal points, listed
     from the x-axis towards the y-axis; a chain ending off the y-axis goes
-    on up a vertical ray.  `geometry` walks the chain once, which needs it
-    to start on the x-axis with x strictly decreasing and slopes -1 or
-    steeper that strictly steepen (so y strictly rises and x + y never
-    decreases along it); any other chain is refused with ValueError.
+    on up a vertical ray.  `geometry` cuts the chain's planar graph once,
+    which needs it to start on the x-axis with x strictly decreasing and
+    slopes -1 or steeper that strictly steepen (so y strictly rises and
+    x + y never decreases along it); any other chain is refused with ValueError.
 
     The shape carries one integer image, `_image`: its vertices times the
     lcm L of their denominators, made by `_scaled`.  The chain is validated
-    on the image by cross products, the staircase rule and `geometry`'s walk
+    on the image by cross products, the staircase rule and `geometry`'s cut
     run on it, and `halfplanes` are read off it: the line through each two
     consecutive vertices, then the vertical ray x >= x_n of a chain ending
     off the y-axis."""

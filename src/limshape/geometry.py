@@ -24,13 +24,15 @@ region drawn is the limit of the scaled generator staircases (the picture the
 two-variable family figures show).  A member in one or two variables is read
 straight from the corners of its staircase, which is what padding it to three
 variables would give; a member in three variables goes through its generator
-boxes; members in more than three variables are refused.  A closed form is
-walked once per t on its `ExactShape`'s integer image; only the areas, and
-the vertices of a polygon when read, become Fractions.
+boxes; members in more than three variables are refused.  A closed form's
+chain is mapped to its planar graph and cut once per t by `_cut`, the one cut
+`planar` makes too; only the areas, and the vertices of a polygon when read,
+become Fractions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -337,6 +339,51 @@ def _half_chain(seq) -> list:
     return out
 
 
+def _at(P, L, t: Fraction, monotone=True, right=False) -> tuple:
+    """Where the chain of integer image P over L meets x = t: the number j
+    of its points left of t (with `right`, at t too), bisected as x never
+    decreases, and the point on the segment from the j-th (the first
+    segment's when j = 0, the top of a vertical one) as integers on the
+    scale L * k, with k.  A chain not `monotone`, then a t outside its
+    x-range, is refused."""
+    if not monotone:
+        raise ValueError("graph is not x-monotone")
+    dt, tL = t.denominator, t.numerator * L
+    if not P or tL < P[0][0] * dt or tL > P[-1][0] * dt:
+        raise ValueError(f"x={t} outside graph range")
+    j = bisect_left(P, (tL // dt + 1,) if right else (-(-tL // dt),))  # (x,) sorts before every (x, y)
+    i = max(j - 1, 0)
+    (x0, y0), (x1, y1) = P[i], P[min(i + 1, len(P) - 1)]
+    dx = x1 - x0 or 1  # a vertical segment (or a lone vertex) gives y1
+    return j, dt * dx, (tL * dx, y1 * dx * dt - (y1 - y0) * (x1 * dt - tL))
+
+
+def _cut(P, L, t: Fraction, monotone=True, right=False):
+    """The one cut of an integer chain: image P over L truncated at x = t,
+    as (points, scale), the j points of `_at` (or the first) then the point
+    at t unless it is the last of them.  None at or past the last x of a
+    nonempty chain, before `_at` refuses anything."""
+    if P and t.numerator * L >= P[-1][0] * t.denominator:
+        return None
+    j, k, cut = _at(P, L, t, monotone, right)
+    pts = [(x * k, y * k) for x, y in P[:j] or P[:1]]
+    if pts[-1] != cut:
+        pts.append(cut)
+    return pts, L * k
+
+
+def _gamma_image(P, L, t, monotone=True, right=False) -> tuple:
+    """Gamma's image, with its scale, read off a graph's image P over L:
+    each point (x, y) of the graph, cut at x = t unless t is None, mapped to
+    (y, x - y), then (0, t) after a cut unless it is there already."""
+    cut = t is not None and _cut(P, L, t, monotone, right)
+    ints, S = cut or (P, L)
+    out = [(y, x - y) for x, y in ints]
+    if cut and out[-1] != (closing := (0, t.numerator * (S // t.denominator))):
+        out.append(closing)
+    return out, S
+
+
 def _monotone_chain(pts: list) -> list:
     """Andrew's monotone chain over sorted distinct points: the CCW hull with
     no repeated or collinear vertex (the points themselves if at most two)."""
@@ -377,49 +424,35 @@ def _plane_ideal(family, m: int) -> MonomialIdeal:
 
 
 def _exact_pair(shape, t: Fraction) -> tuple:
-    """Both closed-form results from one walk of the shape's image, on the
-    scale S = L * den(t) where t is the integer T = num(t) * L.
+    """Both closed-form results from one cut of the chain's planar graph.
 
-    The walk takes the chain's vertices with x + y <= t, then the point where
-    it meets x + y = t, and whether it met it.  Every slope is -1 or steeper,
-    so x + y never decreases along the chain and one pass finds both; a chain
-    ending off the y-axis goes on up a vertical ray, which always meets the
-    line.  A crossing inside a segment whose ends' sums differ by d is
-    integral on the scale S * d, which the walk then moves to.
+    A chain and a first-difference graph are one object under
+    (x, y) -> (x + y, x), the inverse of `planar.gamma_vertices`' map.  The
+    graph's image is the origin, (x + y, x) of each image point on the scale
+    L * den(t), where t is T = num(t) * L, then for a chain ending off the
+    y-axis (max(T, last X) + 1, x_n).  The map is sound: a validated chain
+    never lowers x + y, so its graph is x-monotone; the map has determinant
+    -1, so areas are kept; the vertical ray becomes a horizontal segment
+    past t, so such a chain is always cut.
 
-    Delta is the triangle x, y >= 0, x + y <= t on or above the chain, CCW
-    from the x-intercept: to (t, 0), up x + y = t to the crossing (or to
-    (0, t) and down the y-axis), then back along the walk; empty without a
-    walk.  Gamma is the triangle below the chain: the origin, the walk and,
-    after a crossing, (0, t); the whole triangle without a walk.  The walk
-    runs on integers alone: both polygons keep its points as their image,
-    and only the areas are built as Fractions."""
+    Gamma, the triangle x, y >= 0, x + y <= t below the chain, is that cut
+    mapped back and closed by (0, t) when cut.  Delta, the triangle on or
+    above the chain, is [walk[0], (t, 0)], then (0, t) when uncut, then the
+    walk reversed, the walk being gamma between the origin and its closing;
+    it is empty when the x-intercept is past t.  The cut keeps the points at
+    t (`right`): a first slope of -1 is a vertical graph segment there,
+    which delta keeps.  Only the areas are built as Fractions."""
     ints, L = shape._image
-    q = t.denominator
-    S, T = L * q, t.numerator * L
-    walk, crossed = [], False  # integer points on the scale S
-    for x, y in ints:
-        x, y = x * q, y * q
-        if x + y > T:
-            if walk:
-                x0, y0 = walk[-1]
-                d, k = x + y - x0 - y0, T - x0 - y0
-                walk = [(a * d, b * d) for a, b in walk]
-                S, T, crossed = S * d, T * d, True
-                walk.append((x0 * d + k * (x - x0), y0 * d + k * (y - y0)))
-            break
-        walk.append((x, y))
-    else:
-        x0 = walk[-1][0]
-        if x0:
-            walk.append((x0, T - x0))
-            crossed = True
-    if walk:
-        delta = ShapePolygon._from_image([walk[0], (T, 0)] + [(0, T)] * (not crossed) + walk[:0:-1], S)
-    else:  # the chain starts beyond the line
-        delta = ShapePolygon._from_image([], S)
-        walk, crossed = [(T, 0)], True
-    gamma = ShapePolygon._from_image([(0, 0)] + walk + [(0, T)] * crossed, S)
+    q, T = t.denominator, t.numerator * L
+    graph = [(0, 0), *((q * (x + y), q * x) for x, y in ints)]
+    if ints[-1][0]:  # the vertical ray
+        graph.append((max(T, graph[-1][0]) + 1, graph[-1][1]))
+    cut, empty = T < graph[-1][0], T < graph[1][0]
+    gamma, S = _gamma_image(graph, L * q, t, right=True)
+    T = t.numerator * (S // q)
+    walk = gamma[1:len(gamma) - cut]  # a cut at t > 0 ends off the y-axis, so it is closed
+    delta = [] if empty else [walk[0], (T, 0)] + [(0, T)] * (not cut) + walk[:0:-1]
+    delta, gamma = ShapePolygon._from_image(delta, S), ShapePolygon._from_image(gamma, S)
     return (ShapeResult(t, True, delta, delta.area(), shape.vertices),
             ShapeResult(t, True, gamma, gamma.area(), shape.vertices))
 

@@ -25,9 +25,10 @@ sampled search that checks every entry.
 Hulls and the closed form run on integers, and each graph is that integer
 image with its scale; the closed form is built reduced and with its
 x-monotonicity, both proved in `_closed_graph`, so neither is recomputed.
-Cuts at t, the gamma map and every area run on the image (a cut on its scale
-times den(t) and the cut segment's dx), so a Fraction is built only for a
-value, an area, or a vertex when first read.
+Cuts at t and the gamma map are `geometry`'s kernels on the image, which the
+closed-form shapes share (a cut lands on its scale times den(t) and the cut
+segment's dx); every area runs on the image too, so a Fraction is built only
+for a value, an area, or a vertex when first read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import chain, compress, repeat
 from math import lcm
 from operator import add, lt, mul
 
-from .geometry import ShapePolygon, _cross, _half_chain, _Imaged
+from .geometry import ShapePolygon, _at, _cross, _cut, _gamma_image, _half_chain, _Imaged
 from .ideals import _check_at_least, _check_int
 from .rationals import parse_rational
 from .work import WorkBudgetError, charge
@@ -190,52 +191,23 @@ class PLGraph(_Imaged):
         P = self._image[0]
         return all(p[0] <= q[0] for p, q in zip(P, P[1:]))
 
-    def _at(self, t: Fraction) -> tuple:
-        """Where the chain meets x = t: the number j of vertices left of t,
-        and the point on the first segment over t (the top of a vertical
-        one) as integers on the scale L * k, with k."""
-        if not self.is_function:
-            raise ValueError("graph is not x-monotone")
-        P, L = self._image
-        nt, dt = t.numerator, t.denominator
-        tL = nt * L
-        if not P or tL < P[0][0] * dt or tL > P[-1][0] * dt:
-            raise ValueError(f"x={t} outside graph range")
-        j = sum(x * dt < tL for x, _ in P)
-        i = max(j - 1, 0)
-        (x0, y0), (x1, y1) = P[i], P[min(i + 1, len(P) - 1)]
-        dx = x1 - x0 or 1  # a vertical segment (or a lone vertex) gives y1
-        return j, dt * dx, (tL * dx, y1 * dx * dt - (y1 - y0) * (x1 * dt - tL))
-
-    def _cut(self, t: Fraction):
-        """The image of the chain truncated at x = t, as (points, scale): the
-        vertices left of t (or the first), then the point at t unless it is
-        the last of them.  None at or past the last x of a nonempty chain."""
-        P, L = self._image
-        if P and t.numerator * L >= P[-1][0] * t.denominator:
-            return None
-        j, k, cut = self._at(t)
-        pts = [(x * k, y * k) for x, y in P[:j] or P[:1]]
-        if pts[-1] != cut:
-            pts.append(cut)
-        return pts, L * k
-
     def value_at(self, x) -> Fraction:
-        _, k, (_, y) = self._at(parse_rational(x))
+        _, k, (_, y) = _at(*self._image, parse_rational(x), self.is_function)
         return Fraction(y, self._image[1] * k)
 
     def truncated(self, t) -> "PLGraph":
         """The chain cut at x = t, or itself when t is at or past the last x;
         a cut at a vertex's x ends at that vertex, or for a chain opening with
         a vertical segment at t, at the top of that segment."""
-        cut = self._cut(parse_rational(t))
+        cut = _cut(*self._image, parse_rational(t), self.is_function)
         return PLGraph._from_image(*cut) if cut else self
 
     def area(self, upto=None) -> Fraction:
         """Exact trapezoid area between the chain and the x-axis, summed on
         the image (of the truncated chain) and divided by 2 * L^2 once."""
         # a truncation of an x-monotone graph is x-monotone, so only self is checked
-        ints, L = (upto is not None and self._cut(parse_rational(upto))) or self._image
+        cut = upto is not None and _cut(*self._image, parse_rational(upto), self.is_function)
+        ints, L = cut or self._image
         if not self.is_function:
             raise ValueError("graph is not x-monotone")
         twice = sum((y0 + y1) * (x1 - x0) for (x0, y0), (x1, y1) in zip(ints, ints[1:]))
@@ -296,7 +268,7 @@ def dhf_envelope(u: ReductionVector) -> PLGraph:
     while last and entries[last - 1] == 0:
         last -= 1
     if not last:
-        return PLGraph.make([(0, 0)])
+        return PLGraph._of([(0, 0)], 1)
     if last == len(entries):
         entries = (*entries, 0)
     sampled = zip(range(0, last, SAMPLE_STRIDE), entries[:last:SAMPLE_STRIDE])
@@ -365,18 +337,11 @@ def two_line_vertices(a1: int, a2: int) -> PLGraph:
 
 
 def gamma_vertices(graph: PLGraph, t=None) -> ShapePolygon:
-    """Boundary of the limiting-shape complement read off the graph.
-
-    Each graph point (x, y) with x <= t maps to the boundary point (y, x-y);
-    truncation closes the region along the simplex edge back to (0, t).  The
-    map runs on the graph's image (cut at t), the polygon on the same scale.
-    """
-    cut = t is not None and graph._cut(t := parse_rational(t))
-    ints, L = cut or graph._image
-    out = [(y, x - y) for x, y in ints]
-    if cut and out[-1] != (closing := (0, t.numerator * (L // t.denominator))):
-        out.append(closing)
-    return ShapePolygon._from_image(out, L)
+    """Boundary of the limiting-shape complement read off the graph: each
+    point (x, y) of its image cut at t maps to (y, x-y), closed along the
+    simplex edge back to (0, t) (`geometry._gamma_image`)."""
+    t = None if t is None else parse_rational(t)
+    return ShapePolygon._from_image(*_gamma_image(*graph._image, t, graph.is_function))
 
 
 def area_under_graph(graph: PLGraph, t=None) -> Fraction:
