@@ -460,24 +460,39 @@ def _exact_pair(shape, t: Fraction) -> tuple:
 def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     """The inner approximation (see `limiting_shape`) and its complement,
     reported by area only: t^2/2 - area(delta).  max_m is charged to the
-    "walk" budget before D is formed."""
+    "walk" budget before D is formed.
+
+    A two-variable member gives its corners on or below x + y = tD, scaled
+    by k = D/m; of all of them the hull takes the union staircase (in
+    lexicographic order a corner stays when its y drops below every kept y)
+    and two points of that line, (x_lo, tD - x_lo) and (tD - y_lo, y_lo),
+    x_lo and y_lo the least x and y of the staircase.  Its strict hull is
+    that of every corner and both its projections onto the line: a dropped
+    corner p has a staircase corner q <= p, so it lies in the triangle of q
+    and q's projections; and a projection of any corner q, (q_x, tD - q_x)
+    say, lies between the two line points, as x_lo <= q_x and
+    q_x + y_lo <= q_x + q_y <= tD.  A three-variable member gives each of
+    its boxes' corners and both projections onto that box's hypotenuse."""
     charge("walk", max_m, family.label)
     D = lcm(*range(1, max_m + 1)) * t.denominator
     tD = t.numerator * (D // t.denominator)
-    points = []
+    points, corners = [], []
     for m in range(1, max_m + 1):
         k = D // m  # sD = k * (m*t - last) is the generator's slack times D
         I = _plane_ideal(family, m)
         if I.nvars == 2:
-            # the corners below x + y = tD and, of their projections onto that
-            # line, only the two ends: the rest lie between them
-            kept = [(a * k, b * k) for a, b in zip(*I._staircase) if k * (a + b) <= tD]
-            if kept:
-                points += kept + [(kept[0][0], tD - kept[0][0]), (tD - kept[-1][1], kept[-1][1])]
+            corners += [(a * k, b * k) for a, b in zip(*I._staircase) if k * (a + b) <= tD]
             continue
         for (p0, p1), sD in _boxes(I.gens, tD, k):
             x, y = p0 * k, p1 * k
             points += ((x, y), (x, sD - x), (sD - y, y))
+    if corners:
+        stair = []
+        for p in sorted(corners):
+            if not stair or p[1] < stair[-1][1]:
+                stair.append(p)
+        (x_lo, _), (_, y_lo) = stair[0], stair[-1]
+        points += stair + [(x_lo, tD - x_lo), (tD - y_lo, y_lo)]
     # a strictly convex hull (or at most two points): the reduction keeps
     # every vertex, so it is not run
     poly = ShapePolygon._of(_monotone_chain(sorted(set(points))), D)

@@ -19,6 +19,7 @@ to one "slices" total, mid-series.  No degree cap is involved.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -111,8 +112,9 @@ def hilbert_function(I: MonomialIdeal, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be non-negative")
     n = I.nvars
-    # generators of degree > d cannot change the degree-d piece
-    N = _numerator([g for g in I.gens if sum(g) <= d], n)
+    # generators of degree > d cannot change the degree-d piece; in
+    # (degree, vector) order they are a suffix of the generators
+    N = _numerator(I.gens[:bisect_right(I.gens, d, key=sum)], n)
     return sum(c * comb(d - e + n - 1, n - 1) for e, c in N.items() if e <= d)
 
 

@@ -129,7 +129,14 @@ def _minimal(vs) -> tuple:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators (an antichain)."""
+    """Monomial ideal given by its minimal generators (an antichain).
+
+    Every ideal the library builds (`from_gens`, `from_json`, `zero`,
+    `unit`, `product`, `padded`, the family rules) keeps `gens` strictly
+    increasing by `_degree_key`, the (degree, vector) order.  Four readers
+    rely on it instead of a scan: `is_unit` and `alpha` read the degree of
+    `gens[0]`, `max_generator_degree` that of `gens[-1]`, and
+    `hilbert_function` bisects to the generators of degree at most d."""
 
     nvars: int
     gens: tuple
@@ -232,15 +239,15 @@ class MonomialIdeal:
         return True
 
     def alpha(self) -> int:
-        """Least degree of a nonzero element: min total degree of generators."""
+        """Least degree of a nonzero element: the degree of gens[0]."""
         if self.is_zero:
             raise ValueError("zero ideal has elements in no degree")
-        return min(sum(g) for g in self.gens)
+        return sum(self.gens[0])
 
     def max_generator_degree(self) -> int:
         if self.is_zero:
             raise ValueError("zero ideal has no generators")
-        return max(sum(g) for g in self.gens)
+        return sum(self.gens[-1])
 
     def padded(self, nvars: int) -> "MonomialIdeal":
         """Extend to a larger polynomial ring (new variables get exponent 0)."""

@@ -2,7 +2,7 @@ import re
 import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial, floor
+from math import comb, factorial, floor, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +51,7 @@ from limshape.geometry import (
     StaircaseRegion,
     _corner_count,
     _exact_pair,
+    _inner_pair,
     _monotone_chain,
 )
 from limshape.work import BUDGETS
@@ -1025,6 +1026,45 @@ def test_inner_hull_of_plane_families_matches_padded_oracle(case):
     assert list(delta.polygon.vertices) == padded_inner_hull(family, t, max_m)
     assert delta.area == abs(fraction_signed_area(delta.polygon.vertices))
     assert gamma_limit(family, t, max_m).area == t * t / 2 - delta.area
+
+
+def every_inner_point(family, t, max_m: int) -> tuple:
+    """The hull of every point the definition names for members in one or
+    two variables, on the integer scale D = lcm(1..max_m) * den(t): each
+    generator (a, b) of member m, repeated and redundant ones included, with
+    D/m * (a + b) <= tD, scaled by D/m, and both its projections onto
+    x + y = tD.  It holds every point the hull took before the union
+    staircase (each member's corners and the two ends of their projections).
+    Returns (`_monotone_chain` of those points, D)."""
+    D = lcm(*range(1, max_m + 1)) * t.denominator
+    tD = t.numerator * (D // t.denominator)
+    points = set()
+    for m in range(1, max_m + 1):
+        k = D // m
+        for a, b in family.ideal(m).padded(2).gens:
+            if k * (a + b) <= tD:
+                points |= {(a * k, b * k), (a * k, tD - a * k), (tD - b * k, b * k)}
+    return _monotone_chain(sorted(points)), D
+
+
+@settings(max_examples=200)
+@given(plane_families())
+def test_inner_pair_of_plane_families_is_the_hull_of_every_point(case):
+    family, t, max_m = case
+    # the drawn t, t = 0, and when every member is proper a t below every
+    # scaled corner, which keeps none
+    alphas = [min(map(sum, family.ideal(m).gens), default=None) for m in range(1, max_m + 1)]
+    ts = [t, Fraction(0)]
+    if all(alphas):
+        ts.append(min(Fraction(a, m) for m, a in enumerate(alphas, 1)) / 2)
+    for s in ts:
+        delta, gamma = _inner_pair(family, s, max_m)
+        hull, D = every_inner_point(family, s, max_m)
+        assert delta.polygon._image == (hull, D), (s, max_m)
+        twice = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
+        assert delta.area == Fraction(abs(twice), 2 * D * D)
+        assert gamma.area == s * s / 2 - delta.area
+        assert gamma.polygon is None
 
 
 def test_ahf_charges_every_sample_before_any_shape():

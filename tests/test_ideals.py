@@ -1,18 +1,26 @@
 import json
 import random
 import re
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limshape.planar
-from limshape import MonomialIdeal, WorkBudgetError, format_monomial
-from limshape.ideals import minimal_exponents
+from limshape import MonomialIdeal, WorkBudgetError, family_from_json, format_monomial, hilbert_function
+from limshape.families import BUILTIN_KINDS, _member
+from limshape.hilbert import _numerator
+from limshape.ideals import _degree_key, minimal_exponents
 from limshape.work import BUDGETS
 
-from conftest import borel_by_full_scan, borel_closure, divisible_by_a_generator, random_ideal
+from conftest import (
+    borel_by_full_scan,
+    borel_closure,
+    divisible_by_a_generator,
+    family_specs,
+    random_ideal,
+)
 
 
 def test_ideal_contains():
@@ -299,3 +307,60 @@ def test_json_round_trip():
     assert MonomialIdeal.from_json(json.loads(blob)) == I
     with pytest.raises(ValueError):
         MonomialIdeal.from_json({"gens": [[1]]})
+
+
+def assert_degree_ordered(I: MonomialIdeal) -> None:
+    """The (degree, vector) contract and its readers: generators strictly
+    increasing by `_degree_key`, `alpha` and `max_generator_degree` the least
+    and largest generator degree, and `hilbert_function` at d = 0 .. top + 2
+    the numerator sum over a filtered copy of the generators of degree <= d."""
+    keys = [_degree_key(g) for g in I.gens]
+    assert all(a < b for a, b in zip(keys, keys[1:])), I.gens
+    degrees = [sum(g) for g in I.gens]
+    if degrees:
+        assert I.alpha() == min(degrees)
+        assert I.max_generator_degree() == max(degrees)
+    n = I.nvars
+    for d in range(max(degrees, default=0) + 3):
+        N = _numerator([g for g in I.gens if sum(g) <= d], n)
+        assert hilbert_function(I, d) == sum(c * comb(d - e + n - 1, n - 1) for e, c in N.items() if e <= d)
+
+
+@st.composite
+def built_ideals(draw):
+    """An ideal from one of the library's constructors: `from_gens`,
+    `from_json`, `product`, `padded`, `zero`, `unit` or a rule's `_member`,
+    on drawn generators with repeated and redundant ones."""
+    n = draw(st.integers(1, 4))
+    vectors = st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8)
+    gens = draw(vectors)
+    how = draw(st.sampled_from(["from_gens", "from_json", "product", "padded", "zero", "unit", "member"]))
+    if how == "from_json":
+        return MonomialIdeal.from_json({"vars": n, "gens": [list(g) for g in gens]})
+    if how == "product":
+        return MonomialIdeal.from_gens(n, gens).product(MonomialIdeal.from_gens(n, draw(vectors)))
+    if how == "padded":
+        return MonomialIdeal.from_gens(n, gens).padded(n + draw(st.integers(0, 2)))
+    if how == "zero":
+        return MonomialIdeal.zero(n)
+    if how == "unit":
+        return MonomialIdeal.unit(n)
+    if how == "member":
+        return _member(n, set(gens))
+    return MonomialIdeal.from_gens(n, gens)
+
+
+@settings(max_examples=300)
+@given(built_ideals())
+def test_built_ideals_keep_degree_order(I):
+    assert_degree_ordered(I)
+
+
+@settings(max_examples=120)
+@given(family_specs(kinds=BUILTIN_KINDS))
+def test_family_members_keep_degree_order(spec):
+    # staircase rules (chain, halfplane, ceiling), power chains and the
+    # remaining rules, members m <= 8
+    family = family_from_json(spec)
+    for m in range(1, 9):
+        assert_degree_ordered(family.ideal(m))
