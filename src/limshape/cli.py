@@ -207,12 +207,6 @@ def _planar_config(args) -> planar.LineConfiguration:
     return planar.validate_configuration(_counts(args.counts), args.shared)
 
 
-def _planar_graph(config) -> planar.PLGraph:
-    if config.shared_intersection:
-        return planar.two_line_vertices(*config.counts)
-    return planar.dhf_vertices_closed_form(config.counts)
-
-
 def _cmd_planar_reduce(args) -> dict:
     config = _planar_config(args)
     if args.m is None:
@@ -231,7 +225,7 @@ def _cmd_planar_reduce(args) -> dict:
 def _cmd_planar_vertices(args) -> dict:
     config = _planar_config(args)
     return {"counts": list(config.counts), "shared_intersection": config.shared_intersection,
-            "vertices": _planar_graph(config).to_json()}
+            "vertices": planar._closed_graph(config).to_json()}
 
 
 def _cmd_render(args) -> str:
@@ -241,11 +235,10 @@ def _cmd_render(args) -> str:
         t = parse_rational(args.t)
         return render_staircase(_ideal_from_args(args), args.m, t)
     if args.kind == "graph":
-        return render_graph(_planar_graph(_planar_config(args)))
+        return render_graph(planar._closed_graph(_planar_config(args)))
     if args.kind == "gamma":
-        graph = _planar_graph(_planar_config(args))
-        t = parse_rational(args.t) if args.t is not None else None
-        return render_polygon(planar.gamma_vertices(graph, t), hatched=True)
+        graph = planar._closed_graph(_planar_config(args))
+        return render_polygon(planar.gamma_vertices(graph, args.t), hatched=True)
     family = _family_from_args(args)  # "shape", the last of the parser's choices
     if args.t is None:
         raise CliError("render shape needs --t")

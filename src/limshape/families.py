@@ -123,8 +123,8 @@ def _chain_text(points) -> str:
 
 
 def _member(nvars: int, gens) -> MonomialIdeal:
-    """A rule's member from the integer vectors it computed: minimalized, unchecked."""
-    return MonomialIdeal(nvars, _minimal(gens))
+    """A rule's member: `_minimal` orders the antichain of its int vectors for `_of`."""
+    return MonomialIdeal._of(nvars, _minimal(gens))
 
 
 class GradedFamily:
@@ -309,7 +309,7 @@ def _staircase_rule(shape: ExactShape) -> Callable[[int], MonomialIdeal]:
             ys.append(0)
         xs = list(range(columns))
         # a ascends, so a stable sort by degree gives the (degree, vector) order
-        I = MonomialIdeal(2, tuple(sorted(zip(xs, ys), key=sum)))
+        I = MonomialIdeal._of(2, tuple(sorted(zip(xs, ys), key=sum)))
         I.__dict__["_staircase"] = xs, ys
         return I
 

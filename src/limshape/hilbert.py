@@ -126,16 +126,19 @@ def hilbert_function_extended(I: MonomialIdeal, t) -> int:
 
 @dataclass(frozen=True)
 class IntegerPolynomial:
-    """Polynomial with exact rational coefficients, ascending by degree."""
+    """Polynomial with exact rational coefficients (`parse_rational`), ascending, zeros stripped."""
 
     coeffs: tuple
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "IntegerPolynomial":
-        cs = [parse_rational(c) for c in coeffs]
+    def __post_init__(self):
+        cs = [parse_rational(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        return cls(tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "IntegerPolynomial":
+        return cls(coeffs)
 
     @property
     def degree(self) -> int:

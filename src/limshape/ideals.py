@@ -7,9 +7,9 @@ i < j.  Ideals are stored as the antichain of minimal generators; the empty
 generator set denotes the zero ideal.
 
 Exponent vectors are checked (entries through `operator.index`, none
-negative) only where they enter: `from_gens`, `from_json`, `contains` and
-`minimal_exponents`.  Products and family rules build theirs from checked
-integers and call the unchecked kernel `_minimal`.
+negative) only where they enter: the `MonomialIdeal` constructor, `contains`
+and `minimal_exponents`.  Products and family rules build theirs from checked
+integers through the unchecked kernel `_minimal` and `MonomialIdeal._of`.
 """
 
 from __future__ import annotations
@@ -131,34 +131,43 @@ def _minimal(vs) -> tuple:
 class MonomialIdeal:
     """Monomial ideal given by its minimal generators (an antichain).
 
-    Every ideal the library builds (`from_gens`, `from_json`, `zero`,
-    `unit`, `product`, `padded`, the family rules) keeps `gens` strictly
-    increasing by `_degree_key`, the (degree, vector) order.  Four readers
-    rely on it instead of a scan: `is_unit` and `alpha` read the degree of
-    `gens[0]`, `max_generator_degree` that of `gens[-1]`, and
-    `hilbert_function` bisects to the generators of degree at most d."""
+    The constructor is the checked way in (`from_gens`, `from_json`, `zero`,
+    `unit` and `dataclasses.replace` call it): it checks nvars and every
+    vector, and keeps `gens` minimal and strictly increasing by `_degree_key`,
+    the (degree, vector) order.  Readers rely on it instead of a scan:
+    `is_unit` and `alpha` read the degree of `gens[0]`, `max_generator_degree`
+    that of `gens[-1]`, and `hilbert_function` bisects to degree at most d."""
 
     nvars: int
     gens: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "nvars", nvars := _check_nvars(self.nvars))
+        object.__setattr__(self, "gens", gens := minimal_exponents(self.gens))
+        if gens and len(gens[0]) != nvars:
+            raise ValueError(f"generators have {len(gens[0])} exponents, expected {nvars}")
+
+    @classmethod
+    def _of(cls, nvars: int, gens: tuple) -> "MonomialIdeal":
+        """Unchecked, for builders whose gens already keep the contract:
+        `product` and `families._member` (`_minimal` of checked ints),
+        `padded` (appended zeros change no degree and no order) and
+        `families._staircase_rule` (columns, b falling, sorted by degree)."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(nvars=nvars, gens=gens)
+        return obj
+
     @classmethod
     def from_gens(cls, nvars: int, gens: Iterable) -> "MonomialIdeal":
-        nvars = _check_nvars(nvars)
-        mins = minimal_exponents(gens)
-        if mins and len(mins[0]) != nvars:
-            raise ValueError(
-                f"generators have {len(mins[0])} exponents, expected {nvars}"
-            )
-        return cls(nvars, mins)
+        return cls(nvars, gens)
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls(_check_nvars(nvars), ())
+        return cls(nvars, ())
 
     @classmethod
     def unit(cls, nvars: int) -> "MonomialIdeal":
-        nvars = _check_nvars(nvars)
-        return cls(nvars, ((0,) * nvars,))
+        return cls(nvars, ((0,) * _check_nvars(nvars),))
 
     @property
     def is_zero(self) -> bool:
@@ -183,16 +192,10 @@ class MonomialIdeal:
 
     @cached_property
     def _staircase(self) -> tuple:
-        """2 variables: the corners, x_0 exponents ascending and x_1 exponents
-        strictly descending; a generator whose x_1 exponent does not drop below
-        all earlier ones is redundant and left out."""
-        xs: list = []
-        ys: list = []
-        for a, b in sorted(self.gens):
-            if not ys or b < ys[-1]:
-                xs.append(a)
-                ys.append(b)
-        return xs, ys
+        """2 variables: the corners, the sorted generators, whose x_0 exponents
+        ascend and, in an antichain, x_1 exponents strictly descend."""
+        corners = sorted(self.gens)
+        return [a for a, _ in corners], [b for _, b in corners]
 
     def _contains(self, v) -> bool:
         """Membership of a vector of nvars non-negative ints, unchecked."""
@@ -205,7 +208,7 @@ class MonomialIdeal:
             raise ValueError("ideal product across different variable counts")
         charge("product", len(self.gens) * len(other.gens), len(self.gens), len(other.gens))
         sums = {tuple(map(add, a, b)) for a in self.gens for b in other.gens}
-        return MonomialIdeal(self.nvars, _minimal(sums))
+        return MonomialIdeal._of(self.nvars, _minimal(sums))
 
     def is_borel_fixed(self) -> bool:
         """Strong stability: every exchange x_j -> x_i (i < j) of every monomial
@@ -257,7 +260,7 @@ class MonomialIdeal:
         if nvars == self.nvars:
             return self
         pad = (0,) * (nvars - self.nvars)
-        return MonomialIdeal(nvars, tuple(g + pad for g in self.gens))
+        return MonomialIdeal._of(nvars, tuple(g + pad for g in self.gens))
 
     def to_json(self) -> dict:
         return {"vars": self.nvars, "gens": [list(g) for g in self.gens]}

@@ -978,8 +978,8 @@ def test_corner_count_matches_enumeration(gens, d):
 
 
 def _drawn_members(nvars):
-    """The zero ideal, the unit ideal, or MonomialIdeal(nvars, gens) built
-    directly from drawn generators, redundant and repeated ones included."""
+    """The zero ideal, the unit ideal, or MonomialIdeal(nvars, gens) of drawn
+    generators, redundant and repeated ones included."""
     gens = st.lists(st.tuples(*[st.integers(0, 9)] * nvars), max_size=6)
     return st.one_of(
         st.just(MonomialIdeal.zero(nvars)),

@@ -249,6 +249,16 @@ def test_integer_polynomial_str_and_eval():
     assert str(half) == "-3/2*t"
 
 
+def test_integer_polynomial_constructor_reads_like_from_coeffs():
+    # each coefficient read as a rational, trailing zeros stripped
+    one = IntegerPolynomial((1, 0))
+    assert one.degree == 0
+    assert one == IntegerPolynomial.from_coeffs([1]) and hash(one) == hash(IntegerPolynomial.from_coeffs([1]))
+    assert IntegerPolynomial(("1/2", 0, "0")) == IntegerPolynomial.from_coeffs([Fraction(1, 2)])
+    zero = IntegerPolynomial((0, 0))
+    assert (zero.degree, str(zero), zero.coeffs) == (-1, "0", ())
+
+
 @settings(max_examples=300)
 @given(small_ideals())
 def test_hilbert_polynomial_equals_the_expanded_sum(I):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import re
@@ -115,6 +116,8 @@ def test_malformed_exponent_vectors_are_refused(gens, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         MonomialIdeal.from_gens(2, gens)
     with pytest.raises(ValueError, match=re.escape(named)):
+        MonomialIdeal(2, tuple(gens))
+    with pytest.raises(ValueError, match=re.escape(named)):
         MonomialIdeal.from_json({"vars": 2, "gens": [list(g) for g in gens]})
     if len(gens) == 1:
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -220,8 +223,8 @@ pairs = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, ma
 @settings(max_examples=300)
 @given(pairs, st.booleans())
 def test_two_variable_borel_test_matches_adjacent_moves(gens, close):
-    # the generators are kept as drawn, redundant ones included; the closure's
-    # generators added to them make the verdict true
+    # the drawn generators, redundant ones included, go through the
+    # constructor; the closure's generators added to them make the verdict true
     if close:
         gens = gens + list(borel_closure(MonomialIdeal.from_gens(2, gens)).gens)
     I = MonomialIdeal(2, tuple(gens))
@@ -328,13 +331,17 @@ def assert_degree_ordered(I: MonomialIdeal) -> None:
 
 @st.composite
 def built_ideals(draw):
-    """An ideal from one of the library's constructors: `from_gens`,
-    `from_json`, `product`, `padded`, `zero`, `unit` or a rule's `_member`,
-    on drawn generators with repeated and redundant ones."""
+    """An ideal from one of the library's constructors: the dataclass
+    constructor itself, `from_gens`, `from_json`, `product`, `padded`,
+    `zero`, `unit` or a rule's `_member`, on drawn generators with repeated
+    and redundant ones."""
     n = draw(st.integers(1, 4))
     vectors = st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=8)
     gens = draw(vectors)
-    how = draw(st.sampled_from(["from_gens", "from_json", "product", "padded", "zero", "unit", "member"]))
+    how = draw(st.sampled_from(["constructor", "from_gens", "from_json", "product", "padded", "zero", "unit",
+                                "member"]))
+    if how == "constructor":
+        return MonomialIdeal(n, tuple(gens))
     if how == "from_json":
         return MonomialIdeal.from_json({"vars": n, "gens": [list(g) for g in gens]})
     if how == "product":
@@ -354,6 +361,21 @@ def built_ideals(draw):
 @given(built_ideals())
 def test_built_ideals_keep_degree_order(I):
     assert_degree_ordered(I)
+
+
+def test_the_constructor_orders_and_minimalizes_like_from_gens():
+    # generators out of (degree, vector) order, a repeat and a redundant one
+    I = MonomialIdeal(2, ((0, 5), (1, 0), (0, 5), (2, 3)))
+    J = MonomialIdeal.from_gens(2, [(1, 0), (0, 5)])
+    assert I.gens == ((1, 0), (0, 5))
+    assert (I.alpha(), I.max_generator_degree()) == (1, 5)
+    assert I == J and hash(I) == hash(J)
+    assert dataclasses.replace(J, gens=[(2, 3), (0, 5), (1, 0)]) == J
+    assert MonomialIdeal(2, [(0, 0), (3, 1)]).is_unit
+    with pytest.raises(ValueError, match="generators have 2 exponents, expected 3"):
+        MonomialIdeal(3, ((1, 0),))
+    with pytest.raises(ValueError, match="need at least one variable"):
+        MonomialIdeal(0, ())
 
 
 @settings(max_examples=120)

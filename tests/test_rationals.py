@@ -73,6 +73,7 @@ def test_family_parameters_refuse_a_large_exponent():
 _READERS = {
     "hilbert_function_extended": lambda t: hilbert_function_extended(IDEAL, t),
     "IntegerPolynomial.from_coeffs": lambda t: IntegerPolynomial.from_coeffs([1, t]),
+    "IntegerPolynomial": lambda t: IntegerPolynomial((1, t)),
     "IntegerPolynomial.__call__": lambda t: IntegerPolynomial.from_coeffs([1, 2])(t),
     "staircase_region": lambda t: staircase_region(IDEAL, 2, t),
     "gamma_region": lambda t: gamma_region(IDEAL, 2, t),
