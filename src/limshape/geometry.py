@@ -372,11 +372,11 @@ def _cut(P, L, t: Fraction, monotone=True, right=False):
     return pts, L * k
 
 
-def _gamma_image(P, L, t, monotone=True, right=False) -> tuple:
+def _gamma_image(P, L, t, monotone=True) -> tuple:
     """Gamma's image, with its scale, read off a graph's image P over L:
     each point (x, y) of the graph, cut at x = t unless t is None, mapped to
     (y, x - y), then (0, t) after a cut unless it is there already."""
-    cut = t is not None and _cut(P, L, t, monotone, right)
+    cut = t is not None and _cut(P, L, t, monotone)
     ints, S = cut or (P, L)
     out = [(y, x - y) for x, y in ints]
     if cut and out[-1] != (closing := (0, t.numerator * (S // t.denominator))):
@@ -415,64 +415,118 @@ class ShapeResult:
 
 
 def _plane_ideal(family, m: int) -> MonomialIdeal:
+    """Member m in the plane: a one-variable member padded once and kept on
+    it (`MonomialIdeal._plane`), with its staircase; more than three
+    variables are refused."""
     I = family.ideal(m)
     if I.nvars > 3:
         raise UnsupportedDimensionError(
             f"{family.label}: shape computations need at most 3 variables, got {I.nvars}"
         )
-    return I.padded(2) if I.nvars == 1 else I
+    return I._plane if I.nvars == 1 else I
 
 
 def _exact_pair(shape, t: Fraction) -> tuple:
-    """Both closed-form results from one cut of the chain's planar graph.
+    """Both closed-form results, built reduced from one cut of the chain's
+    planar graph, with one shoelace for both areas.
 
     A chain and a first-difference graph are one object under
-    (x, y) -> (x + y, x), the inverse of `planar.gamma_vertices`' map.  The
-    graph's image is the origin, (x + y, x) of each image point on the scale
-    L * den(t), where t is T = num(t) * L, then for a chain ending off the
+    (x, y) -> (x + y, x), the inverse of `planar.gamma_vertices`' map.  On
+    the scale S = L * den(t), where t is T = num(t) * L, the graph's image
+    is (x + y, x) of each image point, then for a chain ending off the
     y-axis (max(T, last X) + 1, x_n).  The map is sound: a validated chain
     never lowers x + y, so its graph is x-monotone; the map has determinant
     -1, so areas are kept; the vertical ray becomes a horizontal segment
     past t, so such a chain is always cut.
 
-    Gamma, the triangle x, y >= 0, x + y <= t below the chain, is that cut
-    mapped back and closed by (0, t) when cut.  Delta, the triangle on or
-    above the chain, is [walk[0], (t, 0)], then (0, t) when uncut, then the
-    walk reversed, the walk being gamma between the origin and its closing;
-    it is empty when the x-intercept is past t.  The cut keeps the points at
-    t (`right`): a first slope of -1 is a vertical graph segment there,
-    which delta keeps.  Only the areas are built as Fractions."""
+    Gamma is the part of the triangle x, y >= 0, x + y <= t below the chain,
+    delta the part on or above it.  For t <= x_0 gamma is the triangle (the
+    origin at t = 0) and delta is empty, or at t = x_0 the chain's points on
+    the line: its first vertex, and its second when the first slope is -1.
+    For t > x_0 the walk is the graph cut at t, keeping the points at t
+    (`right`), mapped back; gamma is the origin, the walk, then (0, t) when
+    cut, and delta is walk[0], (t, 0), then (0, t) when uncut unless the
+    walk ends there, then the walk back to walk[1].
+
+    Neither repeats or aligns a point, so `_reduce` is not run.  Along the
+    walk x falls and y rises strictly, and the slopes strictly steepen; only
+    the first segment may keep x + y, hence the case t = x_0.  For t > x_0
+    every walk point after walk[0] has y > 0 and all but the last lie
+    strictly below the line; `_cut` appends its point only when it is not
+    the last vertex kept, and a cut walk ends at x > 0, so a closing (0, t)
+    repeats nothing, but for delta's at the top of a chain ending on the
+    y-axis, which is dropped.  Every three consecutive points turn: at the
+    origin, (t, 0) and walk[0] an axis meets a point off it, at (0, t) the
+    line meets the y-axis, and at a later walk point the chain turns or
+    meets the line, which no segment after the first runs along.  The lone
+    vertex (0, 0), the one chain starting at the origin, leaves gamma the
+    origin alone.
+
+    Gamma is counter-clockwise with twice-area w on its image, and the two
+    tile the triangle, so delta's area is (T^2 - w) / (2 S^2)."""
     ints, L = shape._image
-    q, T = t.denominator, t.numerator * L
-    graph = [(0, 0), *((q * (x + y), q * x) for x, y in ints)]
-    if ints[-1][0]:  # the vertical ray
-        graph.append((max(T, graph[-1][0]) + 1, graph[-1][1]))
-    cut, empty = T < graph[-1][0], T < graph[1][0]
-    gamma, S = _gamma_image(graph, L * q, t, right=True)
-    T = t.numerator * (S // q)
-    walk = gamma[1:len(gamma) - cut]  # a cut at t > 0 ends off the y-axis, so it is closed
-    delta = [] if empty else [walk[0], (T, 0)] + [(0, T)] * (not cut) + walk[:0:-1]
-    delta, gamma = ShapePolygon._from_image(delta, S), ShapePolygon._from_image(gamma, S)
-    return (ShapeResult(t, True, delta, delta.area(), shape.vertices),
-            ShapeResult(t, True, gamma, gamma.area(), shape.vertices))
+    q, T, S = t.denominator, t.numerator * L, L * t.denominator
+    if T <= q * ints[0][0]:
+        delta = [(q * x, q * y) for x, y in ints[:2] if q * (x + y) == T]
+        gamma = [(0, 0), (T, 0), (0, T)] if T else [(0, 0)]
+    else:
+        graph = [(q * (x + y), q * x) for x, y in ints]
+        if ints[-1][0]:  # the vertical ray
+            graph.append((max(T, graph[-1][0]) + 1, graph[-1][1]))
+        cut = _cut(graph, S, t, right=True)
+        if cut:
+            graph, S = cut
+        T = t.numerator * (S // q)
+        walk = [(y, x - y) for x, y in graph]
+        gamma = [(0, 0)] * (ints[0][0] > 0) + walk + [(0, T)] * bool(cut)
+        delta = [walk[0], (T, 0)] + [(0, T)] * (not cut and walk[-1] != (0, T)) + walk[:0:-1]
+    delta, gamma = ShapePolygon._of(delta, S), ShapePolygon._of(gamma, S)
+    twice, den = gamma._twice_area()
+    return (ShapeResult(t, True, delta, Fraction(T * T - twice, den), shape.vertices),
+            ShapeResult(t, True, gamma, Fraction(twice, den), shape.vertices))
+
+
+def _staircase_hull(stair: list, tD: int) -> list:
+    """The strict CCW hull of a nonempty staircase (x rising, y falling) on
+    or below x + y = tD and of that line's points A = (x_lo, tD - x_lo) and
+    B = (tD - y_lo, y_lo), x_lo and y_lo the least x and y.
+
+    Every point lies in the triangle x >= x_lo, y >= y_lo, x + y <= tD with
+    top vertices A and B, and stair[0] is the lowest on its left side.  So
+    the upper hull is B, A (A dropped when it is stair[0]), then down the
+    left side; the lower hull, from stair[0] to B over strictly increasing
+    x with A above stair[0], is `_half_chain(stair + [B])`, which drops a
+    last corner equal to B.  They meet in strict turns: the lower hull's
+    last corner before B lies strictly below the line (a corner on it lies
+    above the segment from stair[0] to B, or, when stair[0] = A, on the
+    line, where the chain drops it), and at A and stair[0] the vertical
+    meets a point off it.  A == B only for a lone corner on the line."""
+    (x_lo, _), (_, y_lo) = stair[0], stair[-1]
+    A, B = (x_lo, tD - x_lo), (tD - y_lo, y_lo)
+    if A == B:
+        return [A]
+    return _half_chain(stair + [B])[:-1] + [B] + [A] * (A != stair[0])
 
 
 def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
     """The inner approximation (see `limiting_shape`) and its complement,
-    reported by area only: t^2/2 - area(delta).  max_m is charged to the
-    "walk" budget before D is formed.
+    reported by area only: t^2/2 - area(delta), as ((tD)^2 - w) / (2 D^2)
+    from the hull's twice-area w.  max_m is charged to the "walk" budget
+    before D is formed.
 
     A two-variable member gives its corners on or below x + y = tD, scaled
     by k = D/m; of all of them the hull takes the union staircase (in
     lexicographic order a corner stays when its y drops below every kept y)
     and two points of that line, (x_lo, tD - x_lo) and (tD - y_lo, y_lo),
-    x_lo and y_lo the least x and y of the staircase.  Its strict hull is
-    that of every corner and both its projections onto the line: a dropped
-    corner p has a staircase corner q <= p, so it lies in the triangle of q
-    and q's projections; and a projection of any corner q, (q_x, tD - q_x)
-    say, lies between the two line points, as x_lo <= q_x and
-    q_x + y_lo <= q_x + q_y <= tD.  A three-variable member gives each of
-    its boxes' corners and both projections onto that box's hypotenuse."""
+    x_lo and y_lo the least x and y of the staircase, read off it by
+    `_staircase_hull`.  Its strict hull is that of every corner and both its
+    projections onto the line: a dropped corner p has a staircase corner
+    q <= p, so it lies in the triangle of q and q's projections; and a
+    projection of any corner q, (q_x, tD - q_x) say, lies between the two
+    line points, as x_lo <= q_x and q_x + y_lo <= q_x + q_y <= tD.  A
+    three-variable member gives each of its boxes' corners and both
+    projections onto that box's hypotenuse, hulled by Andrew's monotone
+    chain."""
     charge("walk", max_m, family.label)
     D = lcm(*range(1, max_m + 1)) * t.denominator
     tD = t.numerator * (D // t.denominator)
@@ -491,14 +545,15 @@ def _inner_pair(family, t: Fraction, max_m: int) -> tuple:
         for p in sorted(corners):
             if not stair or p[1] < stair[-1][1]:
                 stair.append(p)
-        (x_lo, _), (_, y_lo) = stair[0], stair[-1]
-        points += stair + [(x_lo, tD - x_lo), (tD - y_lo, y_lo)]
+        hull = _staircase_hull(stair, tD)
+    else:  # every member in three variables, or no corner below the line
+        hull = _monotone_chain(sorted(set(points)))
     # a strictly convex hull (or at most two points): the reduction keeps
     # every vertex, so it is not run
-    poly = ShapePolygon._of(_monotone_chain(sorted(set(points))), D)
-    area = poly.area()
-    return (ShapeResult(t, False, poly, area, None),
-            ShapeResult(t, False, None, t * t / 2 - area, None))
+    poly = ShapePolygon._of(hull, D)
+    twice, den = poly._twice_area()  # counter-clockwise, so twice >= 0
+    return (ShapeResult(t, False, poly, Fraction(twice, den), None),
+            ShapeResult(t, False, None, Fraction(tD * tD - twice, den), None))
 
 
 def _shape_pair(family, t, max_m: int) -> tuple:

@@ -101,7 +101,10 @@ def _numerator(gens, nvars: int) -> dict:
             prev = cur
         return {e: c for e, c in out.items() if c}
 
-    return series(gens, nvars)
+    try:
+        return series(gens, nvars)
+    finally:
+        del series  # the closure holds itself through its cell: break the cycle
 
 
 def hilbert_function(I: MonomialIdeal, d: int) -> int:

@@ -197,6 +197,12 @@ class MonomialIdeal:
         corners = sorted(self.gens)
         return [a for a, _ in corners], [b for _, b in corners]
 
+    @cached_property
+    def _plane(self) -> "MonomialIdeal":
+        """`padded(2)`, built once: a one-variable member in the plane, where
+        its own `_staircase` is then kept too."""
+        return self.padded(2)
+
     def _contains(self, v) -> bool:
         """Membership of a vector of nvars non-negative ints, unchecked."""
         return any(all(a <= b for a, b in zip(g, v)) for g in self.gens)

@@ -10,7 +10,8 @@ lattice counts by slicing into columns and merging intervals,
 Borel-fixedness by scanning every monomial of the ideal up to a degree
 bound, membership by testing divisibility by every generator, polygon and
 graph vertices, cuts, areas and convexity in Fractions, the closed-form
-graph from harmonic Fractions, reduction vectors by stepping the reduction,
+graph from harmonic Fractions, closed-form shapes cut with every repeat and
+collinear point and then reduced, reduction vectors by stepping the reduction,
 inner approximations by hulling every point of every member padded to three
 variables, a polygon built from its image against the one built from its
 vertices, SVG scenes by mapping every point in Fractions, closed-form
@@ -35,9 +36,11 @@ from math import ceil
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from limshape import IntegerPolynomial, MonomialIdeal, convex_hull, format_rational, staircase_region
+from limshape import (ExactShape, IntegerPolynomial, MonomialIdeal, ShapePolygon, convex_hull, format_rational,
+                      staircase_region)
 from limshape.families import LimitEstimate
-from limshape.geometry import _corner_count
+from limshape.geometry import _corner_count, _cut
+from limshape.rationals import _ZERO
 
 # every property test draws the same examples on every run
 settings.register_profile("limshape", derandomize=True, deadline=None)
@@ -301,6 +304,52 @@ def fraction_exact_pair(vertices, t) -> tuple:
         walk, crossed = [(t, 0)], True
     gamma = fraction_polygon_make([(0, 0)] + walk + [(0, t)] * crossed)
     return (delta, abs(fraction_signed_area(delta)), gamma, abs(fraction_signed_area(gamma)))
+
+
+def exact_pair_shapes(rng) -> list:
+    """Closed-form chains for `_exact_pair`: chains of 2-6 breakpoints, the
+    same with the first vertex moved to x_1 + y_1 so the first slope is -1,
+    each of them ending off the y-axis too (last vertex dropped), halfplanes
+    (q1 = q2 among them, a first slope of -1 ending on the y-axis) and
+    ceilings, and the lone vertex (0, 0)."""
+    def q():
+        d = rng.randint(1, 12)
+        return Fraction(rng.randint(1, 6 * d), d)
+
+    chains = [((Fraction(0), Fraction(0)),)]
+    for n in range(2, 7):
+        for _ in range(12):
+            chain = random_chain(rng, n)
+            x1, y1 = chain[1]
+            for c in (chain, ((x1 + y1, Fraction(0)),) + chain[1:]):
+                chains += [c, c[:-1]]
+    for _ in range(12):
+        q1, q2 = sorted((q(), q()))
+        chains += [((q1, _ZERO), (_ZERO, q2)), ((q1, _ZERO), (_ZERO, q1)), ((q1, _ZERO),)]
+    return [ExactShape(c) for c in chains]
+
+
+def reduced_exact_images(shape, t) -> tuple:
+    """The images (points, scale) of delta and gamma of a closed form at t
+    as a cut builds them with every repeat and collinear point it may add,
+    then reduced by `ShapePolygon._from_image`: the origin and the chain's
+    planar graph cut at t, keeping the points at t, mapped back by
+    (x, y) -> (y, x - y) and closed by (0, t) when cut; delta is the walk's
+    first point, (t, 0), (0, t) when uncut and the walk reversed, empty when
+    the chain starts past t."""
+    ints, L = shape._image
+    q, T = t.denominator, t.numerator * L
+    graph = [(0, 0), *((q * (x + y), q * x) for x, y in ints)]
+    if ints[-1][0]:  # the vertical ray
+        graph.append((max(T, graph[-1][0]) + 1, graph[-1][1]))
+    empty = T < graph[1][0]
+    cut = _cut(graph, L * q, t, right=True)
+    pts, S = cut or (graph, L * q)
+    T = t.numerator * (S // q)
+    gamma = [(y, x - y) for x, y in pts] + [(0, T)] * bool(cut)
+    walk = gamma[1:len(gamma) - bool(cut)]
+    delta = [] if empty else [walk[0], (T, 0)] + [(0, T)] * (not cut) + walk[:0:-1]
+    return tuple(ShapePolygon._from_image(p, S)._image for p in (delta, gamma))
 
 
 def fraction_estimate(values, tolerance, period) -> LimitEstimate:

@@ -5,7 +5,7 @@ from itertools import permutations, product
 from math import comb, factorial, floor, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from limshape import (
@@ -53,6 +53,8 @@ from limshape.geometry import (
     _exact_pair,
     _inner_pair,
     _monotone_chain,
+    _plane_ideal,
+    _staircase_hull,
 )
 from limshape.work import BUDGETS
 
@@ -60,6 +62,7 @@ from conftest import (
     assert_vertices_read_once,
     brute_hf,
     clip_halfplane,
+    exact_pair_shapes,
     family_specs,
     fraction_exact_pair,
     fraction_polygon_make,
@@ -68,6 +71,7 @@ from conftest import (
     merge_intervals,
     padded_inner_hull,
     random_chain,
+    reduced_exact_images,
     slicing_lattice_count,
     sweep_area,
     volume_by_inclusion_exclusion,
@@ -591,27 +595,8 @@ def test_closed_form_walk_matches_clipping(spec, t_extra):
         assert gamma.area == abs(fraction_signed_area(below)) == t * t / 2 - delta.area
 
 
-def _exact_shapes(rng):
-    """Chains of 2-5 breakpoints with denominators up to 12, the same chains
-    ending off the y-axis (on a vertical ray), and halfplane and ceiling
-    shapes (the ceiling is a lone vertex and its ray)."""
-    def q():
-        d = rng.randint(1, 12)
-        return Fraction(rng.randint(1, 6 * d), d)
-
-    shapes = []
-    for n in range(2, 6):
-        for _ in range(15):
-            chain = random_chain(rng, n)
-            shapes += [ExactShape(chain), ExactShape(chain[:-1])]
-    for _ in range(15):
-        shapes.append(make_halfplane_family(*sorted((q(), q()))).exact_shape)
-        shapes.append(make_ceiling_family(q()).exact_shape)
-    return shapes
-
-
 def test_exact_pair_on_the_image_matches_the_fraction_walk(rng):
-    for shape in _exact_shapes(rng):
+    for shape in exact_pair_shapes(rng):
         sums = [x + y for x, y in shape.vertices]
         # t at 0, at every vertex sum, between two sums, before the first and
         # past the last
@@ -625,6 +610,67 @@ def test_exact_pair_on_the_image_matches_the_fraction_walk(rng):
             assert delta.staircase_vertices is gamma.staircase_vertices is shape.vertices
             assert all(type(c) is Fraction for p in delta.polygon.vertices + gamma.polygon.vertices
                        for c in p)
+
+
+def _same_points(a, b) -> bool:
+    """Whether two images (points, scale) hold the same rational points."""
+    (P, L), (Q, M) = a, b
+    return len(P) == len(Q) and all(x * M == u * L and y * M == v * L for (x, y), (u, v) in zip(P, Q))
+
+
+def test_exact_pair_is_built_reduced(rng):
+    # t at 0, at every vertex sum and 1/5 either side of it, between two sums
+    # and past the last: each image is one the reduction keeps whole, that of
+    # the cut with every repeat and collinear point reduced, and the two
+    # areas tile the triangle
+    for shape in exact_pair_shapes(rng):
+        sums = [x + y for x, y in shape.vertices]
+        ts = {Fraction(0), sums[-1] + 3, *((a + b) / 2 for a, b in zip(sums, sums[1:]))}
+        ts |= {s + d for s in sums for d in (0, Fraction(1, 5), Fraction(-1, 5)) if s + d >= 0}
+        for t in sorted(ts):
+            pair = _exact_pair(shape, t)
+            for result, want in zip(pair, reduced_exact_images(shape, t)):
+                ints = result.polygon._image[0]
+                assert ShapePolygon._reduce(ints) == list(range(len(ints))), (shape.vertices, t)
+                assert _same_points(result.polygon._image, want), (shape.vertices, t)
+                assert result.area == result.polygon.area()
+            assert pair[0].area + pair[1].area == t * t / 2, (shape.vertices, t)
+
+
+@st.composite
+def staircases(draw):
+    """(stair, tD): tD in 0..40 and the union staircase of drawn lattice
+    points on or below x + y = tD, x rising and y falling."""
+    tD = draw(st.integers(0, 40))
+    point = st.integers(0, tD).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, tD - x)))
+    stair = []
+    for p in sorted(draw(st.lists(point, min_size=1, max_size=12))):
+        if not stair or p[1] < stair[-1][1]:
+            stair.append(p)
+    return stair, tD
+
+
+@settings(max_examples=400)
+@given(staircases())
+@example(([(2, 3)], 5))  # a lone corner on the line
+@example(([(1, 4), (2, 1), (4, 0)], 5))  # the first corner on the line
+@example(([(0, 5), (1, 4), (3, 2), (5, 0)], 5))  # every corner on the line
+@example(([(0, 0)], 0))
+def test_staircase_hull_is_the_monotone_chain_with_both_line_points(case):
+    stair, tD = case
+    (x_lo, _), (_, y_lo) = stair[0], stair[-1]
+    A, B = (x_lo, tD - x_lo), (tD - y_lo, y_lo)
+    assert _staircase_hull(stair, tD) == _monotone_chain(sorted(set(stair + [A, B])))
+
+
+def test_plane_ideal_pads_a_one_variable_member_once():
+    family = make_ceiling_family(Fraction(5, 2))
+    for m in (1, 2, 7):
+        plane = _plane_ideal(family, m)
+        assert plane is _plane_ideal(family, m)
+        assert plane == family.ideal(m).padded(2) and plane.nvars == 2
+    plane_family = make_halfplane_family(2, 3)
+    assert _plane_ideal(plane_family, 3) is plane_family.ideal(3)
 
 
 def test_closed_form_polygons_hold_their_image_until_read():

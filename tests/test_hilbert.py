@@ -1,3 +1,4 @@
+import gc
 import time
 from fractions import Fraction
 from functools import partial
@@ -224,6 +225,20 @@ def test_exponential_slicing_is_refused_mid_series():
     # calls would refuse the second call
     small = MonomialIdeal.from_gens(12, cyclic_gens(12))
     assert _numerator(small.gens, 12) == _numerator(small.gens, 12) == slicing_numerator(small.gens, 12)
+
+
+def test_a_hilbert_series_leaves_no_reference_cycle():
+    # the slicing closure refers to itself; with the collector off, 100 series
+    # of a 3-variable ideal must leave nothing for it to find
+    I = MonomialIdeal.from_gens(3, [(2, 0, 1), (1, 1, 0), (0, 3, 1), (0, 0, 4)])
+    gc.collect()
+    gc.disable()
+    try:
+        for d in range(100):
+            hilbert_function(I, d)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unit_slices_are_not_sliced():
